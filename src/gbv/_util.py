@@ -43,6 +43,12 @@ def all_exact(values) -> bool:
     return all(isinstance(v, EXACT_TYPES) for v in values)
 
 
+def rail_slack(exact: bool, scale):
+    """Comparison slack: the int 0 on the exact rail (a float 0.0 would pull
+    exact operands onto floats), else 1e-9 relative to max(1, |scale|)."""
+    return 0 if exact else 1e-9 * max(1.0, abs(float(scale)))
+
+
 def exact_div(num, den):
     """Division that stays rational when both operands are rational.
 

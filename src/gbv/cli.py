@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, is_dataclass
 
 from . import __version__
@@ -53,7 +52,6 @@ from .variation import (
     bv_norm_detail,
     jordan_variation,
     modulus_of_variation,
-    variation_bruteforce,
     variation_greedy,
     variation_upper_bound,
 )
@@ -143,8 +141,6 @@ def _common_flags(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--exact", action="store_true",
                    help="serialize rationals as p/q strings")
-    p.add_argument("--threads", type=int, default=1,
-                   help="opt-in parallelism for brute-force enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -155,35 +151,29 @@ def _common_flags(p):
 def _cmd_variation(args) -> int:
     f = load_function_csv(args.function)
     phi = load_submeasure(args.submeasure)
-    result = {"jordan": jordan_variation(f)}
+    brute = args.method in ("brute", "all")
+    detail = bv_norm_detail(f, phi, "brute" if brute else "greedy")
     variation = {}
-    if args.method in ("greedy", "all"):
+    if args.method == "greedy":
+        variation["greedy"] = detail.variation
+    elif args.method == "all":
         variation["greedy"] = variation_greedy(f, phi)
-    if args.method in ("brute", "all"):
-        variation["brute"] = _brute_maybe_threaded(f, phi, args.threads)
+    if brute:
+        variation["brute"] = detail.variation
     if args.method in ("upper", "all"):
         variation["upper"] = variation_upper_bound(f, phi)
-    result["variation"] = variation
     n_max = f.segments if args.modulus is None else args.modulus
-    result["modulus_vector"] = list(modulus_of_variation(f, n_max).values)
-    detail = bv_norm_detail(f, phi, "brute" if args.method in ("brute", "all") else "greedy")
-    result["norm"] = detail.value
-    result["norm_method"] = detail.method
-    result["norm_exact"] = detail.exact
+    result = {
+        "jordan": jordan_variation(f),
+        "variation": variation,
+        "modulus_vector": list(modulus_of_variation(f, n_max).values),
+        "norm": detail.value,
+        "norm_method": detail.method,
+        "norm_exact": detail.exact,
+    }
     _emit(args, "variation", result,
-          series=("modulus_vector", list(enumerate(result.get("modulus_vector", [])))))
+          series=("modulus_vector", list(enumerate(result["modulus_vector"]))))
     return OK
-
-
-def _brute_maybe_threaded(f: PiecewiseLinearFunction, phi, threads: int):
-    if threads <= 1:
-        return variation_bruteforce(f, phi)
-    # Deterministic split: each worker takes every k-th starting interval by
-    # restricting max_count; the max-reduction is order-independent.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(variation_bruteforce, f, phi, k)
-                   for k in range(1, f.segments + 1)]
-        return max(fut.result() for fut in futures)
 
 
 def _cmd_compare(args) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .submeasure import SequencePrefix, Submeasure, as_entries
+from .submeasure import SequencePrefix, Submeasure, as_entries, as_float_array
 
 GROWTH_SLOPE_THRESHOLD = 0.05
 TAIL_REL_TOL = 1e-3
@@ -93,7 +93,7 @@ def fin_certificate(phi: Submeasure, x, *,
     threshold, else ``bounded-consistent`` at the final level.  Never a
     membership claim: a prefix cannot witness FIN(phi).
     """
-    norms = phi.truncation_norms(as_float_entries(x))
+    norms = phi.truncation_norms(as_float_array(x))
     slope = _loglog_slope(norms)
     final = float(norms[-1]) if len(norms) else 0.0
     params = {"slope": slope, "threshold": slope_threshold, "level": final}
@@ -109,7 +109,7 @@ def exh_certificate(phi: Submeasure, x, *,
                     rel_tol: float = TAIL_REL_TOL,
                     abs_tol: float = TAIL_ABS_TOL) -> MembershipCertificate:
     """Diagnose vanishing of tail hat-norms of x."""
-    tails = phi.tail_norms(as_float_entries(x))
+    tails = phi.tail_norms(as_float_array(x))
     initial = float(tails[0]) if len(tails) else 0.0
     final = float(tails[-1]) if len(tails) else 0.0
     threshold = max(abs_tol, rel_tol * initial)
@@ -120,12 +120,6 @@ def exh_certificate(phi: Submeasure, x, *,
         verdict = "tail-stuck"
         params["level"] = final
     return MembershipCertificate("exh", (), tuple(tails.tolist()), verdict, params)
-
-
-def as_float_entries(x) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        return x.astype(float, copy=False)
-    return np.array([float(v) for v in as_entries(x)], dtype=float)
 
 
 def _loglog_slope(norms: np.ndarray) -> float:

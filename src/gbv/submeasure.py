@@ -443,15 +443,42 @@ def density_from_table(values) -> DensityBound:
 
 
 class Submeasure:
-    """Abstract base: monotone subadditive set function with hat-norm."""
+    """Abstract base: monotone subadditive set function with hat-norm.
+
+    Besides ``set_value`` and ``hat`` each variant states the ordering facts
+    that the variation functionals rely on, so that no caller has to
+    recognise variants:
+
+    * ``sorted_hat_is_sup`` -- the hat of a nonincreasing vector is the
+      largest hat over its rearrangements, and the hat is monotone under
+      prefix-sum domination of nonincreasing vectors.  Where it holds,
+      ``sorted_rows_hat`` gives the float row-wise hat of sorted rows.
+    * ``greedy_guarantee`` -- the greedy variation is certified: a lower
+      bound that is exact whenever the runs saturate the modulus.  Declared
+      for weighted sums, density bounds and counting, and their shifts.
+    * ``rearrangement_base()`` -- a submeasure whose hat has the same
+      supremum over rearrangements of any vector (a permutation wrapper
+      ranges over the same orderings as its base).
+    """
 
     #: largest index the descriptor can evaluate (None = unbounded)
     horizon: Optional[int] = None
+
+    sorted_hat_is_sup: bool = False
+    greedy_guarantee: bool = False
 
     def set_value(self, C) -> Number:
         raise NotImplementedError
 
     def hat(self, x) -> Number:
+        raise NotImplementedError
+
+    def rearrangement_base(self) -> "Submeasure":
+        return self
+
+    def sorted_rows_hat(self, M: np.ndarray) -> np.ndarray:
+        """Float hat of each row of M, whose rows are nonincreasing and
+        nonnegative; defined where ``sorted_hat_is_sup`` holds."""
         raise NotImplementedError
 
     def singleton(self, k: int) -> Number:
@@ -494,6 +521,10 @@ class Submeasure:
 
 class SummableSubmeasure(Submeasure):
     """phi_A(C) = sum of weights over C; the hat-norm is the weighted l1 sum."""
+
+    # nonincreasing weights: the rearrangement inequality
+    sorted_hat_is_sup = True
+    greedy_guarantee = True
 
     def __init__(self, weights: WatermanWeights):
         self.weights = weights
@@ -539,6 +570,9 @@ class SummableSubmeasure(Submeasure):
         w = self.weights.float_values(len(ax))
         return np.cumsum((w * ax)[::-1])[::-1]
 
+    def sorted_rows_hat(self, M):
+        return M @ self.weights.float_values(M.shape[1])
+
 
 class DensitySubmeasure(Submeasure):
     """phi_g(C) = sup_n |C ∩ {1..n}| / g(n); hat() is sup_n (prefix sum)/g(n).
@@ -561,6 +595,10 @@ class DensitySubmeasure(Submeasure):
     mu = (3/4, 0, 0, 1/4).  Use :func:`gbv.oracle.hat_norm_oracle` when the
     literal dominated-measure value is required.
     """
+
+    # sorting maximizes every prefix sum
+    sorted_hat_is_sup = True
+    greedy_guarantee = True
 
     def __init__(self, bound: DensityBound):
         self.bound = bound
@@ -617,9 +655,14 @@ class DensitySubmeasure(Submeasure):
             out[cut - 1] = ((prefix[cut - 1:] - prefix[cut - 2]) / g[cut - 1:]).max()
         return out
 
+    def sorted_rows_hat(self, M):
+        return (np.cumsum(M, axis=1) / self.bound.g_array(M.shape[1])).max(axis=1)
+
 
 class UnitSubmeasure(Submeasure):
     """1 on every nonempty set; the hat-norm is the sup norm."""
+
+    sorted_hat_is_sup = True   # order-free
 
     def __repr__(self):
         return "Unit()"
@@ -643,9 +686,16 @@ class UnitSubmeasure(Submeasure):
         ax = np.abs(np.asarray(as_float_array(x)))
         return np.maximum.accumulate(ax[::-1])[::-1]
 
+    def sorted_rows_hat(self, M):
+        return M[:, 0]
+
 
 class CountingSubmeasure(Submeasure):
     """phi(C) = |C|; the hat-norm is the l1 sum."""
+
+    # order-free, and the all-ones weighted sum
+    sorted_hat_is_sup = True
+    greedy_guarantee = True
 
     def __repr__(self):
         return "Counting()"
@@ -670,6 +720,9 @@ class CountingSubmeasure(Submeasure):
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
         return np.cumsum(ax[::-1])[::-1]
+
+    def sorted_rows_hat(self, M):
+        return M.sum(axis=1)
 
 
 class PermutedSubmeasure(Submeasure):
@@ -721,6 +774,9 @@ class PermutedSubmeasure(Submeasure):
             raise HorizonExceeded(f"index {k} exceeds horizon {len(self.perm)}")
         return self.base.singleton(self.perm[k - 1])
 
+    def rearrangement_base(self):
+        return self.base.rearrangement_base()
+
 
 class ShiftedSubmeasure(Submeasure):
     """phi'(C) = phi(C) + sum_{n in C} 2^-n.
@@ -738,6 +794,16 @@ class ShiftedSubmeasure(Submeasure):
     @property
     def horizon(self):
         return self.base.horizon
+
+    # The dyadic weights are nonincreasing, so the base decides both facts.
+    # Not its rearrangement base: the dyadic part is not order-free.
+    @property
+    def sorted_hat_is_sup(self):
+        return self.base.sorted_hat_is_sup
+
+    @property
+    def greedy_guarantee(self):
+        return self.base.greedy_guarantee
 
     def __repr__(self):
         return f"Shifted({self.base!r})"
@@ -773,6 +839,10 @@ class ShiftedSubmeasure(Submeasure):
         ax = np.abs(np.asarray(as_float_array(x)))
         dyadic = np.ldexp(1.0, -np.arange(1, len(ax) + 1))
         return self.base.tail_norms(x) + np.cumsum((dyadic * ax)[::-1])[::-1]
+
+    def sorted_rows_hat(self, M):
+        dyadic = np.ldexp(1.0, -np.arange(1, M.shape[1] + 1))
+        return self.base.sorted_rows_hat(M) + M @ dyadic
 
 
 class MaxWithUnitSubmeasure(Submeasure):

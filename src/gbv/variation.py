@@ -43,23 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import SizeRefusal, all_exact, exact_div
-from .submeasure import (
-    CountingSubmeasure,
-    DensitySubmeasure,
-    PermutedSubmeasure,
-    ShiftedSubmeasure,
-    Submeasure,
-    SummableSubmeasure,
-    UnitSubmeasure,
-    WatermanWeights,
-    hat_norm,
-    summable,
-)
+from ._util import SizeRefusal, all_exact, exact_div, rail_slack
+from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
-
-_FLOAT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,7 @@ class ModulusVector:
         object.__setattr__(self, "values", v)
         if not v or v[0] != 0:
             raise ValueError("modulus vector must start at v[0] = 0")
-        slack = 0 if all_exact(v) else _FLOAT_SLACK * max(1.0, float(max(v)))
+        slack = rail_slack(all_exact(v), max(v))
         for n in range(1, len(v)):
             if v[n] < v[n - 1] - slack:
                 raise ValueError(f"modulus must be nondecreasing (n={n})")
@@ -295,10 +282,14 @@ def _index_families(num_points: int, max_count: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _oscillation_profiles(breakpoints: tuple, values: tuple, max_count: int) -> tuple:
+def _oscillation_profiles(values: tuple, max_count: int, exact: bool) -> tuple:
     """Per family: oscillation vector in left-to-right and sorted order,
     zero oscillations stripped (a family with zeros removed is also
-    enumerated, so stripping loses nothing)."""
+    enumerated, so stripping loses nothing).
+
+    ``exact`` is part of the key because a tuple of floats equals, and hashes
+    like, the tuple of the same values as Fractions: without it an exact
+    function would be handed the profiles of its float twin."""
     num_points = len(values)
     profiles = []
     for fam in _index_families(num_points, max_count):
@@ -309,36 +300,19 @@ def _oscillation_profiles(breakpoints: tuple, values: tuple, max_count: int) -> 
     return tuple(profiles)
 
 
+@lru_cache(maxsize=64)
+def _sorted_profile_matrix(values: tuple, max_count: int, exact: bool) -> np.ndarray:
+    profiles = _oscillation_profiles(values, max_count, exact)
+    width = max((len(s) for _, s in profiles), default=0)
+    M = np.zeros((len(profiles), width))
+    for r, (_, srt) in enumerate(profiles):
+        M[r, :len(srt)] = [float(v) for v in srt]
+    return M
+
+
 # ---------------------------------------------------------------------------
 # General variation
 # ---------------------------------------------------------------------------
-
-
-def _ordering_certain(phi: Submeasure) -> bool:
-    """True when hat of the sorted-descending vector is the exact supremum of
-    hat over all orderings: weighted sums and the shifted wrapper by the
-    rearrangement inequality, density bounds by prefix-sum domination, unit
-    and counting because they ignore order."""
-    while isinstance(phi, (ShiftedSubmeasure, PermutedSubmeasure)):
-        phi = phi.base
-    return isinstance(phi, (SummableSubmeasure, DensitySubmeasure,
-                            UnitSubmeasure, CountingSubmeasure))
-
-
-def _best_order_hat(phi: Submeasure, ltr: tuple, srt: tuple):
-    """Supremum of hat over orderings of one family's oscillations.
-
-    A permutation wrapper ranges over the same orderings as its base, so the
-    supremum passes through.  Where no ordering rule is known (max-with-unit)
-    the max of the left-to-right and sorted evaluations is used: a lower
-    bound, consistent with that variant's no-closed-form stance.
-    """
-    if isinstance(phi, PermutedSubmeasure):
-        return _best_order_hat(phi.base, ltr, srt)
-    if _ordering_certain(phi):
-        return phi.hat(srt)
-    a, b = phi.hat(ltr), phi.hat(srt)
-    return a if a > b else b
 
 
 def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
@@ -346,11 +320,15 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     """Exact supremum of hat(oscillation vector) over ordered interval families.
 
     Endpoints are restricted to breakpoints (lossless for piecewise-linear f)
-    and enumeration is exhaustive, so for every variant with a known optimal
-    ordering this is the exact general variation; it is the oracle that the
-    greedy and upper-bound estimators are judged against.  Rational inputs
-    are evaluated in exact arithmetic; float inputs go through a vectorized
-    pass over the same family enumeration.
+    and enumeration is exhaustive.  Each family's orderings are searched
+    through ``phi.rearrangement_base()``: where its sorted hat is the
+    supremum over orderings this is the exact general variation, and it is
+    the oracle that the greedy and upper-bound estimators are judged
+    against.  Elsewhere (max-with-unit) the larger of the left-to-right and
+    sorted evaluations is used: a lower bound, consistent with that
+    variant's no-closed-form stance.  Rational inputs are evaluated in exact
+    arithmetic; float inputs with a sorted-optimal base go through a
+    vectorized pass over the same family enumeration.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -362,66 +340,22 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
         raise ValueError(f"max_count must lie in 1..{B}")
     if phi.horizon is not None:
         max_count = min(max_count, phi.horizon)
-    if not (f.is_exact() and phi.is_exact()):
-        fast = _bruteforce_vectorized(f, phi, max_count)
-        if fast is not None:
-            return fast
+    psi = phi.rearrangement_base()
+    sorted_is_sup = psi.sorted_hat_is_sup
+    exact = f.is_exact()
+    if sorted_is_sup and not (exact and phi.is_exact()):
+        M = _sorted_profile_matrix(f.values, max_count, exact)
+        return float(psi.sorted_rows_hat(M).max()) if M.size else 0.0
     best = 0
-    for ltr, srt in _oscillation_profiles(f.breakpoints, f.values, max_count):
-        val = _best_order_hat(phi, ltr, srt)
+    for ltr, srt in _oscillation_profiles(f.values, max_count, exact):
+        if sorted_is_sup:
+            val = psi.hat(srt)
+        else:
+            a, b = psi.hat(ltr), psi.hat(srt)
+            val = a if a > b else b
         if val > best:
             best = val
     return best
-
-
-def _bruteforce_vectorized(f: PiecewiseLinearFunction, phi: Submeasure, max_count: int):
-    M = _sorted_profile_matrix(f.breakpoints, f.values, max_count)
-    if M.size == 0:
-        return 0.0
-    rows = _rowwise_sorted_hat(phi, M)
-    return float(rows.max()) if rows is not None else None
-
-
-@lru_cache(maxsize=64)
-def _sorted_profile_matrix(breakpoints: tuple, values: tuple, max_count: int) -> np.ndarray:
-    profiles = _oscillation_profiles(breakpoints, values, max_count)
-    width = max((len(s) for _, s in profiles), default=0)
-    M = np.zeros((len(profiles), width))
-    for r, (_, srt) in enumerate(profiles):
-        M[r, :len(srt)] = [float(v) for v in srt]
-    return M
-
-
-def _rowwise_sorted_hat(phi: Submeasure, M: np.ndarray):
-    """Hat of each row's sorted oscillation vector, or None if no vectorized
-    form exists for the variant (the caller then falls back to the exact
-    per-family path)."""
-    if isinstance(phi, PermutedSubmeasure):
-        return _rowwise_sorted_hat(phi.base, M)   # ordered-sup passes through
-    if isinstance(phi, SummableSubmeasure):
-        return M @ phi.weights.float_values(M.shape[1])
-    if isinstance(phi, DensitySubmeasure):
-        g = phi.bound.g_array(M.shape[1])
-        return (np.cumsum(M, axis=1) / g).max(axis=1)
-    if isinstance(phi, UnitSubmeasure):
-        return M[:, 0]
-    if isinstance(phi, CountingSubmeasure):
-        return M.sum(axis=1)
-    if isinstance(phi, ShiftedSubmeasure):
-        base = _rowwise_sorted_hat(phi.base, M)
-        if base is None:
-            return None
-        dyadic = np.ldexp(1.0, -np.arange(1, M.shape[1] + 1))
-        return base + M @ dyadic
-    return None
-
-
-def _greedy_guarantee(phi: Submeasure) -> bool:
-    # Prefix-sum domination implies hat-domination for these variants
-    # (counting is the all-ones weighted sum).
-    while isinstance(phi, ShiftedSubmeasure):
-        phi = phi.base
-    return isinstance(phi, (SummableSubmeasure, DensitySubmeasure, CountingSubmeasure))
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
@@ -429,11 +363,11 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
 
     A lower bound of the true variation; exact exactly when the k largest
     runs attain the k-interval modulus for every k (``runs_saturate_modulus``)
-    and phi has the prefix-monotone guarantee (weighted sums, density bounds,
-    their shifted wrappers).  For other variants a warning flags that not
-    even the lower-bound ordering argument is available.
+    and ``phi.greedy_guarantee`` holds (weighted sums, density bounds,
+    counting, their shifted wrappers).  For other variants a warning flags
+    that not even the lower-bound ordering argument is available.
     """
-    if not _greedy_guarantee(phi):
+    if not phi.greedy_guarantee:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
@@ -445,11 +379,13 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
     """Hat-norm of the modulus increment vector.
 
     The sorted oscillations of any family are prefix-dominated by the modulus
-    increments (their k-prefix sums are at most v(k) by definition), so for
-    prefix-monotone hat-norms this dominates the brute-force supremum.  For
-    unit and counting it degenerates to v(1) and v(B), both exact.
+    increments (their k-prefix sums are at most v(k) by definition), so
+    where ``phi.sorted_hat_is_sup`` holds (the sorted vector is the best
+    ordering and the hat is prefix-monotone) this dominates the brute-force
+    supremum.  For unit and counting it degenerates to v(1) and v(B), both
+    exact.
     """
-    if not _greedy_guarantee(phi) and not isinstance(phi, (UnitSubmeasure, CountingSubmeasure)):
+    if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
     d = modulus_of_variation(f).increments()
@@ -466,7 +402,7 @@ def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:
     """
     v = modulus_of_variation(f)
     runs = sorted(monotone_runs(f), reverse=True)
-    slack = 0 if (f.is_exact()) else _FLOAT_SLACK * max(1.0, float(v.values[-1]))
+    slack = rail_slack(f.is_exact(), v.values[-1])
     total = 0
     for k in range(1, len(v)):
         if k <= len(runs):
@@ -495,10 +431,10 @@ def bv_norm_detail(f: PiecewiseLinearFunction, phi: Submeasure,
         method = "brute" if f.segments <= BRUTE_FORCE_MAX_SEGMENTS else "greedy"
     if method == "brute":
         var = variation_bruteforce(f, phi)
-        exact = _ordering_certain(phi)
+        exact = phi.rearrangement_base().sorted_hat_is_sup
     elif method == "greedy":
         var = variation_greedy(f, phi)
-        exact = _greedy_guarantee(phi) and runs_saturate_modulus(f)
+        exact = phi.greedy_guarantee and runs_saturate_modulus(f)
     else:
         raise ValueError(f"unknown method {method!r}")
     return BVNormResult(abs(f.values[0]) + var, var, method, exact)

@@ -126,6 +126,20 @@ def test_zigzag_identity_random_battery():
         assert variation_bruteforce(f, phi) == hat_norm(phi, [abs(v) for v in x])
 
 
+def test_zigzag_certifies_on_both_rails():
+    # float partial sums round (0.33333333333333326 vs 0.3333333333333333),
+    # so the float rail compares within a relative slack
+    _, cert = zigzag_from_sequence([1.0 / k for k in range(1, 21)])
+    assert cert.all_passed
+    _, cert = zigzag_from_sequence([1.0 / k for k in range(1, 9)],
+                                   summable(harmonic_weights(8)))
+    assert cert.all_passed
+    # the exact rail compares exactly, with no float entering the checks
+    f, cert = zigzag_from_sequence([F(1, k) for k in range(1, 21)])
+    assert cert.all_passed and f.is_exact()
+    assert all(type(c.lhs) in (int, F) and type(c.rhs) in (int, F) for c in cert.checks)
+
+
 def test_zigzag_rejects_non_monotone():
     with pytest.raises(HypothesisViolation):
         zigzag_from_sequence((1, 2))

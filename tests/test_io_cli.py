@@ -193,6 +193,11 @@ def test_cli_construct_zigzag_object_out(workdir):
     f = load_function_csv(out)
     assert f.values[0] == F(3, 4)
 
+    floats = workdir / "harmonic.csv"
+    floats.write_text("".join(f"{1.0 / k!r}\n" for k in range(1, 21)))
+    res = run_cli("construct", "--kind", "zigzag", "--sequence", str(floats))
+    assert res.returncode == 0, res.stdout
+
 
 def test_cli_construct_separating_negative_exit(workdir):
     res = run_cli("construct", "--kind", "density-set",

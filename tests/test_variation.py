@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction as F
@@ -11,8 +12,10 @@ from gbv.submeasure import (
     density,
     harmonic_weights,
     identity_bound,
+    max_with_unit,
     ones_weights,
     permuted,
+    shift_normalize,
     sqrt_bound,
     summable,
     unit,
@@ -55,6 +58,11 @@ def random_plf(rng, max_b=6):
     bps = [0] + [F(c, 128) for c in cuts] + [1]
     vals = [F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(B + 1)]
     return PiecewiseLinearFunction(tuple(bps), tuple(vals))
+
+
+def float_twin(f):
+    return PiecewiseLinearFunction(tuple(float(t) for t in f.breakpoints),
+                                   tuple(float(y) for y in f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +215,7 @@ def test_vectorized_brute_matches_exact_path():
     rng = random.Random(29)
     for _ in range(25):
         f = random_plf(rng, max_b=5)
-        ff = PiecewiseLinearFunction(tuple(float(t) for t in f.breakpoints),
-                                     tuple(float(y) for y in f.values))
+        ff = float_twin(f)
         for phi in (unit(), counting(), summable(harmonic_weights(8)),
                     density(sqrt_bound())):
             exact = float(variation_bruteforce(f, phi))
@@ -279,7 +286,80 @@ def test_sorted_family_evaluation_dominates_unsorted():
     rng = random.Random(47)
     for _ in range(10):
         f = random_plf(rng, max_b=5)
-        profiles = _oscillation_profiles(f.breakpoints, f.values, f.segments)
+        profiles = _oscillation_profiles(f.values, f.segments, f.is_exact())
         for phi in (summable(harmonic_weights(8)), density(sqrt_bound())):
             for ltr, srt in profiles:
                 assert hat_norm(phi, srt) >= hat_norm(phi, ltr)
+
+
+def test_shifted_over_permuted_is_not_order_certain():
+    # The dyadic shift is not order-free, so a permutation beneath it must not
+    # be unwrapped: the sorted hat is not the supremum over orderings here.
+    from gbv.variation import _index_families
+
+    weights = WatermanWeights([F(1), F(1, 2), F(1, 3), F(1, 4)], form="table")
+    phi = shift_normalize(permuted(summable(weights), (1, 2, 4, 3)))
+    f = PiecewiseLinearFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (0, 4, 1, 5, 0))
+    y = f.values
+    sup = max(phi.hat(order)
+              for fam in _index_families(len(y), f.segments)
+              for order in itertools.permutations([abs(y[j] - y[i]) for i, j in fam]))
+    assert sup == F(317, 24)
+    detail = bv_norm_detail(f, phi, "brute")
+    assert detail.variation == F(211, 16) and not detail.exact
+    fast = variation_bruteforce(float_twin(f), phi)
+    assert fast == 13.1875 and fast <= sup
+
+
+def test_profile_cache_keeps_the_exact_rail_after_a_float_twin():
+    f = PiecewiseLinearFunction((0, F(1, 2), F(3, 4), 1), (0, F(3, 2), F(-1, 4), 2))
+    phi = summable(harmonic_weights(5))
+    assert variation_bruteforce(float_twin(f), phi) == 3.625
+    exact = variation_bruteforce(f, phi)
+    assert type(exact) is F and exact == F(29, 8)
+
+
+def wrapper_stacks():
+    """Every leaf variant under every stack of at most two wrappers."""
+    leaves = (summable(harmonic_weights(8)), density(sqrt_bound()), unit(), counting())
+    wrappers = (shift_normalize, max_with_unit,
+                lambda phi: permuted(phi, (2, 1, 4, 3, 6, 5, 8, 7)))
+    for leaf in leaves:
+        for depth in (0, 1, 2):
+            for stack in itertools.product(wrappers, repeat=depth):
+                phi = leaf
+                for wrap in stack:
+                    phi = wrap(phi)
+                yield phi
+
+
+def test_ordering_facts_hold_on_every_wrapper_stack():
+    rng = random.Random(53)
+    vectors = [[F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))]
+               for _ in range(6)]
+    funcs = [random_plf(rng, max_b=5) for _ in range(4)]
+    for phi in wrapper_stacks():
+        psi = phi.rearrangement_base()
+        for chi in (phi, psi):
+            if chi.sorted_hat_is_sup:
+                for x in vectors:
+                    top = chi.hat(sorted(x, reverse=True))
+                    assert all(chi.hat(p) <= top for p in itertools.permutations(x)), (chi, x)
+        for f in funcs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                greedy = variation_greedy(f, phi)
+                upper = variation_upper_bound(f, phi)
+            said = " ".join(str(w.message) for w in caught)
+            assert ("greedy" in said) != phi.greedy_guarantee, phi
+            assert ("upper bound" in said) != phi.sorted_hat_is_sup, phi
+            if not psi.sorted_hat_is_sup:
+                continue
+            # the float rail is vectorized exactly here
+            exact = variation_bruteforce(f, phi)
+            fast = variation_bruteforce(float_twin(f), phi)
+            assert abs(fast - float(exact)) <= 1e-9 * max(1.0, float(exact)), (phi, f)
+            if phi.greedy_guarantee:
+                assert greedy <= exact, (phi, f)
+            if phi.sorted_hat_is_sup:
+                assert exact <= upper, (phi, f)

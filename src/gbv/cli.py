@@ -70,8 +70,17 @@ def main(argv=None) -> int:
         return INPUT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, not argparse's own 2, which
+    is reserved for negative outcomes.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbv",
         description="Submeasure hat-norms, generalized bounded variation, and "
                     "order checkers between the induced spaces.")

@@ -216,6 +216,25 @@ def test_cli_input_error_exit_one(workdir):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_non_finite_function_is_input_error(workdir, bad):
+    path = workdir / "bad.csv"
+    path.write_text(f"0,0\n1/2,{bad}\n1,0\n")
+    res = run_cli("variation", "--function", str(path),
+                  "--submeasure", str(workdir / "counting.json"))
+    assert res.returncode == 1
+    assert "value at index 1 is not finite" in res.stderr
+
+
+def test_cli_usage_error_exits_one(capsys):
+    from gbv.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["variation", "--bogus"])
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_cli_reports_deterministic(workdir):
     args = ("compare", "--relation", "preceq_m",
             "--a", str(workdir / "harmonic.json"),

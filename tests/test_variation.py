@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from gbv._util import SizeRefusal
@@ -78,6 +80,14 @@ def test_function_validation():
     assert f(F(1, 4)) == F(1, 2)
     with pytest.raises(ValueError):
         f(2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused_with_its_index(bad):
+    with pytest.raises(ValueError, match=r"value at index 1 is not finite"):
+        pl_from_points([(0, 0), (0.5, bad), (1, 1)])
+    with pytest.raises(ValueError, match=r"breakpoint at index 1 is not finite"):
+        PiecewiseLinearFunction((0, bad, 1), (0, 1, 0))
 
 
 def test_oscillation_examples():
@@ -286,7 +296,8 @@ def test_sorted_family_evaluation_dominates_unsorted():
     rng = random.Random(47)
     for _ in range(10):
         f = random_plf(rng, max_b=5)
-        profiles = _oscillation_profiles(f.values, f.segments, f.is_exact())
+        profiles = _oscillation_profiles(f.values, f.segments, tuple(map(type, f.values)),
+                                         False)
         for phi in (summable(harmonic_weights(8)), density(sqrt_bound())):
             for ltr, srt in profiles:
                 assert hat_norm(phi, srt) >= hat_norm(phi, ltr)
@@ -317,6 +328,19 @@ def test_profile_cache_keeps_the_exact_rail_after_a_float_twin():
     assert variation_bruteforce(float_twin(f), phi) == 3.625
     exact = variation_bruteforce(f, phi)
     assert type(exact) is F and exact == F(29, 8)
+
+
+def test_profile_cache_keeps_int_and_fraction_twins_apart():
+    from gbv.variation import _oscillation_profiles, _sorted_profile_matrix
+
+    ints = PiecewiseLinearFunction((0, F(1, 2), 1), (0, 2, 0))
+    fracs = PiecewiseLinearFunction((0, F(1, 2), 1), (0, F(2), 0))
+    for order in ((ints, fracs), (fracs, ints)):
+        _oscillation_profiles.cache_clear()
+        _sorted_profile_matrix.cache_clear()
+        for f in order:
+            got = variation_bruteforce(f, unit())
+            assert got == 2 and type(got) is type(f.values[1]), (order, f)
 
 
 def wrapper_stacks():
@@ -363,3 +387,95 @@ def test_ordering_facts_hold_on_every_wrapper_stack():
                 assert greedy <= exact, (phi, f)
             if phi.sorted_hat_is_sup:
                 assert exact <= upper, (phi, f)
+
+
+def test_maximal_families_are_the_inclusion_maximal_ones():
+    from gbv.variation import _index_families, _maximal_index_families
+
+    def joinable(fam, num_points):
+        # a nondegenerate interval fits before, between or after the intervals
+        ends = [0] + [j for _, j in fam]
+        starts = [i for i, _ in fam] + [num_points - 1]
+        return any(a < b for a, b in zip(ends, starts))
+
+    for num_points in range(2, 9):
+        for count in range(1, num_points):
+            every = _index_families(num_points, count)
+            expect = tuple(fam for fam in every
+                           if len(fam) == count or not joinable(fam, num_points))
+            assert _maximal_index_families(num_points, count) == expect, (num_points, count)
+    assert len(_maximal_index_families(10, 9)) == 2 ** 8
+    assert len(_index_families(10, 9)) == 4180
+
+
+def test_left_to_right_path_enumerates_every_family():
+    # Off the sorted path an inserted interval can lower the hat: the best
+    # family here, ((1, 2), (2, 3), (3, 4)), has a left-to-right hat of
+    # 189/16, and once (0, 1) joins it neither order reaches that.
+    phi = shift_normalize(permuted(summable(harmonic_weights(6)), (2, 1, 4, 3, 6, 5)))
+    assert not phi.rearrangement_base().sorted_hat_is_sup
+    f = PiecewiseLinearFunction((0, F(1, 4), F(1, 2), F(3, 4), 1), (F(2, 3), 1, -3, F(5, 2), 0))
+    assert phi.hat((4, F(11, 2), F(5, 2))) == F(189, 16)
+    assert phi.hat((F(1, 3), 4, F(11, 2), F(5, 2))) == F(805, 96)
+    assert phi.hat((F(11, 2), 4, F(5, 2), F(1, 3))) == F(833, 72)
+    assert variation_bruteforce(f, phi) == F(189, 16)
+
+
+def full_enumeration(f, phi, max_count):
+    """The brute force over every family, not only the maximal ones: the
+    exact rail takes the first largest sorted hat in enumeration order, the
+    float rail the largest row of the zero-padded float matrix."""
+    from gbv.variation import _index_families
+
+    psi = phi.rearrangement_base()
+    if phi.horizon is not None:
+        max_count = min(max_count, phi.horizon)
+    y = f.values
+    rows = []
+    for fam in _index_families(len(y), max_count):
+        srt = tuple(sorted((v for v in (abs(y[j] - y[i]) for i, j in fam) if v != 0),
+                           reverse=True))
+        if srt:
+            rows.append(srt)
+    if f.is_exact() and phi.is_exact():
+        best = 0
+        for srt in rows:
+            val = psi.hat(srt)
+            if val > best:
+                best = val
+        return best
+    if not rows:
+        return 0.0
+    M = np.zeros((len(rows), max(len(r) for r in rows)))
+    for r, srt in enumerate(rows):
+        M[r, :len(srt)] = [float(v) for v in srt]
+    return float(psi.sorted_rows_hat(M).max())
+
+
+def test_maximal_family_brute_force_equals_full_enumeration():
+    table = summable(WatermanWeights([1, F(1, 2), F(1, 3), F(1, 5), F(1, 8)], form="table"))
+    phis = [phi for phi in itertools.chain(wrapper_stacks(), (table, shift_normalize(table)))
+            if phi.rearrangement_base().sorted_hat_is_sup]
+    assert len(phis) == 26
+    rng = random.Random(59)
+    funcs = []
+    for B in (1, 3, 4, 6):
+        f = random_plf(rng, max_b=B)
+        while f.segments != B:
+            f = random_plf(rng, max_b=B)
+        funcs += [f, PiecewiseLinearFunction(f.breakpoints, tuple(int(v) for v in f.values)),
+                  PiecewiseLinearFunction(f.breakpoints, tuple(
+                      int(v) if k % 2 else v for k, v in enumerate(f.values)))]
+    for phi in phis:
+        for f in funcs:
+            B = f.segments
+            for max_count in sorted({B, max(1, B // 2), 1}):
+                got = variation_bruteforce(f, phi, max_count)
+                ref = full_enumeration(f, phi, max_count)
+                assert type(got) is type(ref) and got == ref, (phi, f, max_count)
+                ff = float_twin(f)
+                got = variation_bruteforce(ff, phi, max_count)
+                ref = full_enumeration(ff, phi, max_count)
+                assert type(got) is float and got == ref, (phi, ff, max_count)
+    # the horizon caps max_count below B on the 6-segment functions
+    assert table.horizon == 5 and max(f.segments for f in funcs) == 6

@@ -22,6 +22,7 @@ from ._util import (
     DescriptorError,
     HorizonExceeded,
     HypothesisViolation,
+    NonFiniteValue,
     SizeRefusal,
 )
 from .constructions import (

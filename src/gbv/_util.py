@@ -35,12 +35,21 @@ class DescriptorError(ValueError):
     """A descriptor file or dict is malformed; message names the field."""
 
 
+class NonFiniteValue(ValueError):
+    """A NaN or an infinity where data enters; message names where."""
+
+
 def is_exact(value) -> bool:
     return isinstance(value, EXACT_TYPES)
 
 
 def all_exact(values) -> bool:
     return all(isinstance(v, EXACT_TYPES) for v in values)
+
+
+def is_finite(value) -> bool:
+    """False only for a float NaN or infinity; exact numbers are finite."""
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def rail_slack(exact: bool, scale):
@@ -105,8 +114,8 @@ def format_number(value, exact: bool = False) -> str:
         value = float(value)
     if isinstance(value, int):
         return str(value)
-    if value != value:  # NaN guard; reports never carry NaN silently
-        raise ValueError("refusing to serialize NaN")
+    if not math.isfinite(value):  # reports never carry NaN or infinities
+        raise NonFiniteValue(f"refusing to serialize a non-finite number ({value!r})")
     return f"{value:.12g}"
 
 

@@ -16,11 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, is_dataclass
 
 from . import __version__
-from ._util import DescriptorError, HorizonExceeded, HypothesisViolation, SizeRefusal, json_ready
+from ._util import (
+    DescriptorError,
+    HorizonExceeded,
+    HypothesisViolation,
+    NonFiniteValue,
+    SizeRefusal,
+    json_ready,
+)
 from .constructions import (
     ConstructionCertificate,
     density_witness_monotone,
@@ -188,8 +196,8 @@ def _cmd_variation(args) -> int:
 def _cmd_compare(args) -> int:
     if args.horizon < 1:
         raise DescriptorError(f"--horizon must be at least 1, got {args.horizon}")
-    if args.cap <= 0:
-        raise DescriptorError(f"--cap must be positive, got {args.cap}")
+    if not 0 < args.cap < math.inf:
+        raise DescriptorError(f"--cap must be positive and finite, got {args.cap}")
     phi_a = load_submeasure(args.a)
     phi_b = load_submeasure(args.b)
     relation = args.relation
@@ -361,7 +369,11 @@ def _emit(args, command: str, result: dict, series=None) -> None:
                        if k not in ("handler",) and v is not None},
             "result": json_ready(result, exact=args.exact),
         }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            # a non-finite number that got past the loaders: refuse invalid JSON
+            raise NonFiniteValue(f"{command} report: {exc}") from exc
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -24,7 +24,7 @@ import csv
 import json
 from fractions import Fraction
 
-from ._util import DescriptorError, parse_number
+from ._util import DescriptorError, NonFiniteValue, is_finite, parse_number
 from .submeasure import (
     DensityBound,
     SequencePrefix,
@@ -116,12 +116,16 @@ def _bound_from_descriptor(desc: dict) -> DensityBound:
 def _parse_entry(v, where: str):
     if isinstance(v, str):
         try:
-            return parse_number(v)
+            v = parse_number(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise DescriptorError(f"field '{where}': {exc}") from exc
-    if isinstance(v, (int, float)):
+    elif isinstance(v, int):
         return v
-    raise DescriptorError(f"field '{where}': expected a number or 'p/q' string, got {v!r}")
+    elif not isinstance(v, float):
+        raise DescriptorError(f"field '{where}': expected a number or 'p/q' string, got {v!r}")
+    if not is_finite(v):
+        raise NonFiniteValue(f"field '{where}' is not finite ({v!r})")
+    return v
 
 
 def load_submeasure(path) -> Submeasure:
@@ -130,7 +134,15 @@ def load_submeasure(path) -> Submeasure:
             desc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DescriptorError(f"{path}: not valid JSON ({exc})") from exc
-    return submeasure_from_descriptor(desc)
+    return _in_file(path, submeasure_from_descriptor, desc)
+
+
+def _in_file(path, build, desc):
+    """build(desc), with the file named in a non-finite-value error."""
+    try:
+        return build(desc)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +159,33 @@ def sequence_from_descriptor(desc: dict) -> SequencePrefix:
         table = desc.get("table")
         if not isinstance(table, list):
             raise DescriptorError("field 'table': need a list of values")
-        return SequencePrefix(tuple(scale * _parse_entry(v, f"table[{i}]")
-                                    for i, v in enumerate(table)))
-    length = desc.get("length")
-    if not isinstance(length, int) or length < 1:
-        raise DescriptorError(f"field 'length': need a positive integer, got {length!r}")
-    p = desc.get("param", 1)
-    if form == "power":
-        return SequencePrefix(tuple(scale * float(i) ** (-float(p))
-                                    for i in range(1, length + 1)))
-    if form == "alt":
-        return SequencePrefix(tuple((-1) ** (i + 1) * scale * float(i) ** (-float(p))
-                                    for i in range(1, length + 1)))
-    raise DescriptorError(f"field 'form': expected power/alt/table, got {form!r}")
+        entries = [scale * _parse_entry(v, f"table[{i}]") for i, v in enumerate(table)]
+    else:
+        length = desc.get("length")
+        if not isinstance(length, int) or length < 1:
+            raise DescriptorError(f"field 'length': need a positive integer, got {length!r}")
+        p = desc.get("param", 1)
+        try:
+            if form == "power":
+                entries = [scale * float(i) ** (-float(p)) for i in range(1, length + 1)]
+            elif form == "alt":
+                entries = [(-1) ** (i + 1) * scale * float(i) ** (-float(p))
+                           for i in range(1, length + 1)]
+            else:
+                raise DescriptorError(f"field 'form': expected power/alt/table, got {form!r}")
+        except OverflowError as exc:
+            raise NonFiniteValue(f"sequence descriptor: an entry overflows ({exc})") from exc
+    for i, v in enumerate(entries, start=1):
+        if not is_finite(v):
+            raise NonFiniteValue(f"sequence entry {i} is not finite ({v!r})")
+    return SequencePrefix(tuple(entries))
 
 
 def load_sequence(path) -> SequencePrefix:
     path = str(path)
     if path.endswith(".json"):
         with open(path) as fh:
-            return sequence_from_descriptor(json.load(fh))
+            return _in_file(path, sequence_from_descriptor, json.load(fh))
     entries = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -174,9 +193,13 @@ def load_sequence(path) -> SequencePrefix:
             if not line or line.startswith("#"):
                 continue
             try:
-                entries.append(parse_number(line))
+                v = parse_number(line)
             except (ValueError, ZeroDivisionError) as exc:
                 raise DescriptorError(f"{path}:{lineno}: {exc}") from exc
+            if not is_finite(v):
+                raise NonFiniteValue(
+                    f"{path}:{lineno}: entry {len(entries) + 1} is not finite ({v!r})")
+            entries.append(v)
     if not entries:
         raise DescriptorError(f"{path}: no values found")
     return SequencePrefix(tuple(entries))

@@ -9,20 +9,27 @@ solves that linear program literally, in exact rational arithmetic, using a
 tableau simplex with Bland's rule plus constraint generation (the polytope
 has 2^k - 1 facet candidates for support size k, but at most k of them bind
 at an optimum, so we grow the working set on demand and certify optimality
-with an exact scan over every subset).  Each pivot updates only the nonzero
-columns of the pivot row, and the certification scan runs on integers: mu
-and phi are put over one common denominator, which keeps every comparison
-exact.
+with an exact scan over every subset).
 
-The oracle only consumes phi through ``set_value`` and is therefore an
-independent check of every closed-form hat-norm in :mod:`gbv.submeasure`.
-It refuses supports larger than :data:`ORACLE_MAX_LEN` coordinates.
+The simplex and the certification scan compute on integers; Fractions
+appear only at the edges (the costs read from x, and mu and the value
+returned).  The tableau keeps each row as integer numerators over one
+positive row denominator, divides out the gcd after each pivot, compares
+ratios by cross-multiplication, and updates only the nonzero columns of the
+pivot row; its rows stand for the same rationals as a Fraction tableau, so
+the pivots, mu and the value are the same.  The certification scan puts mu
+and phi over one common denominator.
+
+The oracle reads phi through ``set_value`` alone, once per nonempty subset of
+the support, and is therefore an independent check of every closed-form
+hat-norm in :mod:`gbv.submeasure`.  It refuses supports larger than
+:data:`ORACLE_MAX_LEN` coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._util import SizeRefusal, all_exact
 from .submeasure import Submeasure, as_entries
@@ -50,12 +57,19 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
         return Fraction(0) if exact else 0.0
     cost = [abs(Fraction(entries[i - 1])) for i in support]
 
-    # phi over every nonempty subset of the support, indexed by bitmask.
-    phi_table = [Fraction(0)] * (1 << k)
+    # phi over every nonempty subset of the support, indexed by bitmask, in
+    # increasing mask order.  The members of a mask are those of the mask
+    # without its highest bit, plus that bit's index, so they come sorted.
+    # Exact values stay as they come (ints or Fractions); floats are
+    # converted exactly.
+    phi_table = [0] * (1 << k)
     members = [()] * (1 << k)
-    for mask in range(1, 1 << k):
-        members[mask] = tuple(support[j] for j in range(k) if mask >> j & 1)
-        phi_table[mask] = Fraction(phi.set_value(members[mask]))
+    for j, i in enumerate(support):
+        high = 1 << j
+        for mask in range(high, high << 1):
+            members[mask] = C = members[mask ^ high] + (i,)
+            v = phi.set_value(C)
+            phi_table[mask] = v if isinstance(v, (int, Fraction)) else Fraction(v)
 
     # Working set warm start: singletons bound each variable (keeps every
     # relaxation bounded), plus the full set and the prefixes of the
@@ -106,38 +120,51 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
 def _simplex_max(cost, masks, phi_table):
     """max cost.mu subject to mu >= 0 and mu(S) <= phi(S) for S in masks.
 
-    Tableau of exact Fractions with sparse pivots (see :func:`_pivot`),
-    Bland's rule (smallest-index entering and leaving).  The slack basis is
-    feasible because phi >= 0.  Returns (optimal value, mu vector).
+    Tableau on integers, with Bland's rule (smallest-index entering and
+    leaving).  Each constraint row holds the integer numerators of its
+    rational entries over one positive row denominator, which is the row's
+    entry in the column of its basic variable, so it needs no storage of
+    its own; the objective row keeps its denominator as a last element.
+    Ratios are compared by cross-multiplication, and mu and the value
+    become Fractions only at the end.  The rows stand for the same rationals
+    as a Fraction tableau would, so every pivot choice, mu and the value
+    are those of the Fraction tableau.  The slack basis is feasible because
+    phi >= 0.  Returns (optimal value, mu vector).
     """
     k = len(cost)
     m = len(masks)
-    width = k + m + 1
+    rhs = k + m
     rows = []
     for r, mask in enumerate(masks):
-        row = [Fraction(1) if mask >> j & 1 else Fraction(0) for j in range(k)]
-        row.extend(Fraction(1) if s == r else Fraction(0) for s in range(m))
-        row.append(phi_table[mask])
+        d = phi_table[mask].denominator
+        row = [d if mask >> j & 1 else 0 for j in range(k)]
+        row.extend([0] * m)
+        row[k + r] = d
+        row.append(phi_table[mask].numerator)
         rows.append(row)
-    # Objective row holds -cost so that a negative entry marks an improving column.
-    obj = [-Fraction(c) for c in cost] + [Fraction(0)] * (m + 1)
+    # Objective row holds -cost so that a negative entry marks an improving
+    # column, then the value, then its denominator.
+    den = lcm(*(c.denominator for c in cost))
+    obj = [-c.numerator * (den // c.denominator) for c in cost] + [0] * (m + 1) + [den]
     basis = [k + r for r in range(m)]
 
     while True:
         enter = -1
-        for j in range(k + m):
+        for j in range(rhs):
             if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
             break
-        leave, best = -1, None
+        # min ratio rhs / a over a > 0: t / a < bt / ba iff t * ba < bt * a
+        leave, bt, ba = -1, 0, 1
         for r in range(m):
             a = rows[r][enter]
             if a > 0:
-                ratio = rows[r][width - 1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                t = rows[r][rhs]
+                if leave < 0 or t * ba < bt * a or (
+                        t * ba == bt * a and basis[r] < basis[leave]):
+                    leave, bt, ba = r, t, a
         if leave < 0:
             # Cannot happen with singleton constraints present: every
             # variable is bounded above by phi of its singleton.
@@ -148,30 +175,38 @@ def _simplex_max(cost, masks, phi_table):
     mu = [Fraction(0)] * k
     for r, b in enumerate(basis):
         if b < k:
-            mu[b] = rows[r][width - 1]
-    value = Fraction(0)
-    for c, v in zip(cost, mu):
-        value += c * v
-    return value, mu
+            mu[b] = Fraction(rows[r][rhs], rows[r][b])
+    return Fraction(obj[rhs], obj[rhs + 1]), mu
 
 
 def _pivot(rows, obj, leave, enter):
-    """Pivot the tableau in place on (leave, enter).
+    """Pivot the integer tableau in place on (leave, enter).
 
-    Sparse update: a pivot changes column j only where the pivot row is
-    nonzero in j, so only those columns are divided and eliminated.
+    The pivot row keeps its numerators: its new basic entry is its
+    denominator.  Every other row r becomes (pe * r - f * prow) / gcd, with
+    pe the pivot entry, f the row's entry in the entering column and both
+    multipliers first divided by gcd(pe, f).  Only the columns where the
+    pivot row is nonzero are eliminated, and each updated row is reduced by
+    the gcd of its entries.
     """
     prow = rows[leave]
-    piv = prow[enter]
+    pe = prow[enter]
     cols = [j for j, v in enumerate(prow) if v]
-    for j in cols:
-        prow[j] /= piv
-    for row in rows:
+    for r, row in enumerate(rows):
         f = row[enter]
-        if f and row is not prow:
-            for j in cols:
-                row[j] -= f * prow[j]
+        if f and r != leave:
+            rows[r] = _eliminate(row, f, pe, prow, cols)
     f = obj[enter]
     if f:
-        for j in cols:
-            obj[j] -= f * prow[j]
+        obj[:] = _eliminate(obj, f, pe, prow, cols)
+
+
+def _eliminate(row, f, pe, prow, cols):
+    g = gcd(f, pe)
+    a, b = pe // g, f // g
+    if a != 1:
+        row = [v * a for v in row]
+    for j in cols:
+        row[j] -= b * prow[j]
+    h = gcd(*row)
+    return row if h == 1 else [v // h for v in row]

@@ -35,6 +35,7 @@ automatically for the shipped closed-form families.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,9 +45,11 @@ import numpy as np
 
 from ._util import (
     HorizonExceeded,
+    NonFiniteValue,
     all_exact,
     ceil_power,
     exact_div,
+    is_finite,
 )
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -115,10 +118,16 @@ class WatermanWeights:
         values = tuple(values)
         if not values:
             raise ValueError("weight prefix must be nonempty")
+        if not is_finite(values[0]):
+            raise NonFiniteValue(f"weight at index 1 is not finite ({values[0]!r})")
         for i, v in enumerate(values):
-            if not v > 0:
-                raise ValueError(f"weights must be strictly positive (index {i + 1})")
-            if i and values[i] > values[i - 1]:
+            # NaN and -inf fail the first test, +inf after a finite weight the
+            # second, so only a failing weight needs the finiteness check
+            if not v > 0 or (i and v > values[i - 1]):
+                if not is_finite(v):
+                    raise NonFiniteValue(f"weight at index {i + 1} is not finite ({v!r})")
+                if not v > 0:
+                    raise ValueError(f"weights must be strictly positive (index {i + 1})")
                 raise ValueError(f"weights must be nonincreasing (index {i + 1})")
         self.values = values
         self.form = form
@@ -301,10 +310,13 @@ class DensityBound:
     rather than assuming them.
     """
 
-    __slots__ = ("form", "param", "table", "_g_cache")
+    __slots__ = ("form", "param", "table", "_g_cache", "_g")
 
     def __init__(self, form: str, param=None, table=None):
         if form == "table":
+            for i, v in enumerate(table):
+                if not is_finite(v):
+                    raise NonFiniteValue(f"density table entry {i + 1} is not finite ({v!r})")
             table = tuple(int(v) for v in table)
             if not table:
                 raise ValueError("density table must be nonempty")
@@ -334,6 +346,17 @@ class DensityBound:
         self.param = param
         self.table = table
         self._g_cache = None
+        # g(n) for n >= 1, chosen once per form
+        if form == "table":
+            self._g = self._table_g
+        elif form == "log":
+            self._g = int.bit_length          # ceil(log2(n+1)), at least 1
+        elif param == 1:
+            self._g = _identity
+        elif param == Fraction(1, 2):
+            self._g = _ceil_sqrt
+        else:
+            self._g = functools.partial(ceil_power, p=param)
 
     def __repr__(self):
         if self.form == "table":
@@ -347,17 +370,12 @@ class DensityBound:
     def g(self, n: int) -> int:
         if n < 1:
             raise ValueError("indices are 1-based")
-        if self.form == "table":
-            if n > len(self.table):
-                raise HorizonExceeded(f"density table ends at {len(self.table)}, asked for {n}")
-            return self.table[n - 1]
-        if self.form == "power":
-            if self.param == 1:
-                return n
-            if self.param == Fraction(1, 2):
-                return math.isqrt(n - 1) + 1
-            return ceil_power(n, self.param)
-        return max(1, _ceil_log2(n + 1))  # ceil(log2(n+1)), floored at 1
+        return self._g(n)
+
+    def _table_g(self, n: int) -> int:
+        if n > len(self.table):
+            raise HorizonExceeded(f"density table ends at {len(self.table)}, asked for {n}")
+        return self.table[n - 1]
 
     def g_array(self, length: int) -> np.ndarray:
         """g(1..length) as a float array (cached)."""
@@ -415,6 +433,14 @@ class DensityBound:
         incs = [self.table[0]] + [self.table[i] - self.table[i - 1]
                                   for i in range(1, len(self.table))]
         return all(b <= a for a, b in zip(incs, incs[1:])) and incs[-1] == 0
+
+
+def _identity(n: int) -> int:
+    return n
+
+
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1
 
 
 def identity_bound() -> DensityBound:
@@ -489,7 +515,7 @@ class Submeasure:
         return True
 
     def _check_indices(self, C):
-        C = sorted(set(int(i) for i in C))
+        C = sorted(set(map(int, C)))
         if C and C[0] < 1:
             raise ValueError("set elements must be >= 1")
         if C and self.horizon is not None and C[-1] > self.horizon:
@@ -528,6 +554,7 @@ class SummableSubmeasure(Submeasure):
 
     def __init__(self, weights: WatermanWeights):
         self.weights = weights
+        self._fraction_parts = None
 
     @property
     def horizon(self):
@@ -541,6 +568,18 @@ class SummableSubmeasure(Submeasure):
 
     def set_value(self, C):
         C = self._check_indices(C)
+        if self._fraction_parts is None:
+            values = self.weights.values
+            self._fraction_parts = (
+                ([v.numerator for v in values], [v.denominator for v in values])
+                if all(type(v) is Fraction for v in values) else ())
+        if C and self._fraction_parts and C[-1] <= len(self.weights.values):
+            # An all-Fraction table: one Fraction, from the numerators over
+            # the common denominator of the set's weights.
+            nums, dens = self._fraction_parts
+            ds = [dens[i - 1] for i in C]
+            den = math.lcm(*ds)
+            return Fraction(sum(nums[i - 1] * (den // d) for i, d in zip(C, ds)), den)
         total = 0
         for i in C:
             total += self.weights.value_at(i)
@@ -612,12 +651,16 @@ class DensitySubmeasure(Submeasure):
 
     def set_value(self, C):
         C = self._check_indices(C)
-        best = 0
+        if not C:
+            return 0
+        # max of rank / g(n), compared by cross-multiplication
+        g = self.bound.g
+        num, den = 0, 1
         for rank, n in enumerate(C, start=1):
-            val = exact_div(rank, self.bound.g(n))
-            if val > best:
-                best = val
-        return best
+            gn = g(n)
+            if rank * den > num * gn:
+                num, den = rank, gn
+        return Fraction(num, den)
 
     def hat(self, x):
         entries = as_entries(x)
@@ -813,9 +856,9 @@ class ShiftedSubmeasure(Submeasure):
 
     def set_value(self, C):
         C = self._check_indices(C)
-        extra = Fraction(0)
-        for i in C:
-            extra += Fraction(1, 2 ** i)
+        # sum of 2^-i over C as one Fraction over 2^max(C)
+        top = C[-1] if C else 0
+        extra = Fraction(sum(1 << (top - i) for i in C), 1 << top)
         return self.base.set_value(C) + extra
 
     def hat(self, x):
@@ -906,8 +949,13 @@ def hat_norm(phi: Submeasure, x) -> Number:
     Exact (int/Fraction) whenever the descriptor and the entries are exact;
     float otherwise.  For the max-with-unit wrapper no closed form exists and
     the call is routed through the polytope oracle, whose size cap applies.
+    A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
-    return phi.hat(x)
+    entries = as_entries(x)
+    for i, v in enumerate(entries, start=1):
+        if not is_finite(v):
+            raise NonFiniteValue(f"entry {i} of the sequence is not finite ({v!r})")
+    return phi.hat(entries)
 
 
 def tail_norm(phi: Submeasure, x, n: int) -> Number:

@@ -49,7 +49,6 @@ decaying weights the merged family wins.  The brute-force oracle arbitrates.
 
 from __future__ import annotations
 
-import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import SizeRefusal, all_exact, exact_div, is_exact, rail_slack
+from ._util import NonFiniteValue, SizeRefusal, all_exact, exact_div, is_finite, rail_slack
 from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
@@ -81,8 +80,8 @@ class PiecewiseLinearFunction:
             raise ValueError("need at least the two endpoints of [0, 1]")
         for name, seq in (("breakpoint", t), ("value", y)):
             for i, v in enumerate(seq):
-                if not is_exact(v) and not math.isfinite(v):
-                    raise ValueError(f"{name} at index {i} is not finite ({v!r})")
+                if not is_finite(v):
+                    raise NonFiniteValue(f"{name} at index {i} is not finite ({v!r})")
         if t[0] != 0 or t[-1] != 1:
             raise ValueError("breakpoints must start at 0 and end at 1")
         for i in range(1, len(t)):

@@ -1,12 +1,13 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from gbv._util import DescriptorError
+from gbv._util import DescriptorError, NonFiniteValue
 from gbv.io import (
     load_function_csv,
     load_sequence,
@@ -224,6 +225,67 @@ def test_cli_non_finite_function_is_input_error(workdir, bad):
                   "--submeasure", str(workdir / "counting.json"))
     assert res.returncode == 1
     assert "value at index 1 is not finite" in res.stderr
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_cli_certify_refuses_non_finite_sequence_entry(workdir, bad):
+    path = workdir / "seq.csv"
+    path.write_text(f"1\n{bad}\n")
+    res = run_cli("certify", "--submeasure", str(workdir / "counting.json"),
+                  "--sequence", str(path))
+    assert res.returncode == 1
+    assert f"{path}:2: entry 2 is not finite" in res.stderr
+    assert res.stdout == ""
+
+
+def test_non_finite_descriptor_entries_are_refused(tmp_path):
+    with pytest.raises(NonFiniteValue, match=r"table\[0\]"):
+        submeasure_from_descriptor({"type": "summable", "form": "table", "table": ["inf", "1"]})
+    with pytest.raises(NonFiniteValue, match=r"table\[1\]"):
+        submeasure_from_descriptor({"type": "summable", "form": "table",
+                                    "table": [1, float("nan")]})
+    with pytest.raises(NonFiniteValue, match="density table entry 2"):
+        submeasure_from_descriptor({"type": "density", "form": "table",
+                                    "table": [1, float("inf")]})
+    with pytest.raises(NonFiniteValue, match=r"table\[1\]"):
+        sequence_from_descriptor({"form": "table", "table": [1, "-inf"]})
+    with pytest.raises(NonFiniteValue, match="scale"):
+        sequence_from_descriptor({"form": "table", "table": [1], "scale": float("inf")})
+    with pytest.raises(NonFiniteValue, match="sequence entry 2"):
+        sequence_from_descriptor({"form": "table", "table": [1, 2], "scale": 1e308})
+    with pytest.raises(NonFiniteValue, match="overflows"):
+        sequence_from_descriptor({"form": "power", "param": -1000, "length": 5})
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"form": "table", "table": ["nan"]}))
+    with pytest.raises(NonFiniteValue, match=re.escape(f"{path}: field 'table[0]'")):
+        load_sequence(path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_refuses_to_write_non_finite_report(workdir, capsys, fmt):
+    # finite entries whose partial sums overflow get past the loaders; the
+    # report must not carry inf, which JSON cannot hold
+    from gbv.cli import main
+
+    path = workdir / "big.csv"
+    path.write_text("1e308\n1e308\n")
+    rc = main(["certify", "--submeasure", str(workdir / "counting.json"),
+               "--sequence", str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert "refusing to serialize a non-finite number (inf)" in err
+
+
+@pytest.mark.parametrize("cap", ["inf", "nan", "0"])
+def test_cli_compare_refuses_cap_that_is_not_positive_and_finite(workdir, capsys, cap):
+    from gbv.cli import main
+
+    rc = main(["compare", "--relation", "preceq", "--a", str(workdir / "harmonic.json"),
+               "--b", str(workdir / "harmonic.json"), "--cap", cap])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert "--cap must be positive and finite" in err
 
 
 def test_cli_usage_error_exits_one(capsys):

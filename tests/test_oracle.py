@@ -158,3 +158,112 @@ def test_max_with_unit_nonpathology_on_indicators():
         C = sorted(rng.sample(range(1, 11), rng.randint(1, 5)))
         x = tuple(1 if i in C else 0 for i in range(1, 11))
         assert hat_norm_oracle(phi, x) == phi.set_value(C)
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau against a Fraction tableau
+# ---------------------------------------------------------------------------
+
+
+def _fraction_simplex(cost, masks, phi_table):
+    """Dense Fraction tableau with Bland's rule: smallest-index entering
+    column, and on a ratio tie the row whose basic variable has the smaller
+    index.  Returns (value, mu, number of ratio ties met)."""
+    k, m = len(cost), len(masks)
+    rows = [[F(mask >> j & 1) for j in range(k)] + [F(int(s == r)) for s in range(m)]
+            + [F(phi_table[mask])] for r, mask in enumerate(masks)]
+    obj = [-F(c) for c in cost] + [F(0)] * (m + 1)
+    basis = list(range(k, k + m))
+    ties = 0
+    while True:
+        enter = next((j for j in range(k + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r in range(m):
+            if rows[r][enter] > 0:
+                ratio = rows[r][-1] / rows[r][enter]
+                if leave is None or ratio < best:
+                    leave, best = r, ratio
+                elif ratio == best:
+                    ties += 1
+                    if basis[r] < basis[leave]:
+                        leave = r
+        prow = [v / rows[leave][enter] for v in rows[leave]]
+        rows[leave] = prow
+        for row in rows + [obj]:
+            if row is not prow:
+                f = row[enter]
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+        basis[leave] = enter
+    mu = [F(0)] * k
+    for r, b in enumerate(basis):
+        if b < k:
+            mu[b] = rows[r][-1]
+    return sum((c * v for c, v in zip(cost, mu)), F(0)), mu, ties
+
+
+def _assert_same_as_reference(cost, masks, phi_table):
+    value, mu = oracle._simplex_max(cost, masks, phi_table)
+    ref_value, ref_mu, ties = _fraction_simplex(cost, masks, phi_table)
+    assert (value, mu) == (ref_value, ref_mu)
+    assert type(value) is F and all(type(v) is F for v in mu)
+    return ties
+
+
+def _random_masks(rng, k):
+    """Singletons (which keep the LP bounded) plus distinct random subsets."""
+    masks = [1 << j for j in range(k)]
+    for mask in rng.sample(range(1, 1 << k), min(rng.randint(1, 2 * k), (1 << k) - 1)):
+        if mask not in masks:
+            masks.append(mask)
+    return masks
+
+
+def test_integer_tableau_matches_fraction_tableau_on_degenerate_ties():
+    # phi in {0, 1, 2} and small integer costs: many zero and equal ratios,
+    # so the leaving row is often settled by Bland's tie-break
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        phi_table = [rng.randint(0, 2) for _ in range(1 << k)]
+        cost = [F(rng.randint(1, 3)) for _ in range(k)]
+        ties += _assert_same_as_reference(cost, _random_masks(rng, k), phi_table)
+    assert ties > 100
+
+
+def test_integer_tableau_matches_fraction_tableau_on_float_costs():
+    # float-derived costs and phi carry denominators up to 2^52 and beyond
+    rng = random.Random(12)
+    for _ in range(150):
+        k = rng.randint(1, 7)
+        phi_table = [F(rng.uniform(0.0, 3.0)) for _ in range(1 << k)]
+        cost = [abs(F(rng.uniform(-10.0, 10.0))) or F(1) for _ in range(k)]
+        assert max(c.denominator for c in cost) >= 2 ** 40
+        _assert_same_as_reference(cost, _random_masks(rng, k), phi_table)
+
+
+def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(monkeypatch):
+    # the working sets that constraint generation builds for max_with_unit,
+    # recorded at each call as the oracle makes it
+    calls = []
+    simplex_max = oracle._simplex_max
+
+    def recording(cost, masks, phi_table):
+        calls.append((list(cost), list(masks), list(phi_table)))
+        return simplex_max(cost, masks, phi_table)
+
+    monkeypatch.setattr(oracle, "_simplex_max", recording)
+    rng = random.Random(13)
+    bases = (summable([F(3, i + 4) for i in range(1, 9)]), density(sqrt_bound()))
+    for base in bases:
+        phi = max_with_unit(base)
+        for _ in range(6):
+            x = [F(rng.randint(1, 24), rng.randint(1, 8)) for _ in range(rng.randint(3, 8))]
+            hat_norm_oracle(phi, x)
+            hat_norm_oracle(phi, [float(v) * rng.uniform(0.5, 2.0) for v in x])
+    assert len(calls) > 2 * len(bases) * 6
+    monkeypatch.undo()
+    for cost, masks, phi_table in calls:
+        _assert_same_as_reference(cost, masks, phi_table)

@@ -1,12 +1,21 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import HorizonExceeded
+from gbv._util import HorizonExceeded, NonFiniteValue
 from gbv.submeasure import (
+    CountingSubmeasure,
+    DensityBound,
+    DensitySubmeasure,
+    MaxWithUnitSubmeasure,
+    PermutedSubmeasure,
+    ShiftedSubmeasure,
+    SummableSubmeasure,
+    UnitSubmeasure,
     WatermanWeights,
     counting,
     density,
@@ -202,6 +211,88 @@ def test_monotone_and_subadditive_exhaustive(make):
             assert values[a | b] <= va + values[b]
 
 
+def _reference_set_value(phi, C):
+    """phi(C) element by element, as the closed forms read on their own."""
+    C = sorted(set(C))
+    if isinstance(phi, SummableSubmeasure):
+        total = 0
+        for i in C:
+            total += phi.weights.value_at(i)
+        return total
+    if isinstance(phi, DensitySubmeasure):
+        best = 0
+        for rank, n in enumerate(C, start=1):
+            best = max(best, F(rank, phi.bound.g(n)))
+        return best
+    if isinstance(phi, UnitSubmeasure):
+        return 1 if C else 0
+    if isinstance(phi, CountingSubmeasure):
+        return len(C)
+    if isinstance(phi, ShiftedSubmeasure):
+        extra = F(0)
+        for i in C:
+            extra += F(1, 2 ** i)
+        return _reference_set_value(phi.base, C) + extra
+    if isinstance(phi, PermutedSubmeasure):
+        return _reference_set_value(phi.base, [phi.perm[i - 1] for i in C])
+    assert isinstance(phi, MaxWithUnitSubmeasure)
+    if not C:
+        return 0
+    base = _reference_set_value(phi.base, C)
+    return base if base > 1 else 1
+
+
+def _set_value_leaves():
+    rng = random.Random(21)
+    fractions = [F(rng.randint(5, 30), rng.randint(1, 3))]
+    for _ in range(7):
+        fractions.append(fractions[-1] * F(rng.randint(5, 10), 10))
+    return [
+        summable(WatermanWeights(fractions)),
+        summable(WatermanWeights([9, 7, 7, 5, 3, 3, 2, 1])),
+        summable(WatermanWeights([9, F(15, 2), 7, 5.5, 3, F(5, 2), 2, 1])),
+        summable(WatermanWeights([2.0 * 0.8 ** k for k in range(8)])),
+        summable(harmonic_weights(6)),        # closed form read past its prefix
+        summable(log_weights(8)),
+        density(sqrt_bound()),
+        density(log_bound()),
+        density(identity_bound()),
+        density(DensityBound("power", F(1, 3))),
+        density(density_from_table([1, 2, 3, 4, 4, 4, 4, 4])),   # horizon 8
+        unit(),
+        counting(),
+    ]
+
+
+def _wrapper_stacks(leaf):
+    perm = (3, 8, 1, 6, 2, 7, 5, 4)
+    wrappers = (shift_normalize, max_with_unit, lambda phi: permuted(phi, perm))
+    yield leaf
+    for outer in wrappers:
+        yield outer(leaf)
+        for inner in wrappers:
+            yield outer(inner(leaf))
+
+
+def test_set_value_matches_per_element_reference_under_wrapper_stacks():
+    rng = random.Random(22)
+    subsets = [[i + 1 for i in range(8) if mask >> i & 1] for mask in range(1 << 8)]
+    for leaf in _set_value_leaves():
+        for phi in _wrapper_stacks(leaf):
+            scrambled = []
+            for _ in range(20):
+                C = rng.sample(range(1, 9), rng.randint(1, 8))
+                scrambled.append(C + rng.choices(C, k=rng.randint(1, 3)))
+            for C in subsets + scrambled:
+                got, want = phi.set_value(C), _reference_set_value(phi, C)
+                assert got == want and type(got) is type(want), (phi, C, got, want)
+            with pytest.raises(ValueError, match=">= 1"):
+                phi.set_value([0, 2])
+            if phi.horizon is not None:
+                with pytest.raises(HorizonExceeded):
+                    phi.set_value([1, phi.horizon + 1])
+
+
 # ---------------------------------------------------------------------------
 # validation and horizons
 # ---------------------------------------------------------------------------
@@ -216,6 +307,15 @@ def test_waterman_validation():
     assert harmonic_weights(4).declared_divergent
     assert not power_weights(2, 4).declared_divergent
     assert power_weights(F(1, 2), 4).declared_divergent
+
+
+def test_non_finite_weights_and_entries_are_refused():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteValue, match="weight at index 1"):
+            WatermanWeights([bad, 1.0])
+        with pytest.raises(NonFiniteValue, match="entry 2 of the sequence"):
+            hat_norm(summable(harmonic_weights(5)), [1.0, bad, 0.5])
+    assert hat_norm(summable(harmonic_weights(5)), [1.0, 0.5]) == 1.25
 
 
 def test_density_table_validation():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 #: Positive infinity sentinel for set functions that blow up.  Distinct from
 #: silent float overflow: exact code paths never produce it by accident.
@@ -107,11 +108,11 @@ def parse_number(text: str):
 
 
 def format_number(value, exact: bool = False) -> str:
-    """Render a number for reports: 12 significant digits, or p/q in exact mode."""
+    """Render a number for a CSV series: ``%.12g``, or p/q in exact mode."""
     if isinstance(value, Fraction):
         if exact:
             return f"{value.numerator}/{value.denominator}"
-        value = float(value)
+        value = _fraction_to_float(value)
     if isinstance(value, int):
         return str(value)
     if not math.isfinite(value):  # reports never carry NaN or infinities
@@ -119,14 +120,144 @@ def format_number(value, exact: bool = False) -> str:
     return f"{value:.12g}"
 
 
-def json_ready(value, exact: bool = False):
-    """Recursively convert report payloads into JSON-serializable values."""
-    if isinstance(value, Fraction):
-        return format_number(value, exact=exact) if exact else float(value)
-    if isinstance(value, float):
-        return float(format_number(value))
-    if isinstance(value, dict):
-        return {k: json_ready(v, exact) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v, exact) for v in value]
-    return value
+def _fraction_to_float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonFiniteValue(
+            "refusing to serialize a number too large for a float (about 2**"
+            f"{value.numerator.bit_length() - value.denominator.bit_length()})") from None
+
+
+# ---------------------------------------------------------------------------
+# JSON reports
+# ---------------------------------------------------------------------------
+
+
+def report_json(head: dict, result, exact: bool = False) -> str:
+    """The report ``head`` plus ``"result": result`` as JSON text.
+
+    The text is ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``
+    byte for byte, written in one pass.  Values in ``head`` are written as
+    given.  Numbers in ``result`` are report numbers: a float at 12
+    significant digits (the repr of the float those digits denote), a
+    Fraction as a "p/q" string under ``exact`` and otherwise as the nearest
+    float, at full precision.  NaN and infinities raise NonFiniteValue.
+    """
+    fields = [(k, _write(v, "  ", _float_repr, _no_fraction)) for k, v in head.items()]
+    fields.append(("result", _write(result, "  ", _float12,
+                                    _fraction_str if exact else _fraction_repr)))
+    fields.sort()
+    return "{\n  " + ",\n  ".join(f"{_json_str(k)}: {v}" for k, v in fields) + "\n}\n"
+
+
+def _write(v, pad: str, fl, fr) -> str:
+    """JSON text of ``v`` at indent ``pad``; ``fl`` and ``fr`` write floats
+    and Fractions."""
+    t = type(v)
+    if t is float:
+        return fl(v)
+    if t is str:
+        return _json_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is Fraction:
+        return fr(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        sep = f",\n{inner}"
+        if fl is _float12 and set(map(type, v)) == {float}:
+            body = _floats12(v, sep)
+        else:
+            body = sep.join([_write(x, inner, fl, fr) for x in v])
+        return f"[\n{inner}{body}\n{pad}]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_key(k)}: {_write(x, inner, fl, fr)}" for k, x in sorted(v.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # subclasses and foreign types, as the json module treats them
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, Fraction):
+        return fr(v)
+    if isinstance(v, float):
+        return fl(float(v))
+    if isinstance(v, (list, tuple)):
+        return _write(list(v), pad, fl, fr)
+    if isinstance(v, dict):
+        return _write(dict(v), pad, fl, fr)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as json writes it; keys are never report numbers."""
+    if isinstance(k, str):
+        return _json_str(k)
+    if k is None or isinstance(k, bool):
+        return '"null"' if k is None else f'"{str(k).lower()}"'
+    if isinstance(k, float):
+        return f'"{_float_repr(k)}"'
+    if isinstance(k, int):
+        return f'"{int.__repr__(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _refuse(v):
+    raise NonFiniteValue(f"refusing to serialize a non-finite number ({v!r})")
+
+
+def _float_repr(v: float) -> str:
+    """A float as json writes it."""
+    return float.__repr__(v) if math.isfinite(v) else _refuse(v)
+
+
+def _float12(v: float) -> str:
+    """A report float: the repr of the float its 12 significant digits denote."""
+    s = f"{v:.12g}"
+    return s if "." in s and "e" not in s else _fix12(s)
+
+
+def _floats12(values, sep: str) -> str:
+    """``sep.join`` of ``_float12`` over a list of floats, formatted by one
+    ``%`` and checked in bulk: only a list holding an integer value, an
+    exponent or a non-finite value is looked at number by number."""
+    body = sep.join(["%.12g"] * len(values)) % tuple(values)
+    if body.count(".") == len(values) and "e" not in body:
+        return body
+    return sep.join([s if "." in s and "e" not in s else _fix12(s) for s in body.split(sep)])
+
+
+def _fix12(s: str) -> str:
+    """A ``.12g`` string that is not already a float repr: ``.12g`` drops the
+    ``.0`` of an integer, writes exponents 12..15 that repr writes in full, and
+    keeps digits a subnormal does not have."""
+    if "e" in s:
+        e = int(s[s.index("e") + 1:])
+        return repr(float(s)) if 12 <= e <= 15 or e <= -308 else s
+    if s[-1] in "fn":  # inf, -inf, nan
+        _refuse(float(s))
+    return s + ".0"
+
+
+def _fraction_str(v: Fraction) -> str:
+    return f'"{v.numerator}/{v.denominator}"'
+
+
+def _fraction_repr(v: Fraction) -> str:
+    return float.__repr__(_fraction_to_float(v))
+
+
+def _no_fraction(v):
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")

@@ -3,8 +3,11 @@
 Subcommands: ``variation``, ``compare``, ``certify``, ``construct``,
 ``selftest``.  Every run emits a deterministic report that embeds the tool
 version and the configuration it ran under; repeated runs with the same
-inputs are byte-identical.  Numbers are serialized with 12 significant
-digits, or as exact "p/q" strings under ``--exact``.
+inputs are byte-identical.  Numbers in a JSON report: floats under
+``result`` carry 12 significant digits; ``config`` is echoed as given;
+Fractions are "p/q" strings under ``--exact`` and otherwise the nearest
+float.  CSV series use ``%.12g`` (Fractions as "p/q" under ``--exact``).
+NaN, infinities and Fractions beyond the float range are refused.
 
 Exit codes: 0 success, 1 input or usage error, 2 for a mathematically
 meaningful negative outcome (a violated order relation, a failed witness
@@ -15,7 +18,6 @@ rather than parse text.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, is_dataclass
@@ -25,9 +27,9 @@ from ._util import (
     DescriptorError,
     HorizonExceeded,
     HypothesisViolation,
-    NonFiniteValue,
     SizeRefusal,
-    json_ready,
+    format_number,
+    report_json,
 )
 from .constructions import (
     ConstructionCertificate,
@@ -358,33 +360,22 @@ def _emit(args, command: str, result: dict, series=None) -> None:
     if args.format == "csv" and series is not None:
         name, rows = series
         lines = [f"# gbv {__version__} {command} series={name}"]
-        lines += [f"{i},{_fmt(v, args.exact)}" for i, v in rows]
+        lines += [f"{i},{format_number(v, args.exact)}" for i, v in rows]
         text = "\n".join(lines) + "\n"
     else:
-        report = {
+        head = {
             "tool": "gbv",
             "version": __version__,
             "command": command,
             "config": {k: v for k, v in vars(args).items()
                        if k not in ("handler",) and v is not None},
-            "result": json_ready(result, exact=args.exact),
         }
-        try:
-            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        except ValueError as exc:
-            # a non-finite number that got past the loaders: refuse invalid JSON
-            raise NonFiniteValue(f"{command} report: {exc}") from exc
+        text = report_json(head, result, exact=args.exact)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(v, exact: bool) -> str:
-    from ._util import format_number
-
-    return format_number(v, exact=exact)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 from ._util import DescriptorError, NonFiniteValue, is_finite, parse_number
@@ -186,33 +187,59 @@ def load_sequence(path) -> SequencePrefix:
     if path.endswith(".json"):
         with open(path) as fh:
             return _in_file(path, sequence_from_descriptor, json.load(fh))
-    entries = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                v = parse_number(line)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DescriptorError(f"{path}:{lineno}: {exc}") from exc
-            if not is_finite(v):
-                raise NonFiniteValue(
-                    f"{path}:{lineno}: entry {len(entries) + 1} is not finite ({v!r})")
-            entries.append(v)
+        lines = fh.read().split("\n")
+    tokens = [t for t in map(str.strip, lines) if t and t[0] != "#"]
+    # One pass over the whole file; a token with a "." is a float, as
+    # parse_number finds after int() fails.  On any error or non-finite
+    # entry, _scan_sequence names the line.
+    try:
+        entries = [float(t) if "." in t and "/" not in t else parse_number(t) for t in tokens]
+        clean = all(map(math.isfinite, entries))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        clean = False
+    if not clean:
+        entries = _scan_sequence(path, lines)
     if not entries:
         raise DescriptorError(f"{path}: no values found")
     return SequencePrefix(tuple(entries))
 
 
+def _scan_sequence(path, lines) -> list:
+    """The entries of a sequence CSV, line by line; an error names path:lineno."""
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            v = parse_number(line)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DescriptorError(f"{path}:{lineno}: {exc}") from exc
+        if not is_finite(v):
+            raise NonFiniteValue(
+                f"{path}:{lineno}: entry {len(entries) + 1} is not finite ({v!r})")
+        entries.append(v)
+    return entries
+
+
 def save_sequence(path, x) -> None:
     entries = x.entries if isinstance(x, SequencePrefix) else tuple(x)
+    _write_lines(path, map(_csv_token, entries))
+
+
+def _csv_token(v) -> str:
+    # type() first: isinstance against the Fraction ABC is slow for a float
+    if type(v) is float or not isinstance(v, Fraction):
+        return repr(v)
+    return f"{v.numerator}/{v.denominator}"
+
+
+def _write_lines(path, lines) -> None:
+    """Write each line with its newline, in one write."""
+    text = "\n".join(lines)
     with open(path, "w") as fh:
-        for v in entries:
-            if isinstance(v, Fraction):
-                fh.write(f"{v.numerator}/{v.denominator}\n")
-            else:
-                fh.write(f"{v!r}\n")
+        fh.write(text + "\n" if text else text)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +267,5 @@ def load_function_csv(path) -> PiecewiseLinearFunction:
 
 
 def save_function_csv(path, f: PiecewiseLinearFunction) -> None:
-    with open(path, "w") as fh:
-        for t, y in zip(f.breakpoints, f.values):
-            ts = f"{t.numerator}/{t.denominator}" if isinstance(t, Fraction) else repr(t)
-            ys = f"{y.numerator}/{y.denominator}" if isinstance(y, Fraction) else repr(y)
-            fh.write(f"{ts},{ys}\n")
+    _write_lines(path, [f"{_csv_token(t)},{_csv_token(y)}"
+                        for t, y in zip(f.breakpoints, f.values)])

@@ -296,6 +296,18 @@ def weights_from_values(values, declared_divergent: bool = False) -> WatermanWei
 # ---------------------------------------------------------------------------
 
 
+def _table_int(v, i: int) -> int:
+    """A density table entry as an int; an entry that is not an integer
+    (2.7, 5/2) is refused, not truncated.  Strings go through int()."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or (n != v and not isinstance(v, str)):
+        raise ValueError(f"density table entry {i + 1} is not an integer ({v!r})")
+    return n
+
+
 class DensityBound:
     """Integer-valued nondecreasing divisor g for density submeasures.
 
@@ -317,7 +329,7 @@ class DensityBound:
             for i, v in enumerate(table):
                 if not is_finite(v):
                     raise NonFiniteValue(f"density table entry {i + 1} is not finite ({v!r})")
-            table = tuple(int(v) for v in table)
+            table = tuple(_table_int(v, i) for i, v in enumerate(table))
             if not table:
                 raise ValueError("density table must be nonempty")
             if any(v < 1 for v in table):

@@ -326,3 +326,29 @@ def test_malformed_sequence_descriptor_is_input_error(workdir):
                   "--sequence", str(bad))
     assert res.returncode == 1
     assert "descriptor" in res.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_fraction_beyond_float_range_is_input_error(workdir, fmt):
+    # a rational report number written as a float must fit in one
+    path = workdir / "huge.csv"
+    path.write_text(f"0,0\n1,{10 ** 400}/3\n")
+    res = run_cli("variation", "--function", str(path),
+                  "--submeasure", str(workdir / "counting.json"),
+                  "--method", "greedy", "--format", fmt)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "error: refusing to serialize a number too large for a float" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_density_table_must_be_integer(workdir):
+    desc = workdir / "table.json"
+    desc.write_text(json.dumps({"type": "density", "form": "table", "table": [1, 2.7, 3.9]}))
+    seq = workdir / "x.csv"
+    seq.write_text("1\n1/2\n")
+    res = run_cli("certify", "--submeasure", str(desc), "--sequence", str(seq))
+    assert res.returncode == 1 and res.stdout == ""
+    assert "density table entry 2 is not an integer (2.7)" in res.stderr
+    ok = submeasure_from_descriptor({"type": "density", "form": "table",
+                                     "table": [1, 2.0, "3"]})
+    assert ok.bound.table == (1, 2, 3)

@@ -190,7 +190,9 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
     other family is prefix-dominated by it, so for submeasures whose
     hat-norm respects prefix domination the variation of f equals the
     hat-norm of x; the certificate verifies this through brute force when
-    phi is supplied.
+    phi is supplied.  Float sequences are compared within a slack, and the
+    certificate's notes name the entries no larger than it, whose checks
+    would pass against any oscillation near 0.
 
     Returns (function, certificate).
     """
@@ -221,6 +223,11 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
         osc = abs(f(t_) - f(s_))
         checks.append(_check(f"canonical oscillation {k0 + 1} equals |x_{k0 + 1}|",
                              osc, "==", magnitudes[k0], tol))
+    # an entry within the slack passes against any oscillation near 0
+    lost = [str(k) for k, m in enumerate(magnitudes, start=1) if tol and m <= tol]
+    notes = []
+    if lost:
+        notes.append(f"not certified: |x_k| <= float slack {tol!r} for k = {', '.join(lost)}")
     details = {"length": K}
     if phi is not None:
         var = variation_bruteforce(f, phi)
@@ -228,7 +235,7 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
         checks.append(_check("variation equals hat-norm of x", var, "==", target,
                              rail_slack(exact and phi.is_exact(), target)))
         details["variation"] = var
-    return f, _certify("zigzag", f, checks, details=details)
+    return f, _certify("zigzag", f, checks, notes, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,13 @@ class Submeasure:
     greedy_guarantee: bool = False
 
     def set_value(self, C) -> Number:
+        """phi(C) for a finite set C of positive integers, given in any order
+        and with repeats.  C is checked here, once, and then evaluated by the
+        variant's ``_set_value``; a wrapper calls its base's ``_set_value``."""
+        return self._set_value(self._check_indices(C))
+
+    def _set_value(self, C) -> Number:
+        """phi(C) for C a sorted list of distinct indices within the horizon."""
         raise NotImplementedError
 
     def hat(self, x) -> Number:
@@ -578,8 +585,7 @@ class SummableSubmeasure(Submeasure):
     def is_exact(self):
         return all_exact(self.weights.values)
 
-    def set_value(self, C):
-        C = self._check_indices(C)
+    def _set_value(self, C):
         if self._fraction_parts is None:
             values = self.weights.values
             self._fraction_parts = (
@@ -661,8 +667,7 @@ class DensitySubmeasure(Submeasure):
     def __repr__(self):
         return f"Density({self.bound!r})"
 
-    def set_value(self, C):
-        C = self._check_indices(C)
+    def _set_value(self, C):
         if not C:
             return 0
         # max of rank / g(n), compared by cross-multiplication
@@ -722,8 +727,7 @@ class UnitSubmeasure(Submeasure):
     def __repr__(self):
         return "Unit()"
 
-    def set_value(self, C):
-        C = self._check_indices(C)
+    def _set_value(self, C):
         return 1 if C else 0
 
     def hat(self, x):
@@ -755,8 +759,8 @@ class CountingSubmeasure(Submeasure):
     def __repr__(self):
         return "Counting()"
 
-    def set_value(self, C):
-        return len(self._check_indices(C))
+    def _set_value(self, C):
+        return len(C)
 
     def hat(self, x):
         entries = as_entries(x)
@@ -809,9 +813,9 @@ class PermutedSubmeasure(Submeasure):
     def is_exact(self):
         return self.base.is_exact()
 
-    def set_value(self, C):
-        C = self._check_indices(C)
-        return self.base.set_value(tuple(self.perm[i - 1] for i in C))
+    def _set_value(self, C):
+        # distinct images within the base horizon, checked at construction
+        return self.base._set_value(sorted([self.perm[i - 1] for i in C]))
 
     def hat(self, x):
         entries = as_entries(x)
@@ -866,12 +870,11 @@ class ShiftedSubmeasure(Submeasure):
     def is_exact(self):
         return self.base.is_exact()
 
-    def set_value(self, C):
-        C = self._check_indices(C)
+    def _set_value(self, C):
         # sum of 2^-i over C as one Fraction over 2^max(C)
         top = C[-1] if C else 0
         extra = Fraction(sum(1 << (top - i) for i in C), 1 << top)
-        return self.base.set_value(C) + extra
+        return self.base._set_value(C) + extra
 
     def hat(self, x):
         entries = as_entries(x)
@@ -922,11 +925,10 @@ class MaxWithUnitSubmeasure(Submeasure):
     def is_exact(self):
         return self.base.is_exact()
 
-    def set_value(self, C):
-        C = self._check_indices(C)
+    def _set_value(self, C):
         if not C:
             return 0
-        base = self.base.set_value(C)
+        base = self.base._set_value(C)
         return base if base > 1 else 1
 
     def hat(self, x):

@@ -24,6 +24,13 @@ compare is not monotone under insertion, since an inserted entry moves the
 later ones to other weights, so that path enumerates every family; so does
 ``modulus_by_enumeration``, which wants the best family of each size.
 
+The same B(B+1)/2 index intervals recur in thousands of families, so their
+oscillations are computed once per function (``_oscillation_table``), with
+integer keys over a common denominator on the exact rail.  The enumeration
+of the modulus walks the family tree carrying each family's running total,
+one addition per family, and still visits every family; the profiles read
+the table and sort exact ones by their integer keys.
+
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
 * ``jordan_variation``        -- classical total variation,
@@ -49,11 +56,13 @@ decaying weights the merged family wins.  The brute-force oracle arbitrates.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -258,24 +267,73 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
 
 
 def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
-    """Brute-force modulus: exhaustive over breakpoint interval families."""
+    """Brute-force modulus: exhaustive over breakpoint interval families.
+
+    Every family of ``_index_families(B + 1, n_max)`` is visited, in its
+    order, by a depth-first walk that carries the family's running total, so
+    a family costs one addition to its parent's total and one comparison.
+    The oscillations come from ``_oscillation_table``: integer keys on the
+    exact rail, mapped back to an int or a Fraction at the end, and the float
+    oscillations themselves otherwise, summed left to right as a loop over
+    the family would.  The first family to reach a size's maximum names it,
+    so an entry is a Fraction exactly when that family has a Fraction
+    oscillation.  Nothing is pruned and nothing is shared with the DP, which
+    this function checks.
+    """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
         raise SizeRefusal(f"enumeration limited to {BRUTE_FORCE_MAX_SEGMENTS} segments")
     if n_max is None:
         n_max = B
+    osc, keys, scale = _oscillation_table(f.values)
+    is_frac = [[isinstance(v, Fraction) for v in row] for row in osc]
     best = [0] * (n_max + 1)
-    for fam in _index_families(B + 1, n_max):
-        total = 0
-        for (i, j) in fam:
-            total += abs(f.values[j] - f.values[i])
-        k = len(fam)
-        if total > best[k]:
-            best[k] = total
+    won_frac = [False] * (n_max + 1)
+
+    def walk(start, total, frac, k):
+        # the families extending one parent by an interval (i, j), i >= start
+        top, top_frac = best[k], won_frac[k]
+        deeper = k < n_max
+        for i in range(start, B):
+            key_row, frac_row = keys[i], is_frac[i]
+            for j in range(i + 1, B + 1):
+                t = total + key_row[j]
+                if t > top:
+                    top, top_frac = t, frac or frac_row[j]
+                if deeper and j < B:
+                    walk(j, t, frac or frac_row[j], k + 1)
+        best[k], won_frac[k] = top, top_frac
+
+    if n_max:
+        walk(0, 0, False, 1)
+    if scale is not None:
+        best = [Fraction(t, scale) if frac else t // scale for t, frac in zip(best, won_frac)]
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
             best[k] = best[k - 1]
     return ModulusVector(tuple(best))
+
+
+def _oscillation_table(values: tuple) -> tuple:
+    """Each oscillation |y_j - y_i|, i < j, computed once, with a comparison key.
+
+    Returns ``(osc, keys, scale)`` as rows indexed ``[i][j]``, None for
+    j <= i.  ``osc`` holds the objects the subtraction makes (int, Fraction
+    or float).  On the exact rail (every value an int or a Fraction) ``scale``
+    is the lcm D of the value denominators and ``keys[i][j]`` the int
+    numerator of the oscillation over D, so key sums and comparisons are
+    integer operations in the same order; otherwise ``scale`` is None and the
+    keys are the oscillations themselves."""
+    n = len(values)
+    osc = [[None] * (i + 1) + [abs(values[j] - values[i]) for j in range(i + 1, n)]
+           for i in range(n)]
+    if not all_exact(values):
+        return osc, osc, None
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    keys = [[None] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
+            for i in range(n)]
+    return osc, keys, scale
 
 
 @lru_cache(maxsize=128)
@@ -316,18 +374,30 @@ def _oscillation_profiles(values: tuple, max_count: int, types: tuple, maximal: 
     """Per family: oscillation vector in left-to-right and sorted order,
     zero oscillations stripped (a family with zeros removed is also
     enumerated, so stripping loses nothing).  With ``maximal`` only the
-    inclusion-maximal families are enumerated.
+    inclusion-maximal families are enumerated.  The oscillations are read
+    from ``_oscillation_table``; the sorted vector is the stable reverse
+    sort, by the integer keys on the exact rail.
 
     ``types`` (the type of each value) is part of the key because equal
     numbers hash alike across int, Fraction and float: without it a function
     would be handed the profiles of a twin whose values have other types."""
     families = (_maximal_index_families if maximal else _index_families)(len(values), max_count)
+    osc, keys, scale = _oscillation_table(values)
     profiles = []
-    for fam in families:
-        ltr = tuple(v for v in (abs(values[j] - values[i]) for i, j in fam) if v != 0)
-        if not ltr:
-            continue
-        profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
+    if scale is None:
+        # floats sort fastest as they are
+        for fam in families:
+            ltr = tuple(v for v in (osc[i][j] for i, j in fam) if v != 0)
+            if ltr:
+                profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
+    else:
+        # a stable reverse sort by the integer keys orders like the values
+        for fam in families:
+            pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
+            if pairs:
+                profiles.append((tuple([v for _, v in pairs]),
+                                 tuple([v for _, v in sorted(pairs, key=itemgetter(0),
+                                                             reverse=True)])))
     return tuple(profiles)
 
 

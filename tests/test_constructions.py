@@ -138,6 +138,22 @@ def test_zigzag_certifies_on_both_rails():
     f, cert = zigzag_from_sequence([F(1, k) for k in range(1, 21)])
     assert cert.all_passed and f.is_exact()
     assert all(type(c.lhs) in (int, F) and type(c.rhs) in (int, F) for c in cert.checks)
+    assert cert.notes == ()
+
+
+def test_zigzag_float_notes_the_entries_within_the_slack():
+    # 1e-310 and 5e-324 are lost in the partial sums and still pass within
+    # the slack, so the certificate says it does not certify them
+    _, cert = zigzag_from_sequence([0.9, 0.3333333333333333, 1e-310, 5e-324])
+    assert cert.all_passed and [c.lhs for c in cert.checks[2:]] == [0.0, 0.0]
+    assert cert.notes == ("not certified: |x_k| <= float slack 1e-09 for k = 3, 4",)
+    _, cert = zigzag_from_sequence([5.0, 1e-8, 5e-9, 4e-9])
+    assert cert.notes == ("not certified: |x_k| <= float slack 5e-09 for k = 3, 4",)
+    _, cert = zigzag_from_sequence([1.0 / k for k in range(1, 21)])
+    assert cert.notes == ()
+    # the exact rail certifies zero entries exactly and adds no note
+    _, cert = zigzag_from_sequence([1, F(1, 2), 0, 0])
+    assert cert.all_passed and cert.notes == ()
 
 
 def test_zigzag_rejects_non_monotone():

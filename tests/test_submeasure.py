@@ -14,6 +14,7 @@ from gbv.submeasure import (
     MaxWithUnitSubmeasure,
     PermutedSubmeasure,
     ShiftedSubmeasure,
+    Submeasure,
     SummableSubmeasure,
     UnitSubmeasure,
     WatermanWeights,
@@ -291,6 +292,26 @@ def test_set_value_matches_per_element_reference_under_wrapper_stacks():
             if phi.horizon is not None:
                 with pytest.raises(HorizonExceeded):
                     phi.set_value([1, phi.horizon + 1])
+
+
+def test_set_value_checks_the_set_once_under_a_three_deep_stack(monkeypatch):
+    # the outermost wrapper checks C; the layers below take it as checked
+    checked = []
+    check = Submeasure._check_indices
+
+    def spy(self, C):
+        checked.append(self)
+        return check(self, C)
+
+    monkeypatch.setattr(Submeasure, "_check_indices", spy)
+    perm = (3, 8, 1, 6, 2, 7, 5, 4)
+    for leaf in (summable(harmonic_weights(8)), density(sqrt_bound())):
+        phi = max_with_unit(shift_normalize(permuted(leaf, perm)))
+        for C in ([5, 1, 5, 3], [8], [], range(1, 9)):
+            checked.clear()
+            got, want = phi.set_value(C), _reference_set_value(phi, C)
+            assert got == want and type(got) is type(want), (phi, C)
+            assert checked == [phi], (phi, C)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbv._util import SizeRefusal
 from gbv.submeasure import (
@@ -153,6 +155,128 @@ def test_modulus_dp_equals_enumeration_randomized():
         v = modulus_of_variation(f)
         assert v.values == modulus_by_enumeration(f).values
         assert v.values[-1] == jordan_variation(f)
+
+
+def summed_per_family_modulus(f, n_max):
+    """The enumeration that sums every family anew, as the table walk
+    replaced it: the reference for values and entry types."""
+    from gbv.variation import _index_families
+
+    best = [0] * (n_max + 1)
+    for fam in _index_families(f.segments + 1, n_max):
+        total = 0
+        for (i, j) in fam:
+            total += abs(f.values[j] - f.values[i])
+        k = len(fam)
+        if total > best[k]:
+            best[k] = total
+    for k in range(1, n_max + 1):
+        if best[k] < best[k - 1]:
+            best[k] = best[k - 1]
+    return tuple(best)
+
+
+def subtracted_per_family_profiles(values, max_count, maximal):
+    """The profiles with each oscillation subtracted per family: the reference
+    for ``_oscillation_profiles`` read from the table."""
+    from gbv.variation import _index_families, _maximal_index_families
+
+    families = (_maximal_index_families if maximal else _index_families)(len(values), max_count)
+    profiles = []
+    for fam in families:
+        ltr = tuple(v for v in (abs(values[j] - values[i]) for i, j in fam) if v != 0)
+        if not ltr:
+            continue
+        profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
+    return tuple(profiles)
+
+
+def typed(x):
+    """Value and type of every entry, floats by their bits (-0.0 apart)."""
+    if isinstance(x, tuple):
+        return tuple(typed(v) for v in x)
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+_ints = st.integers(-12, 12)
+_fractions = st.fractions(-12, 12, max_denominator=7)
+_floats = st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                    st.sampled_from([-0.0, 0.0, 1e-300, -5e-324, 1e300, 0.1, 0.2, 0.3]))
+VALUE_KINDS = {"int": _ints, "fraction": _fractions, "mixed": st.one_of(_ints, _fractions),
+               "float": _floats, "float-mixed": st.one_of(_floats, _ints, _fractions)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_table_walk_and_profiles_match_the_per_family_sums(data):
+    from gbv.variation import _oscillation_profiles
+
+    kind = data.draw(st.sampled_from(sorted(VALUE_KINDS)), label="kind")
+    B = data.draw(st.integers(1, 9), label="B")
+    values = tuple(data.draw(st.lists(VALUE_KINDS[kind], min_size=B + 1, max_size=B + 1),
+                             label="values"))
+    f = PiecewiseLinearFunction(tuple([0] + [F(k, B) for k in range(1, B)] + [1]), values)
+    n_max = data.draw(st.integers(0, B), label="n_max")
+    got = modulus_by_enumeration(f, n_max).values
+    assert typed(got) == typed(summed_per_family_modulus(f, n_max))
+    max_count = data.draw(st.integers(1, B), label="max_count")
+    types = tuple(map(type, values))
+    for maximal in (False, True):
+        got = _oscillation_profiles(values, max_count, types, maximal)
+        want = subtracted_per_family_profiles(values, max_count, maximal)
+        assert typed(got) == typed(want), maximal
+
+
+def test_table_walk_edge_cases():
+    from gbv.variation import _oscillation_profiles
+
+    for values in ((3, 3, 3), (F(1, 2), F(1, 2)), (0.5, 0.5, 0.5), (-0.0, 0.0)):
+        f = PiecewiseLinearFunction(tuple(F(k, len(values) - 1) for k in range(len(values))),
+                                    values)
+        got = modulus_by_enumeration(f).values
+        assert got == (0,) * len(values) and all(type(v) is int for v in got), values
+        assert modulus_by_enumeration(f, 0).values == (0,)
+        assert _oscillation_profiles(values, f.segments, tuple(map(type, values)), False) == ()
+    assert modulus_by_enumeration(zigzag(), 0).values == (0,)
+    # mixed int/Fraction: an entry is a Fraction exactly when the first family
+    # to reach it has a Fraction oscillation, so equal values can differ in type
+    bps = (0, F(1, 3), F(2, 3), 1)
+    for values, types in (((0, 2, 0, F(2)), [int, int, int, F]),
+                          ((F(2), 0, 2, 0), [int, F, F, F]),
+                          ((0, 3, F(5, 2), F(1, 2)), [int, int, F, F])):
+        f = PiecewiseLinearFunction(bps, values)
+        got = modulus_by_enumeration(f).values
+        assert [type(v) for v in got] == types, values
+        assert typed(got) == typed(summed_per_family_modulus(f, 3))
+    assert modulus_by_enumeration(PiecewiseLinearFunction(bps, (0, 2, 0, F(2)))).values \
+        == (0, 2, 4, 6)
+
+
+def test_table_walk_visits_every_family(monkeypatch):
+    # each family adds one key to its parent's total, so the walk reads as
+    # many keys as there are families: it prunes nothing
+    from gbv import variation as V
+
+    reads = []
+
+    class CountedRow(list):
+        def __getitem__(self, j):
+            reads.append(j)
+            return list.__getitem__(self, j)
+
+    table = V._oscillation_table
+
+    def counted_table(values):
+        osc, keys, scale = table(values)
+        return osc, [CountedRow(row) for row in keys], scale
+
+    monkeypatch.setattr(V, "_oscillation_table", counted_table)
+    for f in (zigzag(), merging_runs_function(), float_twin(zigzag()),
+              PiecewiseLinearFunction(tuple(F(k, 7) for k in range(8)), (0,) * 8)):
+        for n_max in range(f.segments + 1):
+            reads.clear()
+            modulus_by_enumeration(f, n_max)
+            assert len(reads) == len(V._index_families(f.segments + 1, n_max)), (f, n_max)
 
 
 def test_modulus_prefix_query():

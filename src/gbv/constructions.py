@@ -102,12 +102,19 @@ def density_witness_monotone(g: DensityBound, h: DensityBound, n: int) -> Constr
     object is the classical witness of height g(n)/n; for ceiling-rounded
     profiles s absorbs the rounding, keeping the first check exact.
     """
+    if n < 1:
+        raise ValueError(f"witness index n must be at least 1, got {n}")
     phi_g, phi_h = density(g), density(h)
-    s = max(exact_div(m, g.g(m)) for m in range(1, n + 1))
-    height = exact_div(1, s) if isinstance(s, Fraction) or isinstance(s, int) else 1.0 / s
+    # s = s_num/s_den, the first maximum of m/g(m), by cross-multiplication
+    s_num, s_den = 0, 1
+    for m in range(1, n + 1):
+        gm = g.g(m)
+        if m * s_den > s_num * gm:
+            s_num, s_den = m, gm
+    s = Fraction(s_num, s_den)
+    height = Fraction(s_den, s_num)
     x = SequencePrefix((height,) * n)
-    claimed_ratio = exact_div(n, h.g(n) * s) if isinstance(s, (int, Fraction)) \
-        else n / (h.g(n) * s)
+    claimed_ratio = Fraction(n * s_den, h.g(n) * s_num)
     checks = [
         _check("g-norm of witness at most 1", hat_norm(phi_g, x), "<=", 1),
         _check("h-norm of witness at least n/(s*h(n))",
@@ -133,26 +140,18 @@ def density_witness_set(g: DensityBound, h: DensityBound, k: int,
     if k < 1:
         raise ValueError("separation level k must be >= 1")
     phi_g, phi_h = density(g), density(h)
-    delta = Fraction(max(g.g(1), 1))
-    threshold = Fraction(2 ** k * 2 ** (k + 1)) * delta
-    scanned_delta_to = 0
-
-    def bump_delta(up_to: int):
-        nonlocal delta, threshold, scanned_delta_to
-        for i in range(scanned_delta_to + 1, up_to + 1):
-            r = Fraction(g.g(i), i)
-            if r > delta:
-                delta = r
-                threshold = Fraction(2 ** k * 2 ** (k + 1)) * delta
-        scanned_delta_to = up_to
+    # delta = d_num/d_den = max_{i<=n} g(i)/i, kept as integers
+    d_num, d_den = max(g.g(1), 1), 1
+    scale = 2 ** k * 2 ** (k + 1)        # the threshold is scale * delta
 
     for n in range(1, search_bound + 1):
         gn, hn = g.g(n), h.g(n)
-        bump_delta(n)
-        if Fraction(gn, hn) <= threshold:
+        if gn * d_den > d_num * n:
+            d_num, d_den = gn, n
+        if gn * d_den <= scale * d_num * hn:
             continue
         j = 0
-        while (2 ** (j + 1)) * delta < gn:
+        while (2 ** (j + 1)) * d_num < gn * d_den:
             j += 1
         if j < k:
             continue
@@ -168,11 +167,11 @@ def density_witness_set(g: DensityBound, h: DensityBound, k: int,
         if all(c.passed for c in checks):
             return _certify("density-witness-set", F, checks,
                             details={"n": n, "a": a, "j": j, "k": k,
-                                     "delta": delta})
+                                     "delta": Fraction(d_num, d_den)})
     return _certify("density-witness-set", None, [],
                     notes=("no-witness-below-bound",),
                     details={"k": k, "search_bound": search_bound,
-                             "delta": delta})
+                             "delta": Fraction(d_num, d_den)})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import HorizonExceeded, all_exact, exact_div
+from ._util import HorizonExceeded, NonFiniteValue, all_exact, exact_div, is_finite
 from .constructions import density_witness_monotone
 from .sequence_spaces import SequencePrefix
 from .submeasure import (
@@ -95,18 +95,24 @@ def preceq_density(g: DensityBound, h: DensityBound,
     cap the flat-prefix witness at the first crossing is attached (its g-norm
     is exactly 1 while its h-norm carries the ratio).
     """
+    _check_cap(cap)
     for bound in (g, h):
         if bound.horizon is not None and bound.horizon < horizon:
             raise ValueError(f"horizon mismatch: {bound!r} ends before {horizon}")
-    best = Fraction(0)
+    # ratios g(n)/h(n) compared by cross-multiplication; Fraction(float) is
+    # exact, so the crossing test is exact for a float cap too
+    exact_cap = Fraction(cap)
+    cap_num, cap_den = exact_cap.numerator, exact_cap.denominator
+    num, den = 0, 1
     best_n = 0
     first_crossing = None
     for n in range(1, horizon + 1):
-        r = Fraction(g.g(n), h.g(n))
-        if r > best:
-            best, best_n = r, n
-        if first_crossing is None and r >= cap:
+        gn, hn = g.g(n), h.g(n)
+        if gn * den > num * hn:
+            num, den, best_n = gn, hn, n
+        if first_crossing is None and gn * cap_den >= cap_num * hn:
             first_crossing = n
+    best = Fraction(num, den)
     details = {"argmax": best_n, "horizon": horizon, "cap": cap}
     if first_crossing is not None:
         cert = density_witness_monotone(g, h, first_crossing)
@@ -114,6 +120,13 @@ def preceq_density(g: DensityBound, h: DensityBound,
         return ComparisonReport("preceq", best, VIOLATED, cert.obj, details)
     verdict = HOLDS if _density_pair_provable(g, h) else CONSISTENT
     return ComparisonReport("preceq", best, verdict, None, details)
+
+
+def _check_cap(cap) -> None:
+    if not is_finite(cap):
+        raise NonFiniteValue(f"cap must be positive and finite, got {cap!r}")
+    if not cap > 0:
+        raise ValueError(f"cap must be positive and finite, got {cap!r}")
 
 
 def _density_pair_provable(g: DensityBound, h: DensityBound) -> bool:
@@ -131,6 +144,7 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     """Hat-norm domination for weighted sums: sup_n b_n / a_n is both
     sufficient and necessary (the coordinate vector e_n witnesses necessity).
     """
+    _check_cap(cap)
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
@@ -177,6 +191,7 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
     eta = max_n (sum_{i<=n} b_i)/(sum_{i<=n} a_i) dominates on the monotone
     cone, and the flat prefix at the argmax attains the ratio exactly.
     """
+    _check_cap(cap)
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
@@ -184,12 +199,10 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
     if exact:
         asum = bsum = 0
         best, best_n = 0, 0
-        ratios = []
         for n in range(1, n_vals + 1):
             asum += A.values[n - 1]
             bsum += B.values[n - 1]
             r = exact_div(bsum, asum)
-            ratios.append(r)
             if r > best:
                 best, best_n = r, n
     else:

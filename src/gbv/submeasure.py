@@ -680,13 +680,31 @@ class DensitySubmeasure(Submeasure):
         return Fraction(num, den)
 
     def hat(self, x):
+        """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
+
+        On the exact rail (every entry an int or a Fraction) the prefix sums
+        are integer numerators over D, the lcm of the entry denominators, the
+        ratios are compared by cross-multiplication and one Fraction is built
+        for the maximum.  Entries that include a float take the plain loop.
+        """
         entries = as_entries(x)
         self._check_length(len(entries))
+        g = self.bound.g
+        if all_exact(entries):
+            D = math.lcm(*(v.denominator for v in entries))
+            num, den = 0, 1
+            prefix = 0
+            for n, v in enumerate(entries, start=1):
+                prefix += abs(v.numerator) * (D // v.denominator)
+                gn = g(n)
+                if prefix * den > num * gn:
+                    num, den = prefix, gn
+            return Fraction(num, D * den) if num else 0
         best = 0
         prefix = 0
         for n, v in enumerate(entries, start=1):
             prefix = prefix + abs(v)
-            val = exact_div(prefix, self.bound.g(n))
+            val = exact_div(prefix, g(n))
             if val > best:
                 best = val
         return best

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gbv._util import HorizonExceeded, HypothesisViolation
+from gbv._util import HorizonExceeded, HypothesisViolation, exact_div
 from gbv.constructions import (
     ConstructionCertificate,
     density_witness_monotone,
@@ -23,6 +23,7 @@ from gbv.submeasure import (
     harmonic_weights,
     hat_norm,
     identity_bound,
+    log_bound,
     ones_weights,
     sqrt_bound,
     summable,
@@ -86,6 +87,87 @@ def test_density_witness_set_no_witness():
     assert "no-witness-below-bound" in cert.notes
     cert2 = density_witness_set(identity_bound(), sqrt_bound(), 14, 10 ** 4)
     assert "no-witness-below-bound" in cert2.notes
+
+
+def _density_profiles(length):
+    """Power, log and table profiles; the tables reach ``length``."""
+    return [identity_bound(), sqrt_bound(), log_bound(), DensityBound("power", F(1, 3)),
+            DensityBound("table", table=[min(n, 12) for n in range(1, length + 1)]),
+            DensityBound("table", table=[n + 3 for n in range(1, length + 1)]),
+            DensityBound("table", table=[min(2 * n + 1, 45) for n in range(1, length + 1)])]
+
+
+def _typed(values):
+    return {k: (v, type(v)) for k, v in values.items()}
+
+
+def _reference_witness_monotone(g, h, n):
+    """The numbers of the flat witness with one Fraction per index."""
+    s = max(exact_div(m, g.g(m)) for m in range(1, n + 1))
+    return {"n": n, "s": s, "height": exact_div(1, s),
+            "ratio_lower_bound": exact_div(n, h.g(n) * s),
+            "ideal_ratio": exact_div(g.g(n), h.g(n))}
+
+
+def _reference_witness_set(g, h, k, search_bound):
+    """(F, details) of the dyadic interval search with Fraction ratios."""
+    phi_g, phi_h = density(g), density(h)
+    delta = F(max(g.g(1), 1))
+    threshold = F(2 ** k * 2 ** (k + 1)) * delta
+    for n in range(1, search_bound + 1):
+        gn, hn = g.g(n), h.g(n)
+        if F(gn, n) > delta:
+            delta = F(gn, n)
+            threshold = F(2 ** k * 2 ** (k + 1)) * delta
+        if F(gn, hn) <= threshold:
+            continue
+        j = 0
+        while (2 ** (j + 1)) * delta < gn:
+            j += 1
+        if j < k:
+            continue
+        a = n - 2 ** (j - k)
+        if a < 0:
+            continue
+        S = frozenset(range(a + 1, n + 1))
+        if phi_g.set_value(S) <= F(1, 2 ** k) and phi_h.set_value(S) >= 2 ** k:
+            return S, {"n": n, "a": a, "j": j, "k": k, "delta": delta}
+    return None, {"k": k, "search_bound": search_bound, "delta": delta}
+
+
+def test_density_witness_monotone_matches_fraction_reference():
+    profiles = _density_profiles(200)
+    for g in profiles:
+        for h in profiles:
+            for n in (1, 2, 7, 60, 200):
+                cert = density_witness_monotone(g, h, n)
+                want = _reference_witness_monotone(g, h, n)
+                assert _typed(cert.details) == _typed(want)
+                assert cert.obj.entries == (want["height"],) * n
+
+
+def test_density_witness_set_matches_fraction_reference():
+    profiles = _density_profiles(400)
+    found = 0
+    for g in profiles:
+        for h in profiles:
+            for k in (1, 2):
+                cert = density_witness_set(g, h, k, 400)
+                obj, details = _reference_witness_set(g, h, k, 400)
+                assert cert.obj == obj and _typed(cert.details) == _typed(details)
+                found += obj is not None
+    assert found >= 10
+
+
+def test_density_witnesses_on_tables_keep_their_horizon_errors():
+    table = DensityBound("table", table=[min(n, 12) for n in range(1, 101)])
+    for g, h in ((table, identity_bound()), (identity_bound(), table)):
+        with pytest.raises(HorizonExceeded, match="density table ends at 100, asked for 101"):
+            density_witness_monotone(g, h, 101)
+    with pytest.raises(HorizonExceeded, match="density table ends at 100, asked for 101"):
+        density_witness_set(table, table, 1, 101)
+    with pytest.raises(ValueError, match="witness index n must be at least 1, got 0"):
+        density_witness_monotone(identity_bound(), sqrt_bound(), 0)
 
 
 # ---------------------------------------------------------------------------

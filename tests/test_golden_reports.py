@@ -68,6 +68,10 @@ CASES = {
     "compare-preceq": (P, 0),
     "compare-preceq-exact": (P + ["--exact"], 0),
     "compare-preceq-csv": (P + ["--format", "csv"], 0),
+    # n/ceil(sqrt n) first reaches the cap exactly, at n = 25 (and again at 30)
+    "compare-preceq-cap-boundary-exact": (["compare", "--relation", "preceq", "--a",
+                                           "identity.json", "--b", "sqrt.json", "--horizon",
+                                           "40", "--cap", "5", "--exact"], 2),
     "compare-preceq_m-long-cap": (["compare", "--relation", "preceq_m", "--a", "table.json",
                                    "--b", "harmonic16.json", "--cap", "0.1234567890123456"], 2),
     "compare-katetov": (["compare", "--relation", "katetov", "--a", "harmonic.json",

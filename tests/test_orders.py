@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbv._util import NonFiniteValue
 from gbv.orders import (
     ComparisonReport,
     KatetovPartition,
@@ -24,6 +27,7 @@ from gbv.submeasure import (
     harmonic_weights,
     hat_norm,
     identity_bound,
+    log_bound,
     ones_weights,
     sqrt_bound,
     summable,
@@ -76,6 +80,101 @@ def test_preceq_density_horizon_mismatch():
     table = DensityBound("table", table=[1, 2, 3, 4])
     with pytest.raises(ValueError):
         preceq_density(table, identity_bound(), horizon=10)
+
+
+def _reference_preceq_density(g, h, horizon, cap):
+    """The scan with one Fraction per index: (bound, argmax, first crossing)."""
+    best, best_n, first = F(0), 0, None
+    for n in range(1, horizon + 1):
+        r = F(g.g(n), h.g(n))
+        if r > best:
+            best, best_n = r, n
+        if first is None and r >= cap:
+            first = n
+    return best, best_n, first
+
+
+def _density_profiles(length):
+    """Power, log and table profiles; the tables reach ``length``."""
+    return [identity_bound(), sqrt_bound(), log_bound(), DensityBound("power", F(1, 3)),
+            DensityBound("power", F(2, 3)),
+            DensityBound("table", table=[min(n, 12) for n in range(1, length + 1)]),
+            DensityBound("table", table=[n + 3 for n in range(1, length + 1)]),
+            DensityBound("table", table=[min(2 * n + 1, 45) for n in range(1, length + 1)])]
+
+
+def test_preceq_density_matches_fraction_reference():
+    horizon = 300
+    profiles = _density_profiles(horizon)
+    for g in profiles:
+        for h in profiles:
+            mid = F(g.g(horizon // 2), h.g(horizon // 2))
+            # the ratio at the midpoint is reached exactly by the Fraction cap
+            for cap in (1, 3, F(7, 3), mid, 2.5, float(mid), 10 ** 3):
+                r = preceq_density(g, h, horizon, cap)
+                best, best_n, first = _reference_preceq_density(g, h, horizon, cap)
+                assert r.bound_estimate == best and type(r.bound_estimate) is F
+                assert r.details["argmax"] == best_n and r.details["cap"] is cap
+                if first is None:
+                    assert r.witness is None
+                else:
+                    assert r.verdict == "violated-by-witness"
+                    assert len(r.witness.entries) == first
+
+
+def test_preceq_density_first_crossing_at_a_ratio_equal_to_the_cap():
+    # n/ceil(sqrt n) is 5 at n = 25 and below 5 before; int, Fraction and
+    # float caps of the same value cross at the same index
+    for cap in (5, F(5), 5.0):
+        r = preceq_density(identity_bound(), sqrt_bound(), horizon=40, cap=cap)
+        assert len(r.witness.entries) == 25
+        assert r.bound_estimate == 6 and r.details["argmax"] == 36
+    r = preceq_density(identity_bound(), sqrt_bound(), horizon=40, cap=5 + 1e-15)
+    assert len(r.witness.entries) == 31            # 31/6 is the next ratio above 5
+
+
+def test_preceq_density_table_horizon_errors():
+    table = DensityBound("table", table=[min(n, 12) for n in range(1, 101)])
+    for g, h in ((table, identity_bound()), (identity_bound(), table)):
+        assert preceq_density(g, h, horizon=100).details["horizon"] == 100
+        with pytest.raises(ValueError, match="horizon mismatch: DensityBound"
+                                             r"\(table, n=100\) ends before 101"):
+            preceq_density(g, h, horizon=101)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda cap: preceq_density(sqrt_bound(), identity_bound(), 100, cap),
+    lambda cap: preceq_summable(harmonic_weights(16), harmonic_weights(16), cap),
+    lambda cap: preceq_m_summable(harmonic_weights(16), harmonic_weights(16), cap),
+], ids=["preceq_density", "preceq_summable", "preceq_m_summable"])
+def test_ratio_scans_refuse_bad_caps(scan):
+    for cap in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteValue, match="cap must be positive and finite"):
+            scan(cap)
+    for cap in (0, 0.0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="cap must be positive and finite"):
+            scan(cap)
+
+
+@given(st.sampled_from(range(8)), st.sampled_from(range(8)), st.integers(1, 200),
+       st.fractions(min_value=F(1, 4), max_value=40, max_denominator=20))
+@settings(max_examples=150, deadline=None)
+def test_preceq_density_exact_and_float_cap_agree(gi, hi, horizon, cap):
+    # The float twin of a Fraction cap c is float(c), within relative 2**-53
+    # of c.  The bound is the exact max of g(n)/h(n) either way, and its float
+    # is the float ratio max (both round the same ratio once).  The first
+    # crossing moves only if a ratio lies between c and float(c).
+    profiles = _density_profiles(200)
+    g, h = profiles[gi], profiles[hi]
+    exact, flt = preceq_density(g, h, horizon, cap), preceq_density(g, h, horizon, float(cap))
+    assert exact.bound_estimate == flt.bound_estimate
+    assert exact.details["argmax"] == flt.details["argmax"]
+    ratios = g.g_array(horizon) / h.g_array(horizon)
+    assert float(exact.bound_estimate) == ratios.max()
+    lengths = [len(r.witness.entries) if r.witness else None for r in (exact, flt)]
+    if lengths[0] != lengths[1]:
+        n = min(k for k in lengths if k is not None)
+        assert math.isclose(F(g.g(n), h.g(n)), cap, rel_tol=2 ** -52)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import HorizonExceeded, NonFiniteValue
+from gbv._util import HorizonExceeded, NonFiniteValue, exact_div
 from gbv.submeasure import (
     CountingSubmeasure,
     DensityBound,
@@ -396,6 +396,51 @@ def test_truncation_nondecreasing_tail_nonincreasing(x):
             tails = [tail_norm(phi, x, n) for n in range(1, len(x) + 1)]
             assert all(tails[i] >= tails[i + 1] for i in range(len(tails) - 1))
             assert tails[0] == hat_norm(phi, x)
+
+
+def _reference_density_hat(phi, x):
+    """max_n prefix/g(n) with one Fraction (or float) per index."""
+    best = 0
+    prefix = 0
+    for n, v in enumerate(x, start=1):
+        prefix = prefix + abs(v)
+        val = exact_div(prefix, phi.bound.g(n))
+        if val > best:
+            best = val
+    return best
+
+
+def _density_hat_profiles():
+    return [density(identity_bound()), density(sqrt_bound()), density(log_bound()),
+            density(DensityBound("power", F(1, 3))),
+            density(density_from_table([min(n, 5) for n in range(1, 13)]))]   # horizon 12
+
+
+def test_density_hat_matches_fraction_reference():
+    rng = random.Random(31)
+    inputs = [(), (0,), (0, 0, 0), (F(0), F(0)), (0.0, 0.0), (-3,), (-1, 2, -5, 0, 7),
+              (F(-1, 3), F(5, 6), F(-7, 4)), (1, F(1, 2), 0, F(-2, 3), 4),
+              (2.5, -0.125, 3.0), (1, F(1, 3), 0.5, 2), (0.25, F(1, 3), 2), (True, False, 3)]
+    for _ in range(40):
+        inputs.append(tuple(rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9),
+                                                                  rng.randint(1, 12))))
+                            for _ in range(rng.randint(1, 12))))
+    for phi in _density_hat_profiles():
+        for x in inputs:
+            got, want = phi.hat(x), _reference_density_hat(phi, x)
+            assert got == want and type(got) is type(want), (phi, x, got, want)
+    with pytest.raises(HorizonExceeded, match="sequence length 13 exceeds horizon 12"):
+        _density_hat_profiles()[-1].hat((F(1, 2),) * 13)
+
+
+@given(st.sampled_from(range(5)), small_seqs)
+@settings(max_examples=200, deadline=None)
+def test_density_hat_exact_and_float_twin_agree(i, x):
+    # Summing n absolute values and dividing once stays within relative
+    # (n + 2) * 2**-52 of the exact value; an all-zero input is 0 on both rails
+    phi = _density_hat_profiles()[i]
+    exact, flt = phi.hat(x), phi.hat([float(v) for v in x])
+    assert math.isclose(flt, exact, rel_tol=(len(x) + 2) * 2 ** -52, abs_tol=0)
 
 
 def test_empty_sequence_hat_norm_is_zero():

@@ -13,10 +13,6 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-#: Positive infinity sentinel for set functions that blow up.  Distinct from
-#: silent float overflow: exact code paths never produce it by accident.
-INF = math.inf
-
 EXACT_TYPES = (int, Fraction)
 
 
@@ -38,10 +34,6 @@ class DescriptorError(ValueError):
 
 class NonFiniteValue(ValueError):
     """A NaN or an infinity where data enters; message names where."""
-
-
-def is_exact(value) -> bool:
-    return isinstance(value, EXACT_TYPES)
 
 
 def all_exact(values) -> bool:

@@ -136,22 +136,23 @@ def density_witness_set(g: DensityBound, h: DensityBound, k: int,
     is then verified by direct exact evaluation of both set values, so
     rounding slack in g can only delay success, never produce a false
     certificate.  Failure within the horizon is reported explicitly.
+
+    delta = g(1) at every index: a table has n/g(n) nondecreasing, so
+    n/g(n) >= 1/g(1), and the power and log forms have g(1) = 1 and
+    g(n) <= n.  So g(i)/i never exceeds g(1), and delta stays an int.
     """
     if k < 1:
         raise ValueError("separation level k must be >= 1")
     phi_g, phi_h = density(g), density(h)
-    # delta = d_num/d_den = max_{i<=n} g(i)/i, kept as integers
-    d_num, d_den = max(g.g(1), 1), 1
-    scale = 2 ** k * 2 ** (k + 1)        # the threshold is scale * delta
+    delta = g.g(1)
+    threshold = 2 ** k * 2 ** (k + 1) * delta
 
     for n in range(1, search_bound + 1):
         gn, hn = g.g(n), h.g(n)
-        if gn * d_den > d_num * n:
-            d_num, d_den = gn, n
-        if gn * d_den <= scale * d_num * hn:
+        if gn <= threshold * hn:
             continue
         j = 0
-        while (2 ** (j + 1)) * d_num < gn * d_den:
+        while (2 ** (j + 1)) * delta < gn:
             j += 1
         if j < k:
             continue
@@ -167,11 +168,11 @@ def density_witness_set(g: DensityBound, h: DensityBound, k: int,
         if all(c.passed for c in checks):
             return _certify("density-witness-set", F, checks,
                             details={"n": n, "a": a, "j": j, "k": k,
-                                     "delta": Fraction(d_num, d_den)})
+                                     "delta": Fraction(delta)})
     return _certify("density-witness-set", None, [],
                     notes=("no-witness-below-bound",),
                     details={"k": k, "search_bound": search_bound,
-                             "delta": Fraction(d_num, d_den)})
+                             "delta": Fraction(delta)})
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +497,12 @@ def _tail_mode(A: WatermanWeights, g: DensityBound, H: int, S: np.ndarray):
     """Convergence of sum a_n x_n: comparison table for known form pairs,
     plateau heuristic otherwise.  Returns (mode, upper bound on the tail
     beyond the horizon)."""
-    q = {"harmonic": 1.0, "ones": 0.0}.get(A.form)
-    if q is None and A.form == "power":
-        q = float(A.param)
+    q = A.exponent
     p = float(g.param) if g.form == "power" else (0.0 if g.form == "log" else None)
     if q is not None and p is not None:
         # a_n x_n ~ n^(p - q - 1) (log profile: x_n ~ 1/n, i.e. p = 0)
         if q > p:
-            f_H = float(A.value_float(H)) * float(g.real_increment(H))
+            f_H = float(A.value_at(H)) * float(g.real_increment(H))
             return "comparison-convergent", f_H * H / (q - p)
         return "divergent", 0.0
     last_decade = S[-1] - S[int(len(S) * 0.9)]

@@ -164,20 +164,10 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     return ComparisonReport("preceq", best, verdict, None, details)
 
 
-def _power_exponent(W: WatermanWeights):
-    if W.form == "harmonic":
-        return 1.0
-    if W.form == "ones":
-        return 0.0
-    if W.form == "power":
-        return float(W.param)
-    return None
-
-
 def _summable_pair_provable(A: WatermanWeights, B: WatermanWeights) -> bool:
     if A.form == "table" or B.form == "table":
         return A.values == B.values
-    qa, qb = _power_exponent(A), _power_exponent(B)
+    qa, qb = A.exponent, B.exponent
     if qa is None or qb is None:
         return False
     return qb >= qa                      # b_n/a_n ~ n^(qa-qb) stays bounded
@@ -224,7 +214,7 @@ def _summable_pair_m_provable(A: WatermanWeights, B: WatermanWeights) -> bool:
         return True                      # Bsum_n / n = mean of b <= b_1
     if A.form == "table" or B.form == "table":
         return A.values == B.values
-    qa, qb = _power_exponent(A), _power_exponent(B)
+    qa, qb = A.exponent, B.exponent
     if qa is None or qb is None:
         return False
     return qb >= qa                      # partial sums grow like n^(1-q)
@@ -408,10 +398,9 @@ def tallness_hint(A: WatermanWeights, tolerance: float = 1e-3) -> str:
     """Whether the weights are consistent with tending to zero (tallness of
     the induced summable ideal).  Closed forms answer analytically; tables
     by comparing the last entry against the tolerance.  Metadata only."""
-    if A.form in ("harmonic", "log"):
+    if A.form == "log":
         return "tall-consistent"
-    if A.form == "power":
-        return "tall-consistent" if float(A.param) > 0 else "not-tall-consistent"
-    if A.form == "ones":
-        return "not-tall-consistent"
+    q = A.exponent
+    if q is not None:
+        return "tall-consistent" if q > 0 else "not-tall-consistent"
     return "tall-consistent" if float(A.values[-1]) < tolerance else "not-tall-consistent"

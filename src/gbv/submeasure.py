@@ -133,7 +133,8 @@ class WatermanWeights:
         self.form = form
         self.param = param
         if declared_divergent is None:
-            declared_divergent = _form_divergent(form, param)
+            q = self.exponent
+            declared_divergent = form == "log" or (q is not None and q <= 1.0)
         self.declared_divergent = bool(declared_divergent)
         self._float_values = None
         self._float_cumsum = None
@@ -151,6 +152,18 @@ class WatermanWeights:
         """Largest usable index: None (unbounded) for closed forms."""
         return len(self.values) if self.form == "table" else None
 
+    @property
+    def exponent(self) -> Optional[float]:
+        """q with a_n = n^-q for the power-law forms (harmonic 1, ones 0,
+        power p); None for log and table weights."""
+        if self.form == "harmonic":
+            return 1.0
+        if self.form == "ones":
+            return 0.0
+        if self.form == "power":
+            return float(self.param)
+        return None
+
     def value_at(self, n: int):
         """Weight a_n, exact where the form allows, at any index for closed forms."""
         if n < 1:
@@ -166,9 +179,6 @@ class WatermanWeights:
         if self.form == "power":
             return float(n) ** (-float(self.param))
         raise HorizonExceeded(f"tabulated weights end at {len(self.values)}, asked for {n}")
-
-    def value_float(self, n: int) -> float:
-        return float(self.value_at(n))
 
     def float_values(self, length: int) -> np.ndarray:
         """First ``length`` weights as a float array (cached)."""
@@ -233,9 +243,8 @@ class WatermanWeights:
         return total
 
     def _asymptotic_sum(self, n: int) -> float:
-        if self.form in ("harmonic", "power") or self.form == "ones":
-            p = 1.0 if self.form == "harmonic" else (0.0 if self.form == "ones" else float(self.param))
-        else:  # pragma: no cover - guarded by partial_sum
+        p = self.exponent
+        if p is None:  # pragma: no cover - guarded by partial_sum
             raise HorizonExceeded(f"no asymptotic tail for form {self.form!r}")
         if p == 0.0:
             return float(n)
@@ -251,14 +260,6 @@ class WatermanWeights:
 def _power_main_terms(n: int, p: float) -> float:
     n = float(n)
     return n ** (1.0 - p) / (1.0 - p) + 0.5 * n ** (-p) - p * n ** (-p - 1.0) / 12.0
-
-
-def _form_divergent(form: str, param) -> bool:
-    if form in ("harmonic", "ones", "log"):
-        return True
-    if form == "power":
-        return float(param) <= 1.0
-    return False
 
 
 def _ceil_log2(m: int) -> int:
@@ -408,14 +409,6 @@ class DensityBound:
                 self._g_cache = np.array([self.g(i) for i in range(1, length + 1)], dtype=float)
         return self._g_cache[:length]
 
-    def real_value(self, n: int) -> float:
-        """The underlying real-valued profile (before the ceiling)."""
-        if self.form == "power":
-            return float(n) ** float(self.param)
-        if self.form == "log":
-            return math.log2(n + 1)
-        return float(self.g(n))
-
     def real_increment(self, n: int):
         """Increment of the underlying profile at n (g_real(n) - g_real(n-1))."""
         if self.form == "power":
@@ -483,14 +476,18 @@ def density_from_table(values) -> DensityBound:
 class Submeasure:
     """Abstract base: monotone subadditive set function with hat-norm.
 
-    Besides ``set_value`` and ``hat`` each variant states the ordering facts
-    that the variation functionals rely on, so that no caller has to
-    recognise variants:
+    A variant writes four methods: ``_set_value`` (phi of a checked set),
+    ``hat`` (the exact hat-norm), and the float passes ``truncation_norms``
+    and ``tail_norms``, which the base class supplies from ``hat`` where no
+    O(n) pass exists.  Everything else derives from these: ``set_value``
+    checks the set once, and ``singleton(k)`` is ``set_value((k,))``.
+    Besides these each variant states the ordering facts that the variation
+    functionals rely on, so that no caller has to recognise variants:
 
     * ``sorted_hat_is_sup`` -- the hat of a nonincreasing vector is the
       largest hat over its rearrangements, and the hat is monotone under
       prefix-sum domination of nonincreasing vectors.  Where it holds,
-      ``sorted_rows_hat`` gives the float row-wise hat of sorted rows.
+      ``truncation_norms`` also takes a 2-D array and works along its rows.
     * ``greedy_guarantee`` -- the greedy variation is certified: a lower
       bound that is exact whenever the runs saturate the modulus.  Declared
       for weighted sums, density bounds and counting, and their shifts.
@@ -521,11 +518,6 @@ class Submeasure:
     def rearrangement_base(self) -> "Submeasure":
         return self
 
-    def sorted_rows_hat(self, M: np.ndarray) -> np.ndarray:
-        """Float hat of each row of M, whose rows are nonincreasing and
-        nonnegative; defined where ``sorted_hat_is_sup`` holds."""
-        raise NotImplementedError
-
     def singleton(self, k: int) -> Number:
         return self.set_value((k,))
 
@@ -547,11 +539,14 @@ class Submeasure:
             raise HorizonExceeded(
                 f"sequence length {n} exceeds horizon {self.horizon} of {self!r}")
 
-    # Float fast paths used by certificate builders; overridden per variant
-    # where an O(n) pass exists.  Results agree with hat() within rounding.
+    # Float fast paths used by certificate builders and the float brute force;
+    # overridden per variant where an O(n) pass exists.  Results agree with
+    # hat() within rounding.
 
     def truncation_norms(self, x) -> np.ndarray:
-        """Array T with T[n-1] = hat of the first n coordinates of x."""
+        """Array T with T[n-1] = hat of the first n coordinates of x.  The
+        overrides work along the last axis, so a 2-D x gives one row of
+        truncation norms per row of x."""
         entries = as_entries(x)
         return np.array([float(self.hat(entries[:n])) for n in range(1, len(entries) + 1)])
 
@@ -612,23 +607,15 @@ class SummableSubmeasure(Submeasure):
                 total += self.weights.value_at(i) * abs(v)
         return total
 
-    def singleton(self, k):
-        if self.horizon is not None and k > self.horizon:
-            raise HorizonExceeded(f"index {k} exceeds horizon {self.horizon}")
-        return self.weights.value_at(k)
-
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
-        w = self.weights.float_values(len(ax))
-        return np.cumsum(w * ax)
+        w = self.weights.float_values(ax.shape[-1])
+        return np.cumsum(w * ax, axis=-1)
 
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
         w = self.weights.float_values(len(ax))
         return np.cumsum((w * ax)[::-1])[::-1]
-
-    def sorted_rows_hat(self, M):
-        return M @ self.weights.float_values(M.shape[1])
 
 
 class DensitySubmeasure(Submeasure):
@@ -709,15 +696,10 @@ class DensitySubmeasure(Submeasure):
                 best = val
         return best
 
-    def singleton(self, k):
-        if self.horizon is not None and k > self.horizon:
-            raise HorizonExceeded(f"index {k} exceeds horizon {self.horizon}")
-        return exact_div(1, self.bound.g(k))
-
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
-        g = self.bound.g_array(len(ax))
-        return np.maximum.accumulate(np.cumsum(ax) / g)
+        g = self.bound.g_array(ax.shape[-1])
+        return np.maximum.accumulate(np.cumsum(ax, axis=-1) / g, axis=-1)
 
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -732,9 +714,6 @@ class DensitySubmeasure(Submeasure):
         for cut in range(2, n + 1):
             out[cut - 1] = ((prefix[cut - 1:] - prefix[cut - 2]) / g[cut - 1:]).max()
         return out
-
-    def sorted_rows_hat(self, M):
-        return (np.cumsum(M, axis=1) / self.bound.g_array(M.shape[1])).max(axis=1)
 
 
 class UnitSubmeasure(Submeasure):
@@ -752,19 +731,13 @@ class UnitSubmeasure(Submeasure):
         entries = as_entries(x)
         return max((abs(v) for v in entries), default=0)
 
-    def singleton(self, k):
-        return 1
-
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
-        return np.maximum.accumulate(ax)
+        return np.maximum.accumulate(ax, axis=-1)
 
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
         return np.maximum.accumulate(ax[::-1])[::-1]
-
-    def sorted_rows_hat(self, M):
-        return M[:, 0]
 
 
 class CountingSubmeasure(Submeasure):
@@ -787,19 +760,13 @@ class CountingSubmeasure(Submeasure):
             total += abs(v)
         return total
 
-    def singleton(self, k):
-        return 1
-
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
-        return np.cumsum(ax)
+        return np.cumsum(ax, axis=-1)
 
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
         return np.cumsum(ax[::-1])[::-1]
-
-    def sorted_rows_hat(self, M):
-        return M.sum(axis=1)
 
 
 class PermutedSubmeasure(Submeasure):
@@ -845,11 +812,6 @@ class PermutedSubmeasure(Submeasure):
         for i, v in enumerate(entries):
             y[self.perm[i] - 1] = v
         return self.base.hat(y)
-
-    def singleton(self, k):
-        if k > len(self.perm):
-            raise HorizonExceeded(f"index {k} exceeds horizon {len(self.perm)}")
-        return self.base.singleton(self.perm[k - 1])
 
     def rearrangement_base(self):
         return self.base.rearrangement_base()
@@ -903,22 +865,15 @@ class ShiftedSubmeasure(Submeasure):
                 extra += Fraction(1, 2 ** i) * abs(v)
         return self.base.hat(entries) + extra
 
-    def singleton(self, k):
-        return self.base.singleton(k) + Fraction(1, 2 ** k)
-
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
-        dyadic = np.ldexp(1.0, -np.arange(1, len(ax) + 1))
-        return self.base.truncation_norms(x) + np.cumsum(dyadic * ax)
+        dyadic = np.ldexp(1.0, -np.arange(1, ax.shape[-1] + 1))
+        return self.base.truncation_norms(x) + np.cumsum(dyadic * ax, axis=-1)
 
     def tail_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
         dyadic = np.ldexp(1.0, -np.arange(1, len(ax) + 1))
         return self.base.tail_norms(x) + np.cumsum((dyadic * ax)[::-1])[::-1]
-
-    def sorted_rows_hat(self, M):
-        dyadic = np.ldexp(1.0, -np.arange(1, M.shape[1] + 1))
-        return self.base.sorted_rows_hat(M) + M @ dyadic
 
 
 class MaxWithUnitSubmeasure(Submeasure):
@@ -953,10 +908,6 @@ class MaxWithUnitSubmeasure(Submeasure):
         from .oracle import hat_norm_oracle  # local import: oracle depends on this module
 
         return hat_norm_oracle(self, x)
-
-    def singleton(self, k):
-        base = self.base.singleton(k)
-        return base if base > 1 else 1
 
 
 def as_float_array(x) -> np.ndarray:

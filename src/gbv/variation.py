@@ -433,9 +433,11 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     left-to-right and sorted hats is used: a lower bound, consistent with
     that variant's no-closed-form stance.  Rational inputs are evaluated in
     exact arithmetic; float inputs with a sorted-optimal base go through a
-    vectorized pass over the same maximal families, whose float maximum is
-    the full enumeration's too (with nonnegative weights and a fixed
-    summation order, rounding is monotone).
+    vectorized pass over the same maximal families: the last column of the
+    base's ``truncation_norms`` of the sorted rows, each row summed left to
+    right.  Its float maximum is the full enumeration's too: with
+    nonnegative weights and a fixed left-to-right order, rounding is
+    monotone, so adding an interval never lowers a row's float hat.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -452,7 +454,7 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     types = tuple(map(type, f.values))
     if sorted_is_sup and not (f.is_exact() and phi.is_exact()):
         M = _sorted_profile_matrix(f.values, max_count, types)
-        return float(psi.sorted_rows_hat(M).max()) if M.size else 0.0
+        return float(psi.truncation_norms(M)[:, -1].max()) if M.size else 0.0
     best = 0
     for ltr, srt in _oscillation_profiles(f.values, max_count, types, sorted_is_sup):
         if sorted_is_sup:

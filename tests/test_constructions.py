@@ -14,6 +14,7 @@ from gbv.constructions import (
     separating_sequence,
     zigzag_from_sequence,
 )
+from gbv.selftest import exact_density_table
 from gbv.sequence_spaces import is_monotone
 from gbv.submeasure import (
     DensityBound,
@@ -157,6 +158,18 @@ def test_density_witness_set_matches_fraction_reference():
                 assert cert.obj == obj and _typed(cert.details) == _typed(details)
                 found += obj is not None
     assert found >= 10
+
+
+def test_density_bounds_keep_g_over_n_at_most_g1():
+    # the invariant that lets density_witness_set hold delta at g(1)
+    rng = random.Random(43)
+    profiles = _density_profiles(10 ** 4) + [DensityBound("power", F(7, 10))]
+    profiles += [exact_density_table(rng, n=rng.randint(2, 40), first=rng.choice((None, 5, 12)))
+                 for _ in range(200)]
+    for g in profiles:
+        g1 = g.g(1)
+        for n in range(1, (g.horizon or 10 ** 4) + 1):
+            assert g.g(n) <= g1 * n, (g, n)
 
 
 def test_density_witnesses_on_tables_keep_their_horizon_errors():

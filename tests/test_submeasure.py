@@ -287,6 +287,11 @@ def test_set_value_matches_per_element_reference_under_wrapper_stacks():
             for C in subsets + scrambled:
                 got, want = phi.set_value(C), _reference_set_value(phi, C)
                 assert got == want and type(got) is type(want), (phi, C, got, want)
+            for k in range(1, 9):
+                got, want = phi.singleton(k), _reference_set_value(phi, [k])
+                assert got == want and type(got) is type(want), (phi, k, got, want)
+            with pytest.raises(ValueError, match=">= 1"):
+                phi.singleton(0)
             with pytest.raises(ValueError, match=">= 1"):
                 phi.set_value([0, 2])
             if phi.horizon is not None:

@@ -573,7 +573,7 @@ def full_enumeration(f, phi, max_count):
     M = np.zeros((len(rows), max(len(r) for r in rows)))
     for r, srt in enumerate(rows):
         M[r, :len(srt)] = [float(v) for v in srt]
-    return float(psi.sorted_rows_hat(M).max())
+    return float(psi.truncation_norms(M)[:, -1].max())
 
 
 def test_maximal_family_brute_force_equals_full_enumeration():

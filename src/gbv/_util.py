@@ -63,6 +63,15 @@ def exact_div(num, den):
     return num / den
 
 
+def subset_sums(items) -> list:
+    """sums[mask] = sum of items[j] over the bits j of mask, for every mask:
+    each item doubles the list, the new half adding it to the old."""
+    sums = [0]
+    for v in items:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def iroot_floor(n: int, k: int) -> int:
     """Largest integer r with r**k <= n, for n >= 0, k >= 1."""
     if n < 0 or k < 1:

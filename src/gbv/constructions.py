@@ -318,6 +318,9 @@ def exh_minus_fin_sequence(phi1: Submeasure, phi2: Submeasure, depth: int,
     m_prev = 0
     n_prev = 0
     L_prev = None
+    # sum of the phi2-singletons and least phi1-singleton on 1..m_prev,
+    # extended over each new block
+    sing2, sing1 = 0, None
     notes = []
     for k in range(1, depth + 1):
         if k == 1:
@@ -345,10 +348,12 @@ def exh_minus_fin_sequence(phi1: Submeasure, phi2: Submeasure, depth: int,
         x_entries.extend(block_vec)
         blocks.append({"k": k, "n_k": n_k, "start": m_prev + 1, "end": t,
                        "shape": shape_name})
+        block = range(m_prev + 1, t + 1)
+        sing2 += sum(Fraction(phi2.singleton(i)) for i in block)
+        low = min(Fraction(phi1.singleton(i)) for i in block)
+        sing1 = low if sing1 is None or low < sing1 else sing1
         m_prev = t
         n_prev = n_k
-        sing2 = sum(Fraction(phi2.singleton(i)) for i in range(1, m_prev + 1))
-        sing1 = min(Fraction(phi1.singleton(i)) for i in range(1, m_prev + 1))
         L_prev = exact_div(sing2, sing1)
 
     x = SequencePrefix(tuple(x_entries))

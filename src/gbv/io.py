@@ -64,13 +64,20 @@ def submeasure_from_descriptor(desc: dict) -> Submeasure:
         phi = density(_bound_from_descriptor(desc))
     else:
         raise DescriptorError(f"field 'type': expected summable/density/unit/counting, got {kind!r}")
-    for i, wrap in enumerate(desc.get("wrap", [])):
+    wraps = desc.get("wrap", [])
+    if not isinstance(wraps, list):
+        raise DescriptorError(f"field 'wrap': need a list of wrappers, got {wraps!r}")
+    for i, wrap in enumerate(wraps):
         if wrap == "shifted":
             phi = shift_normalize(phi)
         elif wrap == "max_unit":
             phi = max_with_unit(phi)
         elif isinstance(wrap, dict) and "permuted" in wrap:
-            phi = permuted(phi, wrap["permuted"])
+            perm = wrap["permuted"]
+            if not isinstance(perm, list) or not all(type(p) is int for p in perm):
+                raise DescriptorError(
+                    f"field 'wrap[{i}].permuted': need a list of integers, got {perm!r}")
+            phi = permuted(phi, perm)
         else:
             raise DescriptorError(f"field 'wrap[{i}]': unknown wrapper {wrap!r}")
     return phi
@@ -84,6 +91,10 @@ def _weights_from_descriptor(desc: dict, horizon: int) -> WatermanWeights:
         p = desc.get("param")
         if not isinstance(p, (int, float)) or p <= 0:
             raise DescriptorError(f"field 'param': need a positive number, got {p!r}")
+        try:
+            p = float(p)
+        except OverflowError as exc:
+            raise DescriptorError(f"field 'param': too large for a float exponent ({exc})") from exc
         return power_weights(p, horizon)
     if form == "log":
         return log_weights(horizon)

@@ -11,19 +11,21 @@ has 2^k - 1 facet candidates for support size k, but at most k of them bind
 at an optimum, so we grow the working set on demand and certify optimality
 with an exact scan over every subset).
 
-The simplex and the certification scan compute on integers; Fractions
-appear only at the edges (the costs read from x, and mu and the value
-returned).  The tableau keeps each row as integer numerators over one
-positive row denominator, divides out the gcd after each pivot, compares
-ratios by cross-multiplication, and updates only the nonzero columns of the
-pivot row; its rows stand for the same rationals as a Fraction tableau, so
-the pivots, mu and the value are the same.  The certification scan puts mu
-and phi over one common denominator.
+The subset table, the simplex and the certification scan compute on
+integers; Fractions appear only at the edges (the costs read from x, and mu
+and the value returned).  The tableau keeps each row as integer numerators
+over one positive row denominator, divides out the gcd after each pivot,
+compares ratios by cross-multiplication, and updates only the nonzero
+columns of the pivot row; its rows stand for the same rationals as a
+Fraction tableau, so the pivots, mu and the value are the same.  The
+certification scan puts mu and phi over one common denominator.
 
-The oracle reads phi through ``set_value`` alone, once per nonempty subset of
-the support, and is therefore an independent check of every closed-form
-hat-norm in :mod:`gbv.submeasure`.  It refuses supports larger than
-:data:`ORACLE_MAX_LEN` coordinates.
+The oracle reads phi through ``Submeasure.set_table`` alone: phi on every
+subset of the support as integer numerators over one denominator, which each
+variant builds from its set function and never from its hat-norm.  The
+oracle is therefore an independent check of every closed-form hat-norm in
+:mod:`gbv.submeasure`.  It refuses supports larger than
+:data:`ORACLE_MAX_LEN` coordinates and NaN or infinite entries.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._util import SizeRefusal, all_exact
-from .submeasure import Submeasure, as_entries
+from ._util import SizeRefusal, all_exact, subset_sums
+from .submeasure import Submeasure, finite_entries
 
 ORACLE_MAX_LEN = 12
 
@@ -42,9 +44,10 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
 
     Arithmetic is rational throughout (float inputs are converted exactly),
     so the result is the true LP value of the represented data.  Returns a
-    Fraction when both phi and x are exact, else a float.
+    Fraction when both phi and x are exact, else a float.  A NaN or
+    infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
-    entries = as_entries(x)
+    entries = finite_entries(x)
     if len(entries) > max_len:
         raise SizeRefusal(
             f"oracle limited to {max_len} coordinates (got {len(entries)}): "
@@ -57,19 +60,9 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
         return Fraction(0) if exact else 0.0
     cost = [abs(Fraction(entries[i - 1])) for i in support]
 
-    # phi over every nonempty subset of the support, indexed by bitmask, in
-    # increasing mask order.  The members of a mask are those of the mask
-    # without its highest bit, plus that bit's index, so they come sorted.
-    # Exact values stay as they come (ints or Fractions); floats are
-    # converted exactly.
-    phi_table = [0] * (1 << k)
-    members = [()] * (1 << k)
-    for j, i in enumerate(support):
-        high = 1 << j
-        for mask in range(high, high << 1):
-            members[mask] = C = members[mask ^ high] + (i,)
-            v = phi.set_value(C)
-            phi_table[mask] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+    # phi over every subset of the support, indexed by bitmask, as integer
+    # numerators over one denominator; float set values come in exactly.
+    phi_num, phi_den = phi.set_table(support)
 
     # Working set warm start: singletons bound each variable (keeps every
     # relaxation bounded), plus the full set and the prefixes of the
@@ -91,34 +84,25 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
         mask |= 1 << j
         add(mask)
 
-    # phi over a common denominator, once: the certification scan below runs
-    # on plain ints, and scaling by a positive denominator keeps the argmax.
-    phi_den = lcm(*(p.denominator for p in phi_table))
-    phi_num = [p.numerator * (phi_den // p.denominator) for p in phi_table]
-
     while True:
-        value, mu = _simplex_max(cost, working, phi_table)
+        value, mu = _simplex_max(cost, working, phi_num, phi_den)
         # Exact certification over every subset: with D a common denominator
-        # of mu and phi, D * (mu(S) - phi(S)) is an integer, and subset sums
-        # follow by lowest-set-bit recursion.
+        # of mu and phi, D * (mu(S) - phi(S)) is an integer.  Scaling by a
+        # positive denominator keeps the argmax; the first (smallest) mask
+        # of largest violation is added.
         den = lcm(phi_den, *(v.denominator for v in mu))
-        mu_num = [v.numerator * (den // v.denominator) for v in mu]
         phi_scale = den // phi_den
-        sums = [0] * (1 << k)
-        worst, worst_mask = 0, 0
-        for m in range(1, 1 << k):
-            low = m & -m
-            sums[m] = sums[m ^ low] + mu_num[low.bit_length() - 1]
-            violation = sums[m] - phi_num[m] * phi_scale
-            if violation > worst:
-                worst, worst_mask = violation, m
-        if worst_mask == 0:
+        sums = subset_sums([v.numerator * (den // v.denominator) for v in mu])
+        violations = [s - p * phi_scale for s, p in zip(sums, phi_num)]
+        worst = max(violations)
+        if worst <= 0:
             return value if exact else float(value)
-        add(worst_mask)
+        add(violations.index(worst))
 
 
-def _simplex_max(cost, masks, phi_table):
-    """max cost.mu subject to mu >= 0 and mu(S) <= phi(S) for S in masks.
+def _simplex_max(cost, masks, phi_num, phi_den):
+    """max cost.mu subject to mu >= 0 and mu(S) <= phi(S) for S in masks,
+    with phi(S) = phi_num[S] / phi_den.
 
     Tableau on integers, with Bland's rule (smallest-index entering and
     leaving).  Each constraint row holds the integer numerators of its
@@ -136,11 +120,13 @@ def _simplex_max(cost, masks, phi_table):
     rhs = k + m
     rows = []
     for r, mask in enumerate(masks):
-        d = phi_table[mask].denominator
+        # the row of phi(S) in lowest terms
+        g = gcd(phi_num[mask], phi_den)
+        d = phi_den // g
         row = [d if mask >> j & 1 else 0 for j in range(k)]
         row.extend([0] * m)
         row[k + r] = d
-        row.append(phi_table[mask].numerator)
+        row.append(phi_num[mask] // g)
         rows.append(row)
     # Objective row holds -cost so that a negative entry marks an improving
     # column, then the value, then its denominator.

@@ -50,6 +50,7 @@ from ._util import (
     ceil_power,
     exact_div,
     is_finite,
+    subset_sums,
 )
 
 EULER_GAMMA = 0.5772156649015328606065121
@@ -87,6 +88,16 @@ def as_entries(x) -> tuple:
     if isinstance(x, np.ndarray):
         return tuple(x.tolist())
     return tuple(x)
+
+
+def finite_entries(x) -> tuple:
+    """``as_entries(x)``, refusing a NaN or infinite entry with
+    :class:`~gbv._util.NonFiniteValue`."""
+    entries = as_entries(x)
+    for i, v in enumerate(entries, start=1):
+        if not is_finite(v):
+            raise NonFiniteValue(f"entry {i} of the sequence is not finite ({v!r})")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +491,12 @@ class Submeasure:
     ``hat`` (the exact hat-norm), and the float passes ``truncation_norms``
     and ``tail_norms``, which the base class supplies from ``hat`` where no
     O(n) pass exists.  Everything else derives from these: ``set_value``
-    checks the set once, and ``singleton(k)`` is ``set_value((k,))``.
+    checks the set once, ``singleton(k)`` is ``set_value((k,))``, and
+    ``set_table`` (phi on every subset of a support, the oracle's only view
+    of phi) calls ``_set_value`` per subset.  A variant with exact set
+    values overrides ``_set_table`` with an integer recursion that reads its
+    set function alone, never ``hat``, so that the oracle stays an
+    independent check of the closed forms.
     Besides these each variant states the ordering facts that the variation
     functionals rely on, so that no caller has to recognise variants:
 
@@ -511,6 +527,32 @@ class Submeasure:
     def _set_value(self, C) -> Number:
         """phi(C) for C a sorted list of distinct indices within the horizon."""
         raise NotImplementedError
+
+    def set_table(self, support) -> tuple:
+        """phi over every subset of a strictly increasing support, as
+        ``(nums, den)``: integer numerators over one positive denominator,
+        with nums[mask] / den = phi of the members of mask (bit j standing
+        for support[j]), so nums[0] = 0.  The support is checked here, once,
+        as ``set_value`` checks its set, and then tabulated by the variant's
+        ``_set_table``."""
+        C = self._check_indices(support)
+        if C != list(support):
+            raise ValueError("a table support must be strictly increasing")
+        return self._set_table(C)
+
+    def _set_table(self, support) -> tuple:
+        """set_table on a checked support: ``_set_value`` once per subset,
+        each value put over the common denominator.  A variant whose set
+        values are exact overrides this with an integer recursion on the
+        highest bit of the mask, whose member is the largest index."""
+        values = [Fraction(0)]
+        members = [()]
+        for i in support:
+            grown = [C + (i,) for C in members]
+            values += [Fraction(self._set_value(C)) for C in grown]
+            members += grown
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
 
     def hat(self, x) -> Number:
         raise NotImplementedError
@@ -598,6 +640,14 @@ class SummableSubmeasure(Submeasure):
             total += self.weights.value_at(i)
         return total
 
+    def _set_table(self, support):
+        w = [self.weights.value_at(i) for i in support]
+        if not all_exact(w):
+            # a float sum rounds in the order _set_value adds it up
+            return super()._set_table(support)
+        den = math.lcm(*(v.denominator for v in w))
+        return subset_sums([v.numerator * (den // v.denominator) for v in w]), den
+
     def hat(self, x):
         entries = as_entries(x)
         self._check_length(len(entries))
@@ -666,6 +716,17 @@ class DensitySubmeasure(Submeasure):
                 num, den = rank, gn
         return Fraction(num, den)
 
+    def _set_table(self, support):
+        # the largest member of a mask has rank popcount(mask)
+        gs = [self.bound.g(i) for i in support]
+        den = math.lcm(*gs)
+        nums, ranks = [0], [0]
+        for gj in gs:
+            q = den // gj
+            nums += [s if s > (r + 1) * q else (r + 1) * q for s, r in zip(nums, ranks)]
+            ranks += [r + 1 for r in ranks]
+        return nums, den
+
     def hat(self, x):
         """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
 
@@ -727,6 +788,9 @@ class UnitSubmeasure(Submeasure):
     def _set_value(self, C):
         return 1 if C else 0
 
+    def _set_table(self, support):
+        return [0] + [1] * ((1 << len(support)) - 1), 1
+
     def hat(self, x):
         entries = as_entries(x)
         return max((abs(v) for v in entries), default=0)
@@ -752,6 +816,9 @@ class CountingSubmeasure(Submeasure):
 
     def _set_value(self, C):
         return len(C)
+
+    def _set_table(self, support):
+        return subset_sums([1] * len(support)), 1
 
     def hat(self, x):
         entries = as_entries(x)
@@ -801,6 +868,15 @@ class PermutedSubmeasure(Submeasure):
     def _set_value(self, C):
         # distinct images within the base horizon, checked at construction
         return self.base._set_value(sorted([self.perm[i - 1] for i in C]))
+
+    def _set_table(self, support):
+        # the base's table over the sorted images; bit j of a mask here is
+        # the bit of support[j]'s image there
+        images = [self.perm[i - 1] for i in support]
+        order = sorted(images)
+        nums, den = self.base._set_table(order)
+        remap = subset_sums([1 << order.index(p) for p in images])
+        return [nums[m] for m in remap], den
 
     def hat(self, x):
         entries = as_entries(x)
@@ -856,6 +932,17 @@ class ShiftedSubmeasure(Submeasure):
         extra = Fraction(sum(1 << (top - i) for i in C), 1 << top)
         return self.base._set_value(C) + extra
 
+    def _set_table(self, support):
+        if not self.base.is_exact():
+            # a float base value absorbs the dyadic part with rounding
+            return super()._set_table(support)
+        nums, den = self.base._set_table(support)
+        top = support[-1] if support else 0
+        D = math.lcm(den, 1 << top)
+        a, b = D // den, D >> top
+        dyadic = subset_sums([1 << (top - i) for i in support])
+        return [n * a + d * b for n, d in zip(nums, dyadic)], D
+
     def hat(self, x):
         entries = as_entries(x)
         self._check_length(len(entries))
@@ -904,6 +991,10 @@ class MaxWithUnitSubmeasure(Submeasure):
         base = self.base._set_value(C)
         return base if base > 1 else 1
 
+    def _set_table(self, support):
+        nums, den = self.base._set_table(support)
+        return [0] + [n if n > den else den for n in nums[1:]], den
+
     def hat(self, x):
         from .oracle import hat_norm_oracle  # local import: oracle depends on this module
 
@@ -934,11 +1025,7 @@ def hat_norm(phi: Submeasure, x) -> Number:
     the call is routed through the polytope oracle, whose size cap applies.
     A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
-    entries = as_entries(x)
-    for i, v in enumerate(entries, start=1):
-        if not is_finite(v):
-            raise NonFiniteValue(f"entry {i} of the sequence is not finite ({v!r})")
-    return phi.hat(entries)
+    return phi.hat(finite_entries(x))
 
 
 def tail_norm(phi: Submeasure, x, n: int) -> Number:

@@ -82,6 +82,32 @@ def test_descriptor_errors_name_the_field():
         submeasure_from_descriptor({"type": "unit", "horizon": 0})
 
 
+BAD_DESCRIPTORS = [
+    ({"type": "unit", "wrap": None}, "field 'wrap': need a list"),
+    ({"type": "counting", "wrap": "shifted"}, "field 'wrap': need a list"),
+    ({"type": "unit", "wrap": [{"permuted": None}]}, r"field 'wrap\[0\]\.permuted'"),
+    ({"type": "unit", "wrap": ["shifted", {"permuted": 3}]}, r"field 'wrap\[1\]\.permuted'"),
+    ({"type": "unit", "wrap": [{"permuted": [2, "1"]}]}, r"field 'wrap\[0\]\.permuted'"),
+    ({"type": "unit", "wrap": [{"permuted": [2, 1.0]}]}, r"field 'wrap\[0\]\.permuted'"),
+    ({"type": "summable", "form": "power", "param": 10 ** 400}, "field 'param': too large"),
+]
+
+
+@pytest.mark.parametrize("desc,field", BAD_DESCRIPTORS)
+def test_malformed_descriptor_is_a_named_input_error(tmp_path, capsys, desc, field):
+    from gbv.cli import main
+
+    with pytest.raises(DescriptorError, match=field):
+        submeasure_from_descriptor(desc)
+    (tmp_path / "phi.json").write_text(json.dumps(desc))
+    (tmp_path / "x.csv").write_text("1\n2\n")
+    rc = main(["certify", "--submeasure", str(tmp_path / "phi.json"),
+               "--sequence", str(tmp_path / "x.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert re.search(field, err), err
+
+
 def test_sequence_descriptors():
     x = sequence_from_descriptor({"form": "power", "param": 1, "length": 4})
     assert x.entries == (1.0, 0.5, 1 / 3, 0.25)

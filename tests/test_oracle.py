@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from gbv import oracle
-from gbv._util import SizeRefusal
+from gbv._util import NonFiniteValue, SizeRefusal
 from gbv.oracle import hat_norm_oracle
 from gbv.submeasure import (
     DensityBound,
@@ -37,6 +38,14 @@ def test_oracle_empty_and_zero():
     assert hat_norm_oracle(counting(), (0, 0)) == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oracle_refuses_non_finite_entries(bad):
+    with pytest.raises(NonFiniteValue, match="entry 2 of the sequence is not finite"):
+        hat_norm_oracle(counting(), [1.0, bad])
+    with pytest.raises(NonFiniteValue, match="entry 3 of the sequence is not finite"):
+        hat_norm_oracle(max_with_unit(summable(harmonic_weights(4))), (1, 0, bad))
+
+
 def test_size_refusal():
     with pytest.raises(SizeRefusal):
         hat_norm_oracle(counting(), (1,) * 13)
@@ -67,9 +76,9 @@ def test_constraint_generation_adds_violated_subsets_on_both_rails(monkeypatch):
     working_sizes = []
     simplex_max = oracle._simplex_max
 
-    def counting_simplex(cost, masks, phi_table):
+    def counting_simplex(cost, masks, phi_num, phi_den):
         working_sizes.append(len(masks))
-        return simplex_max(cost, masks, phi_table)
+        return simplex_max(cost, masks, phi_num, phi_den)
 
     monkeypatch.setattr(oracle, "_simplex_max", counting_simplex)
     phi = density(sqrt_bound())
@@ -203,8 +212,18 @@ def _fraction_simplex(cost, masks, phi_table):
     return sum((c * v for c, v in zip(cost, mu)), F(0)), mu, ties
 
 
-def _assert_same_as_reference(cost, masks, phi_table):
-    value, mu = oracle._simplex_max(cost, masks, phi_table)
+def _over_lcm(phi_table):
+    """A table of rationals as (numerators, den) over the lcm of its
+    denominators, the form the integer tableau reads."""
+    den = math.lcm(*(F(v).denominator for v in phi_table))
+    return [F(v).numerator * (den // F(v).denominator) for v in phi_table], den
+
+
+def _assert_same_as_reference(cost, masks, phi_num, phi_den):
+    """The integer tableau on (phi_num, phi_den) against the Fraction
+    tableau on the same table as Fractions."""
+    value, mu = oracle._simplex_max(cost, masks, phi_num, phi_den)
+    phi_table = [F(v, phi_den) for v in phi_num]
     ref_value, ref_mu, ties = _fraction_simplex(cost, masks, phi_table)
     assert (value, mu) == (ref_value, ref_mu)
     assert type(value) is F and all(type(v) is F for v in mu)
@@ -229,7 +248,7 @@ def test_integer_tableau_matches_fraction_tableau_on_degenerate_ties():
         k = rng.randint(1, 7)
         phi_table = [rng.randint(0, 2) for _ in range(1 << k)]
         cost = [F(rng.randint(1, 3)) for _ in range(k)]
-        ties += _assert_same_as_reference(cost, _random_masks(rng, k), phi_table)
+        ties += _assert_same_as_reference(cost, _random_masks(rng, k), *_over_lcm(phi_table))
     assert ties > 100
 
 
@@ -241,7 +260,7 @@ def test_integer_tableau_matches_fraction_tableau_on_float_costs():
         phi_table = [F(rng.uniform(0.0, 3.0)) for _ in range(1 << k)]
         cost = [abs(F(rng.uniform(-10.0, 10.0))) or F(1) for _ in range(k)]
         assert max(c.denominator for c in cost) >= 2 ** 40
-        _assert_same_as_reference(cost, _random_masks(rng, k), phi_table)
+        _assert_same_as_reference(cost, _random_masks(rng, k), *_over_lcm(phi_table))
 
 
 def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(monkeypatch):
@@ -250,9 +269,9 @@ def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(
     calls = []
     simplex_max = oracle._simplex_max
 
-    def recording(cost, masks, phi_table):
-        calls.append((list(cost), list(masks), list(phi_table)))
-        return simplex_max(cost, masks, phi_table)
+    def recording(cost, masks, phi_num, phi_den):
+        calls.append((list(cost), list(masks), list(phi_num), phi_den))
+        return simplex_max(cost, masks, phi_num, phi_den)
 
     monkeypatch.setattr(oracle, "_simplex_max", recording)
     rng = random.Random(13)
@@ -265,5 +284,5 @@ def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(
             hat_norm_oracle(phi, [float(v) * rng.uniform(0.5, 2.0) for v in x])
     assert len(calls) > 2 * len(bases) * 6
     monkeypatch.undo()
-    for cost, masks, phi_table in calls:
-        _assert_same_as_reference(cost, masks, phi_table)
+    for cost, masks, phi_num, phi_den in calls:
+        _assert_same_as_reference(cost, masks, phi_num, phi_den)

@@ -320,6 +320,75 @@ def test_set_value_checks_the_set_once_under_a_three_deep_stack(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# subset tables
+# ---------------------------------------------------------------------------
+
+def _set_table_variants():
+    """Every leaf under each wrapper stack of depth <= 2 (the permuted ones
+    have horizon 8), then float power weights and deeper nestings at 12."""
+    for leaf in _set_value_leaves():
+        yield from _wrapper_stacks(leaf)
+    perm = tuple(random.Random(23).sample(range(1, 13), 12))
+    power = summable(power_weights(F(7, 10), 12))
+    yield power
+    yield shift_normalize(power)
+    yield shift_normalize(density(sqrt_bound()))
+    yield permuted(shift_normalize(summable(harmonic_weights(12))), perm)
+    yield permuted(shift_normalize(power), perm)
+    yield max_with_unit(permuted(power, perm))
+    yield max_with_unit(permuted(shift_normalize(density(log_bound())), perm))
+    yield shift_normalize(max_with_unit(power))
+
+
+def test_set_table_matches_set_value_on_every_mask():
+    rng = random.Random(24)
+    for phi in _set_table_variants():
+        top = phi.horizon or 12
+        for _ in range(3):
+            support = sorted(rng.sample(range(1, top + 1), rng.randint(1, min(10, top))))
+            nums, den = phi.set_table(support)
+            assert len(nums) == 1 << len(support) and nums[0] == 0, phi
+            assert type(den) is int and den > 0 and all(type(v) is int for v in nums), phi
+            for mask in range(1, 1 << len(support)):
+                members = [i for j, i in enumerate(support) if mask >> j & 1]
+                assert F(nums[mask], den) == F(phi.set_value(members)), (phi, members)
+
+
+def test_set_table_of_exact_variants_stays_on_integers(monkeypatch):
+    # a variant with exact set values tabulates without the per-subset
+    # _set_value loop of the base class; float-valued ones keep that loop
+    fallbacks = []
+    base_table = Submeasure._set_table
+
+    def spy(self, support):
+        fallbacks.append(self)
+        return base_table(self, support)
+
+    monkeypatch.setattr(Submeasure, "_set_table", spy)
+    for phi in _set_table_variants():
+        fallbacks.clear()
+        phi.set_table(range(1, 9))
+        assert (fallbacks == []) == phi.is_exact(), (phi, fallbacks)
+
+
+def test_set_table_checks_its_support_as_set_value_does():
+    for phi in _set_table_variants():
+        assert phi.set_table([]) == ([0], 1), phi
+        with pytest.raises(ValueError, match=">= 1"):
+            phi.set_table([0, 2])
+        if phi.horizon is not None:
+            over = [1, phi.horizon + 1]
+            with pytest.raises(HorizonExceeded) as want:
+                phi.set_value(over)
+            with pytest.raises(HorizonExceeded) as got:
+                phi.set_table(over)
+            assert str(got.value) == str(want.value)
+        for bad in ([2, 1], [3, 3]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                phi.set_table(bad)
+
+
+# ---------------------------------------------------------------------------
 # validation and horizons
 # ---------------------------------------------------------------------------
 

@@ -5,20 +5,27 @@ The hat-norm of a sequence x under a submeasure phi is by definition
     sup { sum_i mu_i |x_i| : mu_i >= 0,  sum_{i in S} mu_i <= phi(S) for all S }
 
 with S ranging over the finite subsets of the support of x.  This module
-solves that linear program literally, in exact rational arithmetic, using a
-tableau simplex with Bland's rule plus constraint generation (the polytope
-has 2^k - 1 facet candidates for support size k, but at most k of them bind
-at an optimum, so we grow the working set on demand and certify optimality
-with an exact scan over every subset).
+solves that linear program literally, in exact rational arithmetic, by
+constraint generation: the polytope has 2^k - 1 facet candidates for
+support size k, but at most k of them bind at an optimum, so a working set
+of subsets grows on demand and an exact scan over every subset certifies
+optimality.
 
 The subset table, the simplex and the certification scan compute on
 integers; Fractions appear only at the edges (the costs read from x, and mu
 and the value returned).  The tableau keeps each row as integer numerators
 over one positive row denominator, divides out the gcd after each pivot,
 compares ratios by cross-multiplication, and updates only the nonzero
-columns of the pivot row; its rows stand for the same rationals as a
-Fraction tableau, so the pivots, mu and the value are the same.  The
-certification scan puts mu and phi over one common denominator.
+columns of the pivot row.  The first working set is solved from the slack
+basis by the primal simplex with Bland's rule, making the same pivots as a
+Fraction tableau.  The tableau is then kept from round to round: the worst
+violated subset comes in as a new row written in the current basis, and
+dual simplex steps (the smallest-subscript rule on the dual) restore
+feasibility.  A warm round may end at another optimal mu than a cold solve
+of the same working set, but an LP has one optimal value, so the value is
+the same; the tests check each round's value against a Fraction tableau
+solved cold on that round's working set.  The certification scan puts mu
+and phi over one common denominator.
 
 The oracle reads phi through ``Submeasure.set_table`` alone: phi on every
 subset of the support as integer numerators over one denominator, which each
@@ -68,28 +75,22 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
     # relaxation bounded), plus the full set and the prefixes of the
     # coordinates sorted by descending cost, which are the binding sets for
     # the shipped closed forms.
-    working = []
-    seen = set()
-
-    def add(mask):
-        if mask and mask not in seen:
-            seen.add(mask)
-            working.append(mask)
-
-    for j in range(k):
-        add(1 << j)
+    working = [1 << j for j in range(k)]
     order = sorted(range(k), key=lambda j: (-cost[j], j))
     mask = 0
     for j in order:
         mask |= 1 << j
-        add(mask)
+        if mask & (mask - 1):  # the one-member prefix is a singleton
+            working.append(mask)
 
+    tableau = _Tableau(cost, working, phi_num, phi_den)
     while True:
-        value, mu = _simplex_max(cost, working, phi_num, phi_den)
+        value, mu = tableau.solution()
         # Exact certification over every subset: with D a common denominator
         # of mu and phi, D * (mu(S) - phi(S)) is an integer.  Scaling by a
         # positive denominator keeps the argmax; the first (smallest) mask
-        # of largest violation is added.
+        # of largest violation is added.  A violated mask is never in the
+        # working set, whose constraints mu meets.
         den = lcm(phi_den, *(v.denominator for v in mu))
         phi_scale = den // phi_den
         sums = subset_sums([v.numerator * (den // v.denominator) for v in mu])
@@ -97,72 +98,137 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
         worst = max(violations)
         if worst <= 0:
             return value if exact else float(value)
-        add(violations.index(worst))
+        tableau.add_row(violations.index(worst))
 
 
-def _simplex_max(cost, masks, phi_num, phi_den):
-    """max cost.mu subject to mu >= 0 and mu(S) <= phi(S) for S in masks,
-    with phi(S) = phi_num[S] / phi_den.
+class _Tableau:
+    """max cost.mu subject to mu >= 0 and mu(S) <= phi(S) for S in a working
+    set of masks, with phi(S) = phi_num[S] / phi_den; the working set grows
+    one violated mask at a time and the tableau is kept between rounds.
 
-    Tableau on integers, with Bland's rule (smallest-index entering and
-    leaving).  Each constraint row holds the integer numerators of its
-    rational entries over one positive row denominator, which is the row's
-    entry in the column of its basic variable, so it needs no storage of
-    its own; the objective row keeps its denominator as a last element.
-    Ratios are compared by cross-multiplication, and mu and the value
-    become Fractions only at the end.  The rows stand for the same rationals
-    as a Fraction tableau would, so every pivot choice, mu and the value
-    are those of the Fraction tableau.  The slack basis is feasible because
-    phi >= 0.  Returns (optimal value, mu vector).
+    Each constraint row holds the integer numerators of its rational entries
+    over one positive row denominator, which is the row's entry in the
+    column of its basic variable, so it needs no storage of its own.  A row
+    is laid out as the k structural columns, one slack column per mask in
+    the order the masks came, then the right-hand side; the objective row
+    holds -cost (a negative entry marks an improving column), the value and
+    its denominator.  Ratios are compared by cross-multiplication, and mu
+    and the value become Fractions only in :meth:`solution`.
+
+    The first working set is solved from the slack basis, which is feasible
+    because phi >= 0, by the primal simplex with Bland's rule.  Each later
+    mask comes in through :meth:`add_row` and dual simplex steps.
     """
-    k = len(cost)
-    m = len(masks)
-    rhs = k + m
-    rows = []
-    for r, mask in enumerate(masks):
-        # the row of phi(S) in lowest terms
-        g = gcd(phi_num[mask], phi_den)
-        d = phi_den // g
-        row = [d if mask >> j & 1 else 0 for j in range(k)]
-        row.extend([0] * m)
-        row[k + r] = d
-        row.append(phi_num[mask] // g)
-        rows.append(row)
-    # Objective row holds -cost so that a negative entry marks an improving
-    # column, then the value, then its denominator.
-    den = lcm(*(c.denominator for c in cost))
-    obj = [-c.numerator * (den // c.denominator) for c in cost] + [0] * (m + 1) + [den]
-    basis = [k + r for r in range(m)]
 
-    while True:
-        enter = -1
-        for j in range(rhs):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        # min ratio rhs / a over a > 0: t / a < bt / ba iff t * ba < bt * a
-        leave, bt, ba = -1, 0, 1
-        for r in range(m):
-            a = rows[r][enter]
-            if a > 0:
-                t = rows[r][rhs]
-                if leave < 0 or t * ba < bt * a or (
-                        t * ba == bt * a and basis[r] < basis[leave]):
-                    leave, bt, ba = r, t, a
-        if leave < 0:
-            # Cannot happen with singleton constraints present: every
-            # variable is bounded above by phi of its singleton.
-            raise RuntimeError("unbounded hat-norm relaxation")
-        _pivot(rows, obj, leave, enter)
-        basis[leave] = enter
+    def __init__(self, cost, masks, phi_num, phi_den):
+        k, m = len(cost), len(masks)
+        self.k = k
+        self.phi_num, self.phi_den = phi_num, phi_den
+        self.rows = [self._phi_row(mask, k + r, k + m) for r, mask in enumerate(masks)]
+        den = lcm(*(c.denominator for c in cost))
+        self.obj = [-c.numerator * (den // c.denominator) for c in cost] + [0] * (m + 1) + [den]
+        self.basis = [k + r for r in range(m)]
+        self._primal()
 
-    mu = [Fraction(0)] * k
-    for r, b in enumerate(basis):
-        if b < k:
-            mu[b] = Fraction(rows[r][rhs], rows[r][b])
-    return Fraction(obj[rhs], obj[rhs + 1]), mu
+    def _phi_row(self, mask, slack, width):
+        """The row mu(S) + s = phi(S) in lowest terms, over the slack basis,
+        with ``width`` columns before the right-hand side."""
+        g = gcd(self.phi_num[mask], self.phi_den)
+        d = self.phi_den // g
+        row = [d if mask >> j & 1 else 0 for j in range(self.k)]
+        row.extend([0] * (width - self.k))
+        row[slack] = d
+        row.append(self.phi_num[mask] // g)
+        return row
+
+    def _primal(self):
+        """Bland's rule: the smallest improving column enters; the min ratio
+        rhs / a over a > 0 picks the leaving row, the smaller basic index on
+        a tie."""
+        rows, obj, basis = self.rows, self.obj, self.basis
+        rhs = len(obj) - 2
+        while True:
+            enter = -1
+            for j in range(rhs):
+                if obj[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return
+            # t / a < bt / ba iff t * ba < bt * a
+            leave, bt, ba = -1, 0, 1
+            for r, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    t = row[rhs]
+                    if leave < 0 or t * ba < bt * a or (
+                            t * ba == bt * a and basis[r] < basis[leave]):
+                        leave, bt, ba = r, t, a
+            if leave < 0:
+                # Cannot happen with singleton constraints present: every
+                # variable is bounded above by phi of its singleton.
+                raise RuntimeError("unbounded hat-norm relaxation")
+            _pivot(rows, obj, leave, enter)
+            basis[leave] = enter
+
+    def add_row(self, mask):
+        """Add mu(S) + s = phi(S) for S = mask with a new slack column s,
+        and restore feasibility with dual simplex steps.
+
+        The new row is written in the current basis by eliminating each of
+        its basic columns; its right-hand side is then phi(S) - mu(S), which
+        is negative for a violated S, while every reduced cost stays >= 0.
+        Each step takes the negative-rhs row with the smallest basic index
+        to leave, and the column j with a_j < 0 of least ratio obj_j / -a_j
+        to enter, the smallest j on a tie: the smallest-subscript rule on
+        the dual, which cannot cycle.  The pivot row is negated first, so
+        that its new denominator, the entering entry, is positive.
+        """
+        rows, obj, basis = self.rows, self.obj, self.basis
+        n = len(obj) - 2
+        for row in rows:
+            row.insert(n, 0)
+        obj.insert(n, 0)
+        new = self._phi_row(mask, n, n + 1)
+        for r, b in enumerate(basis):
+            f = new[b]
+            if f:
+                prow = rows[r]
+                new = _eliminate(new, f, prow[b], prow, [j for j, v in enumerate(prow) if v])
+        rows.append(new)
+        basis.append(n)
+        rhs = n + 1
+        while True:
+            leave = -1
+            for r, row in enumerate(rows):
+                if row[rhs] < 0 and (leave < 0 or basis[r] < basis[leave]):
+                    leave = r
+            if leave < 0:
+                return
+            # with c = obj_j and a = -a_j > 0: c / a < bc / ba iff c * ba < bc * a
+            prow = rows[leave]
+            enter, bc, ba = -1, 0, 1
+            for j in range(rhs):
+                a = -prow[j]
+                if a > 0:
+                    c = obj[j]
+                    if enter < 0 or c * ba < bc * a:
+                        enter, bc, ba = j, c, a
+            if enter < 0:
+                # Cannot happen: mu = 0 meets every constraint, as phi >= 0.
+                raise RuntimeError("infeasible hat-norm relaxation")
+            rows[leave] = [-v for v in prow]
+            _pivot(rows, obj, leave, enter)
+            basis[leave] = enter
+
+    def solution(self):
+        """(optimal value, mu vector) of the current working set, as
+        Fractions."""
+        mu = [Fraction(0)] * self.k
+        for row, b in zip(self.rows, self.basis):
+            if b < self.k:
+                mu[b] = Fraction(row[-1], row[b])
+        return Fraction(self.obj[-2], self.obj[-1]), mu
 
 
 def _pivot(rows, obj, leave, enter):

@@ -308,15 +308,16 @@ def weights_from_values(values, declared_divergent: bool = False) -> WatermanWei
 # ---------------------------------------------------------------------------
 
 
-def _table_int(v, i: int) -> int:
-    """A density table entry as an int; an entry that is not an integer
-    (2.7, 5/2) is refused, not truncated.  Strings go through int()."""
+def _exact_int(v, what: str) -> int:
+    """v as an int; a value that is not an integer (2.7, 5/2, inf) is
+    refused with a ValueError that names ``what``, not truncated.  Strings
+    go through int()."""
     try:
         n = int(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or (n != v and not isinstance(v, str)):
-        raise ValueError(f"density table entry {i + 1} is not an integer ({v!r})")
+        raise ValueError(f"{what} is not an integer ({v!r})")
     return n
 
 
@@ -341,7 +342,8 @@ class DensityBound:
             for i, v in enumerate(table):
                 if not is_finite(v):
                     raise NonFiniteValue(f"density table entry {i + 1} is not finite ({v!r})")
-            table = tuple(_table_int(v, i) for i, v in enumerate(table))
+            table = tuple(_exact_int(v, f"density table entry {i + 1}")
+                          for i, v in enumerate(table))
             if not table:
                 raise ValueError("density table must be nonempty")
             if any(v < 1 for v in table):
@@ -846,7 +848,7 @@ class PermutedSubmeasure(Submeasure):
     """
 
     def __init__(self, base: Submeasure, perm: Sequence[int]):
-        perm = tuple(int(p) for p in perm)
+        perm = tuple(_exact_int(p, f"permutation image {i + 1}") for i, p in enumerate(perm))
         n = len(perm)
         if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a bijection of {1..N} given as the list of images")
@@ -1029,8 +1031,9 @@ def hat_norm(phi: Submeasure, x) -> Number:
 
 
 def tail_norm(phi: Submeasure, x, n: int) -> Number:
-    """Hat-norm of x with coordinates 1..n-1 zeroed; nonincreasing in n."""
-    entries = as_entries(x)
+    """Hat-norm of x with coordinates 1..n-1 zeroed; nonincreasing in n.
+    A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`."""
+    entries = finite_entries(x)
     if not 1 <= n <= len(entries):
         raise ValueError(f"cut index {n} out of range 1..{len(entries)}")
     return phi.hat((0,) * (n - 1) + entries[n - 1:])

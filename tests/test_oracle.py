@@ -70,29 +70,25 @@ def test_density_prefix_formula_is_a_strict_lower_bound_off_monotone():
 def test_constraint_generation_adds_violated_subsets_on_both_rails(monkeypatch):
     # The warm-start working set (singletons and descending-cost prefixes) is
     # not optimal for the off-monotone sqrt-density case pinned above, so the
-    # certification scan must find violated subsets and re-solve.  The float
+    # certification scan must find violated subsets and add them.  The float
     # input is the same case scaled by 144: the LP value is positively
     # homogeneous in x, so it is exactly 144 * 1195/144 = 1195.
-    working_sizes = []
-    simplex_max = oracle._simplex_max
-
-    def counting_simplex(cost, masks, phi_num, phi_den):
-        working_sizes.append(len(masks))
-        return simplex_max(cost, masks, phi_num, phi_den)
-
-    monkeypatch.setattr(oracle, "_simplex_max", counting_simplex)
+    tableaux = _record_rounds(monkeypatch)
     phi = density(sqrt_bound())
     y = (F(-13, 3), 10, F(1, 2), F(1, 3), F(-11, 3), F(-17, 3), F(-1, 8))
     exact = hat_norm_oracle(phi, y)
     assert type(exact) is F and exact == F(1195, 144)
-    assert len(working_sizes) > 1
-    assert working_sizes == sorted(set(working_sizes))
-
-    working_sizes.clear()
     x = tuple(float(144 * v) for v in y)
     floating = hat_norm_oracle(phi, x)
     assert type(floating) is float and floating == 1195.0
-    assert len(working_sizes) > 1
+
+    assert len(tableaux) == 2
+    for record in tableaux:
+        sizes = [len(masks) for masks, _, _ in record["rounds"]]
+        assert len(sizes) > 1
+        assert sizes == sorted(set(sizes))
+        for masks, value, mu in record["rounds"]:
+            _assert_round_matches_cold_reference(record, masks, value, mu)
 
 
 def test_density_prefix_formula_exact_on_monotone_g1_profiles():
@@ -175,9 +171,17 @@ def test_max_with_unit_nonpathology_on_indicators():
 
 
 def _fraction_simplex(cost, masks, phi_table):
-    """Dense Fraction tableau with Bland's rule: smallest-index entering
-    column, and on a ratio tie the row whose basic variable has the smaller
-    index.  Returns (value, mu, number of ratio ties met)."""
+    """Dense Fraction tableau solved cold from the slack basis.  Returns
+    (value, mu, number of ratio ties met)."""
+    tableau, ties = _fraction_tableau(cost, masks, phi_table)
+    return (*_fraction_solution(tableau, cost), ties)
+
+
+def _fraction_tableau(cost, masks, phi_table):
+    """Dense Fraction tableau over the slack basis, solved with Bland's rule:
+    smallest-index entering column, and on a ratio tie the row whose basic
+    variable has the smaller index.  Returns ((rows, obj, basis), number of
+    ratio ties met)."""
     k, m = len(cost), len(masks)
     rows = [[F(mask >> j & 1) for j in range(k)] + [F(int(s == r)) for s in range(m)]
             + [F(phi_table[mask])] for r, mask in enumerate(masks)]
@@ -187,7 +191,7 @@ def _fraction_simplex(cost, masks, phi_table):
     while True:
         enter = next((j for j in range(k + m) if obj[j] < 0), None)
         if enter is None:
-            break
+            return (rows, obj, basis), ties
         leave, best = None, None
         for r in range(m):
             if rows[r][enter] > 0:
@@ -198,18 +202,62 @@ def _fraction_simplex(cost, masks, phi_table):
                     ties += 1
                     if basis[r] < basis[leave]:
                         leave = r
-        prow = [v / rows[leave][enter] for v in rows[leave]]
-        rows[leave] = prow
-        for row in rows + [obj]:
-            if row is not prow:
-                f = row[enter]
-                row[:] = [a - f * b for a, b in zip(row, prow)]
-        basis[leave] = enter
-    mu = [F(0)] * k
+        _fraction_pivot(rows, obj, basis, leave, enter)
+
+
+def _fraction_pivot(rows, obj, basis, leave, enter):
+    prow = [v / rows[leave][enter] for v in rows[leave]]
+    rows[leave] = prow
+    for row in rows + [obj]:
+        if row is not prow:
+            f = row[enter]
+            row[:] = [a - f * b for a, b in zip(row, prow)]
+    basis[leave] = enter
+
+
+def _fraction_solution(tableau, cost):
+    rows, _, basis = tableau
+    mu = [F(0)] * len(cost)
     for r, b in enumerate(basis):
-        if b < k:
+        if b < len(cost):
             mu[b] = rows[r][-1]
-    return sum((c * v for c, v in zip(cost, mu)), F(0)), mu, ties
+    return sum((c * v for c, v in zip(cost, mu)), F(0)), mu
+
+
+def _fraction_add_row(tableau, mask, phi_table):
+    """Add mask's row and slack column to the Fraction tableau, write the
+    row in the current basis, and take dual simplex steps: the
+    negative-rhs row with the smallest basic variable leaves, the column of
+    least ratio obj_j / -a_j over a_j < 0 enters, the smallest j on a tie.
+    Returns the number of ratio ties met."""
+    rows, obj, basis = tableau
+    n = len(obj) - 1
+    for row in rows + [obj]:
+        row.insert(n, F(0))
+    # mask < 2^k, so its bits vanish on the slack columns
+    new = [F(mask >> j & 1) for j in range(n)] + [F(1), F(phi_table[mask])]
+    for r, b in enumerate(basis):
+        f = new[b]
+        if f:
+            new = [a - f * c for a, c in zip(new, rows[r])]
+    rows.append(new)
+    basis.append(n)
+    ties = 0
+    while True:
+        negative = [r for r, row in enumerate(rows) if row[-1] < 0]
+        if not negative:
+            return ties
+        leave = min(negative, key=lambda r: basis[r])
+        enter, best = None, None
+        for j in range(n + 1):
+            a = rows[leave][j]
+            if a < 0:
+                ratio = obj[j] / -a
+                if enter is None or ratio < best:
+                    enter, best = j, ratio
+                elif ratio == best:
+                    ties += 1
+        _fraction_pivot(rows, obj, basis, leave, enter)
 
 
 def _over_lcm(phi_table):
@@ -220,14 +268,63 @@ def _over_lcm(phi_table):
 
 
 def _assert_same_as_reference(cost, masks, phi_num, phi_den):
-    """The integer tableau on (phi_num, phi_den) against the Fraction
-    tableau on the same table as Fractions."""
-    value, mu = oracle._simplex_max(cost, masks, phi_num, phi_den)
+    """The integer tableau's first, primal solve on (phi_num, phi_den)
+    against the Fraction tableau on the same table as Fractions."""
+    value, mu = oracle._Tableau(cost, masks, phi_num, phi_den).solution()
     phi_table = [F(v, phi_den) for v in phi_num]
     ref_value, ref_mu, ties = _fraction_simplex(cost, masks, phi_table)
     assert (value, mu) == (ref_value, ref_mu)
     assert type(value) is F and all(type(v) is F for v in mu)
     return ties
+
+
+def _assert_feasible_optimum(cost, masks, phi_table, value, mu, ref_value):
+    """mu is dominated by phi on every mask of the working set and reaches
+    the reference value.  A warm solve may end at another optimal vertex
+    than a cold one, so mu itself is not compared."""
+    assert value == ref_value
+    assert type(value) is F and all(type(v) is F and v >= 0 for v in mu)
+    for mask in masks:
+        assert sum(v for j, v in enumerate(mu) if mask >> j & 1) <= phi_table[mask]
+    assert sum(c * v for c, v in zip(cost, mu)) == ref_value
+
+
+def _record_rounds(monkeypatch):
+    """Record every tableau the oracle builds: its cost and phi table, and
+    the working set, value and mu of each round as the oracle reads them."""
+    tableaux = []
+    init = oracle._Tableau.__init__
+    add_row = oracle._Tableau.add_row
+    solution = oracle._Tableau.solution
+
+    def recording_init(self, cost, masks, phi_num, phi_den):
+        self.record = dict(cost=list(cost), phi=(list(phi_num), phi_den),
+                           working=list(masks), rounds=[])
+        tableaux.append(self.record)
+        init(self, cost, masks, phi_num, phi_den)
+
+    def recording_add_row(self, mask):
+        self.record["working"].append(mask)
+        add_row(self, mask)
+
+    def recording_solution(self):
+        value, mu = solution(self)
+        self.record["rounds"].append((list(self.record["working"]), value, mu))
+        return value, mu
+
+    monkeypatch.setattr(oracle._Tableau, "__init__", recording_init)
+    monkeypatch.setattr(oracle._Tableau, "add_row", recording_add_row)
+    monkeypatch.setattr(oracle._Tableau, "solution", recording_solution)
+    return tableaux
+
+
+def _assert_round_matches_cold_reference(record, masks, value, mu):
+    """One recorded round against the cold Fraction tableau on its working
+    set."""
+    phi_num, phi_den = record["phi"]
+    phi_table = [F(v, phi_den) for v in phi_num]
+    ref_value, _, _ = _fraction_simplex(record["cost"], masks, phi_table)
+    _assert_feasible_optimum(record["cost"], masks, phi_table, value, mu, ref_value)
 
 
 def _random_masks(rng, k):
@@ -265,15 +362,8 @@ def test_integer_tableau_matches_fraction_tableau_on_float_costs():
 
 def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(monkeypatch):
     # the working sets that constraint generation builds for max_with_unit,
-    # recorded at each call as the oracle makes it
-    calls = []
-    simplex_max = oracle._simplex_max
-
-    def recording(cost, masks, phi_num, phi_den):
-        calls.append((list(cost), list(masks), list(phi_num), phi_den))
-        return simplex_max(cost, masks, phi_num, phi_den)
-
-    monkeypatch.setattr(oracle, "_simplex_max", recording)
+    # recorded at each round as the oracle reads it
+    tableaux = _record_rounds(monkeypatch)
     rng = random.Random(13)
     bases = (summable([F(3, i + 4) for i in range(1, 9)]), density(sqrt_bound()))
     for base in bases:
@@ -282,7 +372,67 @@ def test_integer_tableau_matches_fraction_tableau_on_max_with_unit_working_sets(
             x = [F(rng.randint(1, 24), rng.randint(1, 8)) for _ in range(rng.randint(3, 8))]
             hat_norm_oracle(phi, x)
             hat_norm_oracle(phi, [float(v) * rng.uniform(0.5, 2.0) for v in x])
-    assert len(calls) > 2 * len(bases) * 6
+    rounds = [(record, *r) for record in tableaux for r in record["rounds"]]
+    assert len(rounds) > 2 * len(bases) * 6
     monkeypatch.undo()
-    for cost, masks, phi_num, phi_den in calls:
-        _assert_same_as_reference(cost, masks, phi_num, phi_den)
+    for record, masks, value, mu in rounds:
+        _assert_round_matches_cold_reference(record, masks, value, mu)
+
+
+def _violated_masks(mu, phi_table):
+    return [mask for mask in range(1, len(phi_table))
+            if sum(v for j, v in enumerate(mu) if mask >> j & 1) > phi_table[mask]]
+
+
+def _assert_dual_steps_match(rng, cost, phi_table):
+    """Grow a working set of singletons by random violated masks, one at a
+    time: after each dual step the integer tableau has the (value, mu) of
+    the same steps on the Fraction tableau, and the value of the cold
+    Fraction tableau on the enlarged working set.  Returns (steps taken,
+    ratio ties met in the dual steps)."""
+    k = len(cost)
+    masks = [1 << j for j in range(k)]
+    tableau = oracle._Tableau(cost, masks, *_over_lcm(phi_table))
+    reference, _ = _fraction_tableau(cost, masks, phi_table)
+    steps = ties = 0
+    while True:
+        value, mu = tableau.solution()
+        assert (value, mu) == _fraction_solution(reference, cost)
+        ref_value, _, _ = _fraction_simplex(cost, masks, phi_table)
+        _assert_feasible_optimum(cost, masks, phi_table, value, mu, ref_value)
+        violated = _violated_masks(mu, phi_table)
+        if not violated:
+            return steps, ties
+        mask = rng.choice(violated)
+        masks.append(mask)
+        tableau.add_row(mask)
+        ties += _fraction_add_row(reference, mask, phi_table)
+        steps += 1
+
+
+def test_dual_step_matches_fraction_tableau_on_degenerate_ties():
+    # phi in {0, 1, 2} and small integer costs: many zero reduced costs and
+    # equal ratios, so the entering column is often settled by the tie-break
+    rng = random.Random(14)
+    steps = ties = 0
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        phi_table = [0] + [rng.randint(0, 2) for _ in range(1, 1 << k)]
+        cost = [F(rng.randint(1, 3)) for _ in range(k)]
+        s, t = _assert_dual_steps_match(rng, cost, phi_table)
+        steps += s
+        ties += t
+    assert steps > 200
+    assert ties > 100
+
+
+def test_dual_step_matches_fraction_tableau_on_float_tables():
+    # float-derived costs and phi carry denominators up to 2^52 and beyond
+    rng = random.Random(15)
+    steps = 0
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        phi_table = [F(0)] + [F(rng.uniform(0.0, 3.0)) for _ in range(1, 1 << k)]
+        cost = [abs(F(rng.uniform(-10.0, 10.0))) or F(1) for _ in range(k)]
+        steps += _assert_dual_steps_match(rng, cost, phi_table)[0]
+    assert steps > 60

@@ -103,6 +103,14 @@ def test_permuted_set_value_is_base_on_image():
     assert eval_set(psi, [1, 2]) == eval_set(phi, [1, 2])
 
 
+@pytest.mark.parametrize("image", [1.9, F(5, 2), math.inf, math.nan, "x"])
+def test_permuted_refuses_a_non_integer_image(image):
+    # refused by name, not truncated: int(1.9) would make (1, 2) a bijection
+    with pytest.raises(ValueError, match="permutation image 2 is not an integer"):
+        permuted(counting(), [1, image])
+    assert permuted(counting(), [2.0, 1]).perm == (2, 1)
+
+
 # ---------------------------------------------------------------------------
 # hat norms
 # ---------------------------------------------------------------------------
@@ -125,6 +133,15 @@ def test_tail_norm_examples():
     assert tail_norm(harmonic8(), (1, 1, 1, 1), 3) == F(1, 3) + F(1, 4)
     with pytest.raises(ValueError):
         tail_norm(counting(), (1, 1), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tail_norm_refuses_non_finite_entries(bad):
+    # a non-finite entry is refused even where the cut zeroes it
+    phi = summable(harmonic_weights(3))
+    for n in (1, 3):
+        with pytest.raises(NonFiniteValue, match="entry 2 of the sequence is not finite"):
+            tail_norm(phi, [1.0, bad, 2.0], n)
 
 
 def test_characteristic_identity_every_variant():

@@ -528,8 +528,6 @@ def permuted_equivalence_demo(phi: Submeasure, perm,
     with the permutation is a bijection of the search space."""
     psi = permuted(phi, perm)
     mc = min(f.segments, len(perm))
-    if phi.horizon is not None:
-        mc = min(mc, phi.horizon)
     lhs = variation_bruteforce(f, phi, max_count=mc)
     rhs = variation_bruteforce(f, psi, max_count=mc)
     checks = [_check("variation under permuted submeasure unchanged", lhs, "==", rhs)]

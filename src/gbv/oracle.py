@@ -16,13 +16,14 @@ integers; Fractions appear only at the edges (the costs read from x, and mu
 and the value returned).  The tableau keeps each row as integer numerators
 over one positive row denominator, divides out the gcd after each pivot,
 compares ratios by cross-multiplication, and updates only the nonzero
-columns of the pivot row.  The first working set is solved from the slack
-basis by the primal simplex with Bland's rule, making the same pivots as a
-Fraction tableau.  The tableau is then kept from round to round: the worst
+columns of the pivot row.  The tableau starts at the singleton vertex
+mu_j = phi({j}): under the singleton rows mu_j <= phi({j}) alone, that
+point is feasible because phi >= 0 and optimal because every cost |x_j| is
+positive.  The tableau is then kept from round to round: the worst
 violated subset comes in as a new row written in the current basis, and
 dual simplex steps (the smallest-subscript rule on the dual) restore
-feasibility.  A warm round may end at another optimal mu than a cold solve
-of the same working set, but an LP has one optimal value, so the value is
+feasibility.  A round may end at another optimal mu than a cold solve of
+the same working set, but an LP has one optimal value, so the value is
 the same; the tests check each round's value against a Fraction tableau
 solved cold on that round's working set.  The certification scan puts mu
 and phi over one common denominator.
@@ -46,7 +47,7 @@ from .submeasure import Submeasure, finite_entries
 ORACLE_MAX_LEN = 12
 
 
-def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
+def hat_norm_oracle(phi: Submeasure, x):
     """Exact maximum of sum mu_i |x_i| over measures dominated by phi.
 
     Arithmetic is rational throughout (float inputs are converted exactly),
@@ -55,9 +56,9 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
     infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
     entries = finite_entries(x)
-    if len(entries) > max_len:
+    if len(entries) > ORACLE_MAX_LEN:
         raise SizeRefusal(
-            f"oracle limited to {max_len} coordinates (got {len(entries)}): "
+            f"oracle limited to {ORACLE_MAX_LEN} coordinates (got {len(entries)}): "
             "the constraint set is exponential in the support size")
     exact = phi.is_exact() and all_exact(entries)
 
@@ -71,19 +72,7 @@ def hat_norm_oracle(phi: Submeasure, x, max_len: int = ORACLE_MAX_LEN):
     # numerators over one denominator; float set values come in exactly.
     phi_num, phi_den = phi.set_table(support)
 
-    # Working set warm start: singletons bound each variable (keeps every
-    # relaxation bounded), plus the full set and the prefixes of the
-    # coordinates sorted by descending cost, which are the binding sets for
-    # the shipped closed forms.
-    working = [1 << j for j in range(k)]
-    order = sorted(range(k), key=lambda j: (-cost[j], j))
-    mask = 0
-    for j in order:
-        mask |= 1 << j
-        if mask & (mask - 1):  # the one-member prefix is a singleton
-            working.append(mask)
-
-    tableau = _Tableau(cost, working, phi_num, phi_den)
+    tableau = _Tableau(cost, phi_num, phi_den)
     while True:
         value, mu = tableau.solution()
         # Exact certification over every subset: with D a common denominator
@@ -115,20 +104,23 @@ class _Tableau:
     its denominator.  Ratios are compared by cross-multiplication, and mu
     and the value become Fractions only in :meth:`solution`.
 
-    The first working set is solved from the slack basis, which is feasible
-    because phi >= 0, by the primal simplex with Bland's rule.  Each later
-    mask comes in through :meth:`add_row` and dual simplex steps.
+    The tableau starts at the singleton vertex mu_j = phi({j}), optimal
+    for the singleton rows, and every other mask comes in through
+    :meth:`add_row` and dual simplex steps.
     """
 
-    def __init__(self, cost, masks, phi_num, phi_den):
-        k, m = len(cost), len(masks)
+    def __init__(self, cost, phi_num, phi_den):
+        k = len(cost)
         self.k = k
         self.phi_num, self.phi_den = phi_num, phi_den
-        self.rows = [self._phi_row(mask, k + r, k + m) for r, mask in enumerate(masks)]
+        self.rows = [self._phi_row(1 << j, k + j, 2 * k) for j in range(k)]
         den = lcm(*(c.denominator for c in cost))
-        self.obj = [-c.numerator * (den // c.denominator) for c in cost] + [0] * (m + 1) + [den]
-        self.basis = [k + r for r in range(m)]
-        self._primal()
+        self.obj = [-c.numerator * (den // c.denominator) for c in cost] + [0] * (k + 1) + [den]
+        self.basis = list(range(k))
+        # Column j is nonzero only in row j, so each pivot changes the
+        # objective row alone.
+        for j in range(k):
+            _pivot(self.rows, self.obj, j, j)
 
     def _phi_row(self, mask, slack, width):
         """The row mu(S) + s = phi(S) in lowest terms, over the slack basis,
@@ -140,36 +132,6 @@ class _Tableau:
         row[slack] = d
         row.append(self.phi_num[mask] // g)
         return row
-
-    def _primal(self):
-        """Bland's rule: the smallest improving column enters; the min ratio
-        rhs / a over a > 0 picks the leaving row, the smaller basic index on
-        a tie."""
-        rows, obj, basis = self.rows, self.obj, self.basis
-        rhs = len(obj) - 2
-        while True:
-            enter = -1
-            for j in range(rhs):
-                if obj[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            # t / a < bt / ba iff t * ba < bt * a
-            leave, bt, ba = -1, 0, 1
-            for r, row in enumerate(rows):
-                a = row[enter]
-                if a > 0:
-                    t = row[rhs]
-                    if leave < 0 or t * ba < bt * a or (
-                            t * ba == bt * a and basis[r] < basis[leave]):
-                        leave, bt, ba = r, t, a
-            if leave < 0:
-                # Cannot happen with singleton constraints present: every
-                # variable is bounded above by phi of its singleton.
-                raise RuntimeError("unbounded hat-norm relaxation")
-            _pivot(rows, obj, leave, enter)
-            basis[leave] = enter
 
     def add_row(self, mask):
         """Add mu(S) + s = phi(S) for S = mask with a new slack column s,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import NonFiniteValue
 from .submeasure import SequencePrefix, Submeasure, as_entries, as_float_array
 
 GROWTH_SLOPE_THRESHOLD = 0.05
@@ -91,9 +92,10 @@ def fin_certificate(phi: Submeasure, x, *,
     The curve itself is always reported; the verdict is ``growth-detected``
     with the fitted log-log rate when the last-half slope exceeds the
     threshold, else ``bounded-consistent`` at the final level.  Never a
-    membership claim: a prefix cannot witness FIN(phi).
+    membership claim: a prefix cannot witness FIN(phi).  A NaN or infinite
+    entry raises :class:`~gbv._util.NonFiniteValue`.
     """
-    norms = phi.truncation_norms(as_float_array(x))
+    norms = phi.truncation_norms(_finite_float_array(x))
     slope = _loglog_slope(norms)
     final = float(norms[-1]) if len(norms) else 0.0
     params = {"slope": slope, "threshold": slope_threshold, "level": final}
@@ -108,8 +110,9 @@ def fin_certificate(phi: Submeasure, x, *,
 def exh_certificate(phi: Submeasure, x, *,
                     rel_tol: float = TAIL_REL_TOL,
                     abs_tol: float = TAIL_ABS_TOL) -> MembershipCertificate:
-    """Diagnose vanishing of tail hat-norms of x."""
-    tails = phi.tail_norms(as_float_array(x))
+    """Diagnose vanishing of tail hat-norms of x.  A NaN or infinite entry
+    raises :class:`~gbv._util.NonFiniteValue`."""
+    tails = phi.tail_norms(_finite_float_array(x))
     initial = float(tails[0]) if len(tails) else 0.0
     final = float(tails[-1]) if len(tails) else 0.0
     threshold = max(abs_tol, rel_tol * initial)
@@ -120,6 +123,17 @@ def exh_certificate(phi: Submeasure, x, *,
         verdict = "tail-stuck"
         params["level"] = final
     return MembershipCertificate("exh", (), tuple(tails.tolist()), verdict, params)
+
+
+def _finite_float_array(x) -> np.ndarray:
+    """``as_float_array(x)``, refusing a NaN or infinite entry (the first one
+    is named) with one vectorized check."""
+    arr = as_float_array(x)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteValue(f"entry {i + 1} of the sequence is not finite ({float(arr[i])!r})")
+    return arr
 
 
 def _loglog_slope(norms: np.ndarray) -> float:

@@ -68,11 +68,11 @@ def test_density_prefix_formula_is_a_strict_lower_bound_off_monotone():
 
 
 def test_constraint_generation_adds_violated_subsets_on_both_rails(monkeypatch):
-    # The warm-start working set (singletons and descending-cost prefixes) is
-    # not optimal for the off-monotone sqrt-density case pinned above, so the
-    # certification scan must find violated subsets and add them.  The float
-    # input is the same case scaled by 144: the LP value is positively
-    # homogeneous in x, so it is exactly 144 * 1195/144 = 1195.
+    # The singleton vertex mu_j = phi({j}) is not optimal for the
+    # off-monotone sqrt-density case pinned above, so the certification scan
+    # must find violated subsets and add them.  The float input is the same
+    # case scaled by 144: the LP value is positively homogeneous in x, so it
+    # is exactly 144 * 1195/144 = 1195.
     tableaux = _record_rounds(monkeypatch)
     phi = density(sqrt_bound())
     y = (F(-13, 3), 10, F(1, 2), F(1, 3), F(-11, 3), F(-17, 3), F(-1, 8))
@@ -268,20 +268,24 @@ def _over_lcm(phi_table):
 
 
 def _assert_same_as_reference(cost, masks, phi_num, phi_den):
-    """The integer tableau's first, primal solve on (phi_num, phi_den)
-    against the Fraction tableau on the same table as Fractions."""
-    value, mu = oracle._Tableau(cost, masks, phi_num, phi_den).solution()
+    """The integer tableau on (phi_num, phi_den), started at the singleton
+    vertex and given the other masks one at a time through add_row, against
+    the cold Fraction tableau on the same working set.  Returns the number
+    of ratio ties the cold solve met."""
+    tableau = oracle._Tableau(cost, phi_num, phi_den)
+    for mask in masks[len(cost):]:
+        tableau.add_row(mask)
+    value, mu = tableau.solution()
     phi_table = [F(v, phi_den) for v in phi_num]
-    ref_value, ref_mu, ties = _fraction_simplex(cost, masks, phi_table)
-    assert (value, mu) == (ref_value, ref_mu)
-    assert type(value) is F and all(type(v) is F for v in mu)
+    ref_value, _, ties = _fraction_simplex(cost, masks, phi_table)
+    _assert_feasible_optimum(cost, masks, phi_table, value, mu, ref_value)
     return ties
 
 
 def _assert_feasible_optimum(cost, masks, phi_table, value, mu, ref_value):
     """mu is dominated by phi on every mask of the working set and reaches
-    the reference value.  A warm solve may end at another optimal vertex
-    than a cold one, so mu itself is not compared."""
+    the reference value.  The integer tableau may end at another optimal
+    vertex than a cold solve, so mu itself is not compared."""
     assert value == ref_value
     assert type(value) is F and all(type(v) is F and v >= 0 for v in mu)
     for mask in masks:
@@ -291,17 +295,18 @@ def _assert_feasible_optimum(cost, masks, phi_table, value, mu, ref_value):
 
 def _record_rounds(monkeypatch):
     """Record every tableau the oracle builds: its cost and phi table, and
-    the working set, value and mu of each round as the oracle reads them."""
+    the working set (the singletons, then each added mask), value and mu of
+    each round as the oracle reads them."""
     tableaux = []
     init = oracle._Tableau.__init__
     add_row = oracle._Tableau.add_row
     solution = oracle._Tableau.solution
 
-    def recording_init(self, cost, masks, phi_num, phi_den):
+    def recording_init(self, cost, phi_num, phi_den):
         self.record = dict(cost=list(cost), phi=(list(phi_num), phi_den),
-                           working=list(masks), rounds=[])
+                           working=[1 << j for j in range(len(cost))], rounds=[])
         tableaux.append(self.record)
-        init(self, cost, masks, phi_num, phi_den)
+        init(self, cost, phi_num, phi_den)
 
     def recording_add_row(self, mask):
         self.record["working"].append(mask)
@@ -337,8 +342,8 @@ def _random_masks(rng, k):
 
 
 def test_integer_tableau_matches_fraction_tableau_on_degenerate_ties():
-    # phi in {0, 1, 2} and small integer costs: many zero and equal ratios,
-    # so the leaving row is often settled by Bland's tie-break
+    # phi in {0, 1, 2} and small integer costs: a degenerate polytope, many
+    # zero and equal ratios, and often more than one optimal vertex
     rng = random.Random(11)
     ties = 0
     for _ in range(300):
@@ -392,7 +397,7 @@ def _assert_dual_steps_match(rng, cost, phi_table):
     ratio ties met in the dual steps)."""
     k = len(cost)
     masks = [1 << j for j in range(k)]
-    tableau = oracle._Tableau(cost, masks, *_over_lcm(phi_table))
+    tableau = oracle._Tableau(cost, *_over_lcm(phi_table))
     reference, _ = _fraction_tableau(cost, masks, phi_table)
     steps = ties = 0
     while True:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbv._util import NonFiniteValue
 from gbv.sequence_spaces import (
     MembershipCertificate,
     characteristic_prefix,
@@ -152,3 +153,19 @@ def test_mexh_inside_mfin_at_certificate_level():
 def test_payload_field_names():
     payload = fin_certificate(unit(), (1, 2)).to_payload()
     assert set(payload) == {"truncation_norms", "tail_norms", "verdict", "params"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fin_certificate_refuses_non_finite_entries(bad):
+    with pytest.raises(NonFiniteValue, match="entry 2 of the sequence is not finite"):
+        fin_certificate(counting(), [1.0, bad, 0.5, 0.25, 0.1])
+    with pytest.raises(NonFiniteValue, match="entry 3 of the sequence is not finite"):
+        fin_certificate(unit(), np.array([1.0, 0.5, bad, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exh_certificate_refuses_non_finite_entries(bad):
+    with pytest.raises(NonFiniteValue, match="entry 2 of the sequence is not finite"):
+        exh_certificate(counting(), np.array([1.0, bad, 0.1]))
+    with pytest.raises(NonFiniteValue, match="entry 4 of the sequence is not finite"):
+        exh_certificate(summable(harmonic_weights(8)), (1, F(1, 2), 0.25, bad))

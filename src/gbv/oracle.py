@@ -25,8 +25,17 @@ dual simplex steps (the smallest-subscript rule on the dual) restore
 feasibility.  A round may end at another optimal mu than a cold solve of
 the same working set, but an LP has one optimal value, so the value is
 the same; the tests check each round's value against a Fraction tableau
-solved cold on that round's working set.  The certification scan puts mu
-and phi over one common denominator.
+solved cold on that round's working set.
+
+The certification scan puts mu and phi over one common denominator D and
+runs on a numpy integer array: mu's 2^k subset sums are built by doubling
+(each numerator appends the old sums plus itself), D * phi(S) is
+subtracted, and ``argmax`` returns the first (smallest) mask of largest
+violation, which is the mask added.  As mu and phi are >= 0, every number
+the scan forms lies between -D * max phi and D * mu(support), so when
+D * (mu(support) + max phi) < 2^62 the scan runs on int64 and cannot
+overflow; otherwise the same lines run on an object array of Python ints.
+Both are exact.
 
 The oracle reads phi through ``Submeasure.set_table`` alone: phi on every
 subset of the support as integer numerators over one denominator, which each
@@ -41,10 +50,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._util import SizeRefusal, all_exact, subset_sums
+import numpy as np
+
+from ._util import SizeRefusal, all_exact
 from .submeasure import Submeasure, finite_entries
 
 ORACLE_MAX_LEN = 12
+
+# The certification scan runs on int64 while its numbers stay below this.
+_INT64_SCAN_BOUND = 1 << 62
 
 
 def hat_norm_oracle(phi: Submeasure, x):
@@ -71,6 +85,8 @@ def hat_norm_oracle(phi: Submeasure, x):
     # phi over every subset of the support, indexed by bitmask, as integer
     # numerators over one denominator; float set values come in exactly.
     phi_num, phi_den = phi.set_table(support)
+    phi_max = max(phi_num)
+    phi_arr = np.array(phi_num, np.int64 if phi_max < _INT64_SCAN_BOUND else object)
 
     tableau = _Tableau(cost, phi_num, phi_den)
     while True:
@@ -82,12 +98,16 @@ def hat_norm_oracle(phi: Submeasure, x):
         # working set, whose constraints mu meets.
         den = lcm(phi_den, *(v.denominator for v in mu))
         phi_scale = den // phi_den
-        sums = subset_sums([v.numerator * (den // v.denominator) for v in mu])
-        violations = [s - p * phi_scale for s, p in zip(sums, phi_num)]
-        worst = max(violations)
-        if worst <= 0:
+        nums = [v.numerator * (den // v.denominator) for v in mu]
+        dtype = np.int64 if sum(nums) + phi_max * phi_scale < _INT64_SCAN_BOUND else object
+        sums = np.zeros(1, dtype)
+        for v in nums:
+            sums = np.concatenate((sums, sums + v))
+        violations = sums - phi_arr.astype(dtype, copy=False) * phi_scale
+        worst = int(np.argmax(violations))
+        if violations[worst] <= 0:
             return value if exact else float(value)
-        tableau.add_row(violations.index(worst))
+        tableau.add_row(worst)
 
 
 class _Tableau:

@@ -93,9 +93,10 @@ def fin_certificate(phi: Submeasure, x, *,
     with the fitted log-log rate when the last-half slope exceeds the
     threshold, else ``bounded-consistent`` at the final level.  Never a
     membership claim: a prefix cannot witness FIN(phi).  A NaN or infinite
-    entry raises :class:`~gbv._util.NonFiniteValue`.
+    entry, or a hat-norm that overflows the float range, raises
+    :class:`~gbv._util.NonFiniteValue`.
     """
-    norms = phi.truncation_norms(_finite_float_array(x))
+    norms = _finite_curve(phi.truncation_norms, x, "truncation")
     slope = _loglog_slope(norms)
     final = float(norms[-1]) if len(norms) else 0.0
     params = {"slope": slope, "threshold": slope_threshold, "level": final}
@@ -110,9 +111,10 @@ def fin_certificate(phi: Submeasure, x, *,
 def exh_certificate(phi: Submeasure, x, *,
                     rel_tol: float = TAIL_REL_TOL,
                     abs_tol: float = TAIL_ABS_TOL) -> MembershipCertificate:
-    """Diagnose vanishing of tail hat-norms of x.  A NaN or infinite entry
-    raises :class:`~gbv._util.NonFiniteValue`."""
-    tails = phi.tail_norms(_finite_float_array(x))
+    """Diagnose vanishing of tail hat-norms of x.  A NaN or infinite entry,
+    or a hat-norm that overflows the float range, raises
+    :class:`~gbv._util.NonFiniteValue`."""
+    tails = _finite_curve(phi.tail_norms, x, "tail")
     initial = float(tails[0]) if len(tails) else 0.0
     final = float(tails[-1]) if len(tails) else 0.0
     threshold = max(abs_tol, rel_tol * initial)
@@ -125,14 +127,21 @@ def exh_certificate(phi: Submeasure, x, *,
     return MembershipCertificate("exh", (), tuple(tails.tolist()), verdict, params)
 
 
-def _finite_float_array(x) -> np.ndarray:
-    """``as_float_array(x)``, refusing a NaN or infinite entry (the first one
-    is named) with one vectorized check."""
-    arr = as_float_array(x)
+def _finite_curve(norms_of, x, kind: str) -> np.ndarray:
+    """``norms_of`` on x as a float array.  A NaN or infinite entry of x, or
+    an overflowed norm, raises NonFiniteValue naming the first one."""
+    arr = _finite(as_float_array(x), "entry {} of the sequence")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by cut
+        return _finite(norms_of(arr), kind + " norm at cut {}")
+
+
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr, refusing a NaN or infinite value with one vectorized check; the
+    first one is named by ``name.format(its 1-based index)``."""
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NonFiniteValue(f"entry {i + 1} of the sequence is not finite ({float(arr[i])!r})")
+        raise NonFiniteValue(f"{name.format(i + 1)} is not finite ({float(arr[i])!r})")
     return arr
 
 

@@ -1004,9 +1004,20 @@ class MaxWithUnitSubmeasure(Submeasure):
 
 
 def as_float_array(x) -> np.ndarray:
-    entries = x if isinstance(x, np.ndarray) else np.array(
-        [float(v) for v in as_entries(x)], dtype=float)
-    return entries.astype(float, copy=False)
+    """x as a float array.  An exact entry beyond the float range raises
+    :class:`~gbv._util.NonFiniteValue` naming the first such entry."""
+    try:
+        entries = x if isinstance(x, np.ndarray) else np.array(
+            [float(v) for v in as_entries(x)], dtype=float)
+        return entries.astype(float, copy=False)
+    except OverflowError as exc:
+        for i, v in enumerate(as_entries(x), start=1):
+            try:
+                float(v)
+            except OverflowError:
+                raise NonFiniteValue(
+                    f"entry {i} of the sequence overflows a float ({exc})") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

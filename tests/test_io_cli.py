@@ -287,11 +287,11 @@ def test_non_finite_descriptor_entries_are_refused(tmp_path):
         load_sequence(path)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_refuses_to_write_non_finite_report(workdir, capsys, fmt):
     # finite entries whose partial sums overflow get past the loaders; the
-    # report must not carry inf, which JSON cannot hold
+    # certificate refuses the overflowed curve by its first cut, so the
+    # report never carries inf, which JSON cannot hold
     from gbv.cli import main
 
     path = workdir / "big.csv"
@@ -300,7 +300,7 @@ def test_cli_refuses_to_write_non_finite_report(workdir, capsys, fmt):
                "--sequence", str(path), "--format", fmt])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
-    assert "refusing to serialize a non-finite number (inf)" in err
+    assert err == "error: truncation norm at cut 2 is not finite (inf)\n"
 
 
 @pytest.mark.parametrize("cap", ["inf", "nan", "0"])

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gbv import oracle
-from gbv._util import NonFiniteValue, SizeRefusal
+from gbv._util import NonFiniteValue, SizeRefusal, subset_sums
 from gbv.oracle import hat_norm_oracle
 from gbv.submeasure import (
     DensityBound,
@@ -441,3 +441,100 @@ def test_dual_step_matches_fraction_tableau_on_float_tables():
         cost = [abs(F(rng.uniform(-10.0, 10.0))) or F(1) for _ in range(k)]
         steps += _assert_dual_steps_match(rng, cost, phi_table)[0]
     assert steps > 60
+
+
+# ---------------------------------------------------------------------------
+# the certification scan
+# ---------------------------------------------------------------------------
+
+
+def _first_worst_mask(mu, phi_num, phi_den):
+    """The plain-Python scan: the first mask of largest violation
+    mu(S) - phi(S), and that violation, in Fractions."""
+    violations = [s - F(p, phi_den) for s, p in zip(subset_sums(mu), phi_num)]
+    worst = max(violations)
+    return violations.index(worst), worst
+
+
+def _assert_added_masks_are_first_worst(record):
+    """Each mask added after a round is the first mask of largest violation
+    of that round's mu, and the last round violates nothing."""
+    phi_num, phi_den = record["phi"]
+    rounds = record["rounds"]
+    for (_, _, mu), (working, _, _) in zip(rounds, rounds[1:]):
+        mask, worst = _first_worst_mask(mu, phi_num, phi_den)
+        assert worst > 0 and working[-1] == mask
+    assert _first_worst_mask(rounds[-1][2], phi_num, phi_den)[1] <= 0
+
+
+def test_scan_adds_the_first_mask_of_largest_violation_on_both_rails(monkeypatch):
+    # counting and unit take small integer values, so equal violations are
+    # common and the first-argmax rule decides the mask
+    tableaux = _record_rounds(monkeypatch)
+    rng = random.Random(16)
+    variants = (unit(), counting(), summable(harmonic_weights(9)), density(sqrt_bound()),
+                shift_normalize(density(identity_bound())),
+                max_with_unit(summable([F(3, i + 4) for i in range(1, 10)])))
+    added = {True: 0, False: 0}
+    for phi in variants:
+        for _ in range(4):
+            x = [F(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(rng.randint(4, 9))]
+            for exact in (True, False):
+                del tableaux[:]
+                value = hat_norm_oracle(phi, x if exact else [float(v) for v in x])
+                assert type(value) is (F if exact else float)
+                for record in tableaux:
+                    _assert_added_masks_are_first_worst(record)
+                    added[exact] += len(record["rounds"]) - 1
+    assert added[True] > 50 and added[False] > 50
+
+
+def test_scan_on_python_ints_beyond_int64(monkeypatch):
+    # Waterman weights in (1/3, 2/3) over ten denominators near 3^41: phi's
+    # numerators over their lcm pass 2^62, so every round scans an object
+    # array of Python ints.  The summable LP ends at its first round, the
+    # closed form; under max_with_unit the unit part binds on small sets,
+    # so rows are added, and each round matches the cold Fraction tableau
+    # and adds the first mask of largest violation.
+    tableaux = _record_rounds(monkeypatch)
+    rng = random.Random(17)
+    base = summable(WatermanWeights(
+        sorted((F(rng.randint(3 ** 40, 2 * 3 ** 40), 3 ** 41 + rng.randint(1, 10 ** 6))
+                for _ in range(10)), reverse=True), form="table"))
+    x = [F(rng.randint(1, 24), rng.randint(1, 8)) * rng.choice((-1, 1)) for _ in range(10)]
+    assert hat_norm_oracle(base, x) == hat_norm(base, x)
+    assert type(hat_norm_oracle(max_with_unit(base), x)) is F
+    assert type(hat_norm_oracle(max_with_unit(base), [float(v) for v in x])) is float
+    assert len(tableaux) == 3
+    monkeypatch.undo()
+    rounds = 0
+    for record in tableaux:
+        assert max(record["phi"][0]) >= oracle._INT64_SCAN_BOUND
+        _assert_added_masks_are_first_worst(record)
+        for masks, value, mu in record["rounds"]:
+            _assert_round_matches_cold_reference(record, masks, value, mu)
+            rounds += 1
+    assert rounds > 12
+
+
+def test_scan_bound_counts_phi_as_well_as_mu(monkeypatch):
+    # Weights over the one denominator 3^39 under max_with_unit: in some
+    # round D * mu(support) is below 2^62 while D * max phi is past 2^63, so
+    # a bound on mu alone would send phi's numerators into int64.
+    tableaux = _record_rounds(monkeypatch)
+    rng = random.Random(21)
+    d = 3 ** 39
+    w = sorted((F(rng.randint(d // 10, d // 2), d) for _ in range(8)), reverse=True)
+    x = [F(rng.randint(1, 30), rng.randint(1, 4)) for _ in range(8)]
+    assert type(hat_norm_oracle(max_with_unit(summable(WatermanWeights(w, form="table"))), x)) is F
+    monkeypatch.undo()
+    (record,) = tableaux
+    phi_num, phi_den = record["phi"]
+    phi_past_mu = 0
+    for masks, value, mu in record["rounds"]:
+        den = math.lcm(phi_den, *(v.denominator for v in mu))
+        phi_past_mu += (sum(mu) * den < oracle._INT64_SCAN_BOUND
+                        and max(phi_num) * (den // phi_den) >= 2 * oracle._INT64_SCAN_BOUND)
+        _assert_round_matches_cold_reference(record, masks, value, mu)
+    assert phi_past_mu > 0
+    _assert_added_masks_are_first_worst(record)

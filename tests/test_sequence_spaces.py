@@ -146,8 +146,16 @@ def test_mexh_inside_mfin_at_certificate_level():
         x[support] = rng.uniform(-3, 3, size=30)
         for phi in (counting(), unit(), summable(harmonic_weights(n))):
             exh = exh_certificate(phi, x)
-            if exh.verdict == "tail-vanishing-consistent" and np.isfinite(exh.params["initial"]):
+            if exh.verdict == "tail-vanishing-consistent":
                 assert fin_certificate(phi, x).verdict == "bounded-consistent"
+    # hat-norms that overflow give no certificate at all, so no verdict
+    # rests on an infinite initial level
+    x = np.full(4, 1e308)
+    for phi in (counting(), density(sqrt_bound())):
+        with pytest.raises(NonFiniteValue, match="tail norm at cut 1 is not finite"):
+            exh_certificate(phi, x)
+        with pytest.raises(NonFiniteValue, match="truncation norm at cut 2 is not finite"):
+            fin_certificate(phi, x)
 
 
 def test_payload_field_names():
@@ -161,6 +169,23 @@ def test_fin_certificate_refuses_non_finite_entries(bad):
         fin_certificate(counting(), [1.0, bad, 0.5, 0.25, 0.1])
     with pytest.raises(NonFiniteValue, match="entry 3 of the sequence is not finite"):
         fin_certificate(unit(), np.array([1.0, 0.5, bad, bad]))
+
+
+def test_certificates_name_an_exact_entry_beyond_the_float_range():
+    for x in ([1, 10 ** 400], (1, F(10 ** 400, 3), 2), np.array([1, 10 ** 400], dtype=object)):
+        for certificate in (fin_certificate, exh_certificate):
+            with pytest.raises(NonFiniteValue, match="entry 2 of the sequence overflows a float"):
+                certificate(counting(), x)
+
+
+@pytest.mark.parametrize("curve", ["truncation", "tail"])
+def test_certificates_refuse_an_overflowed_curve_at_its_first_cut(curve):
+    # every entry is finite; the truncation norms leave the float range at
+    # cut 3, the tail norms (nonincreasing) are beyond it from cut 1 to 2
+    x = np.array([1.0, 1e308, 1e308, 1.0])
+    certificate, cut = (fin_certificate, 3) if curve == "truncation" else (exh_certificate, 1)
+    with pytest.raises(NonFiniteValue, match=f"{curve} norm at cut {cut} is not finite \\(inf\\)"):
+        certificate(counting(), x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -41,8 +41,8 @@ The oracle reads phi through ``Submeasure.set_table`` alone: phi on every
 subset of the support as integer numerators over one denominator, which each
 variant builds from its set function and never from its hat-norm.  The
 oracle is therefore an independent check of every closed-form hat-norm in
-:mod:`gbv.submeasure`.  It refuses supports larger than
-:data:`ORACLE_MAX_LEN` coordinates and NaN or infinite entries.
+:mod:`gbv.submeasure`.  It refuses supports (nonzero coordinates) larger
+than :data:`ORACLE_MAX_LEN`, and NaN or infinite entries; zeros cost nothing.
 """
 
 from __future__ import annotations
@@ -70,14 +70,13 @@ def hat_norm_oracle(phi: Submeasure, x):
     infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
     entries = finite_entries(x)
-    if len(entries) > ORACLE_MAX_LEN:
-        raise SizeRefusal(
-            f"oracle limited to {ORACLE_MAX_LEN} coordinates (got {len(entries)}): "
-            "the constraint set is exponential in the support size")
-    exact = phi.is_exact() and all_exact(entries)
-
     support = [i + 1 for i, v in enumerate(entries) if v]
     k = len(support)
+    if k > ORACLE_MAX_LEN:
+        raise SizeRefusal(
+            f"oracle limited to a support of {ORACLE_MAX_LEN} coordinates "
+            f"(got {k} nonzero): the constraint set is exponential in the support size")
+    exact = phi.is_exact() and all_exact(entries)
     if k == 0:
         return Fraction(0) if exact else 0.0
     cost = [abs(Fraction(entries[i - 1])) for i in support]

@@ -512,6 +512,13 @@ class Submeasure:
     * ``rearrangement_base()`` -- a submeasure whose hat has the same
       supremum over rearrangements of any vector (a permutation wrapper
       ranges over the same orderings as its base).
+    * ``sorted_forms(m)`` -- where ``sorted_hat_is_sup`` holds and the
+      closed forms are exact: integer rows and a denominator whose largest
+      row product is the hat of any nonincreasing vector, so that the exact
+      brute force scores families on integers.
+
+    Every ``hat`` refuses a NaN or infinite entry with
+    :class:`~gbv._util.NonFiniteValue`.
     """
 
     #: largest index the descriptor can evaluate (None = unbounded)
@@ -557,6 +564,13 @@ class Submeasure:
         return [v.numerator * (den // v.denominator) for v in values], den
 
     def hat(self, x) -> Number:
+        raise NotImplementedError
+
+    def sorted_forms(self, m: int) -> tuple:
+        """``(rows, den)``: integer rows of length m and a positive
+        denominator with hat(x) = max_r rows[r] . x / den for every
+        nonincreasing nonnegative exact x of length m (a shorter x read with
+        trailing zeros)."""
         raise NotImplementedError
 
     def rearrangement_base(self) -> "Submeasure":
@@ -651,13 +665,19 @@ class SummableSubmeasure(Submeasure):
         return subset_sums([v.numerator * (den // v.denominator) for v in w]), den
 
     def hat(self, x):
-        entries = as_entries(x)
+        entries = finite_entries(x)
         self._check_length(len(entries))
         total = 0
         for i, v in enumerate(entries, start=1):
             if v:
                 total += self.weights.value_at(i) * abs(v)
         return total
+
+    def sorted_forms(self, m):
+        # the weights themselves, over their lcm
+        w = [self.weights.value_at(i) for i in range(1, m + 1)]
+        den = math.lcm(*(v.denominator for v in w))
+        return [[v.numerator * (den // v.denominator) for v in w]], den
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -737,7 +757,7 @@ class DensitySubmeasure(Submeasure):
         ratios are compared by cross-multiplication and one Fraction is built
         for the maximum.  Entries that include a float take the plain loop.
         """
-        entries = as_entries(x)
+        entries = finite_entries(x)
         self._check_length(len(entries))
         g = self.bound.g
         if all_exact(entries):
@@ -758,6 +778,12 @@ class DensitySubmeasure(Submeasure):
             if val > best:
                 best = val
         return best
+
+    def sorted_forms(self, m):
+        # row n takes the prefix ratio (x_1 + ... + x_n) / g(n)
+        gs = [self.bound.g(n) for n in range(1, m + 1)]
+        den = math.lcm(*gs)
+        return [[den // gn] * n + [0] * (m - n) for n, gn in enumerate(gs, start=1)], den
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -794,8 +820,11 @@ class UnitSubmeasure(Submeasure):
         return [0] + [1] * ((1 << len(support)) - 1), 1
 
     def hat(self, x):
-        entries = as_entries(x)
+        entries = finite_entries(x)
         return max((abs(v) for v in entries), default=0)
+
+    def sorted_forms(self, m):
+        return [[1] + [0] * (m - 1)], 1
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -823,11 +852,14 @@ class CountingSubmeasure(Submeasure):
         return subset_sums([1] * len(support)), 1
 
     def hat(self, x):
-        entries = as_entries(x)
+        entries = finite_entries(x)
         total = 0
         for v in entries:
             total += abs(v)
         return total
+
+    def sorted_forms(self, m):
+        return [[1] * m], 1
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -881,7 +913,7 @@ class PermutedSubmeasure(Submeasure):
         return [nums[m] for m in remap], den
 
     def hat(self, x):
-        entries = as_entries(x)
+        entries = finite_entries(x)
         self._check_length(len(entries))
         if not entries:
             return 0
@@ -946,6 +978,7 @@ class ShiftedSubmeasure(Submeasure):
         return [n * a + d * b for n, d in zip(nums, dyadic)], D
 
     def hat(self, x):
+        # base.hat refuses a non-finite entry, under the same index
         entries = as_entries(x)
         self._check_length(len(entries))
         extra = 0
@@ -953,6 +986,14 @@ class ShiftedSubmeasure(Submeasure):
             if v:
                 extra += Fraction(1, 2 ** i) * abs(v)
         return self.base.hat(entries) + extra
+
+    def sorted_forms(self, m):
+        # each base row plus the dyadic weights 2^-i, over lcm(den, 2^m)
+        rows, den = self.base.sorted_forms(m)
+        D = math.lcm(den, 1 << m)
+        a, b = D // den, D >> m
+        dyadic = [b << (m - i) for i in range(1, m + 1)]
+        return [[r * a + d for r, d in zip(row, dyadic)] for row in rows], D
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))
@@ -1038,13 +1079,15 @@ def hat_norm(phi: Submeasure, x) -> Number:
     the call is routed through the polytope oracle, whose size cap applies.
     A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`.
     """
-    return phi.hat(finite_entries(x))
+    return phi.hat(x)
 
 
 def tail_norm(phi: Submeasure, x, n: int) -> Number:
     """Hat-norm of x with coordinates 1..n-1 zeroed; nonincreasing in n.
-    A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`."""
-    entries = finite_entries(x)
+    A NaN or infinite entry raises :class:`~gbv._util.NonFiniteValue`, also
+    one the cut zeroes: the head is checked here, the rest by ``phi.hat``."""
+    entries = as_entries(x)
+    finite_entries(entries[:max(n - 1, 0)])
     if not 1 <= n <= len(entries):
         raise ValueError(f"cut index {n} out of range 1..{len(entries)}")
     return phi.hat((0,) * (n - 1) + entries[n - 1:])

@@ -31,6 +31,19 @@ of the modulus walks the family tree carrying each family's running total,
 one addition per family, and still visits every family; the profiles read
 the table and sort exact ones by their integer keys.
 
+The exact rail scores on integers too.  A variant with ``sorted_hat_is_sup``
+states its hat on nonincreasing vectors as integer linear forms
+(``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x / den), so the
+brute force puts the sorted keys of every maximal family into one integer
+matrix K and scores all of them with one product, max over the rows of
+K @ rows^T.  The scores are hat * den * D for the key scale D, so the first
+maximal score names the family the per-family loop would return; ``hat`` runs
+once, on that family's profile, and gives the value its type.  The product
+runs on int64 while max key * max form entry * width < 2^62, on Python ints
+otherwise.  The modulus DP likewise runs on the integer numerators over D,
+with one flag per state recording whether a Fraction value took part, which
+is when Fraction arithmetic would have returned a Fraction.
+
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
 * ``jordan_variation``        -- classical total variation,
@@ -70,6 +83,10 @@ from ._util import NonFiniteValue, SizeRefusal, all_exact, exact_div, is_finite,
 from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
+
+# The integer scoring of the brute force runs on int64 while every product
+# and sum stays below this bound, as the oracle's certification scan does.
+_INT64_BOUND = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,8 @@ class ModulusVector:
 
     Always starts at v[0] = 0, is nondecreasing, and has nonincreasing
     increments (concavity); validated on construction, exactly for exact
-    inputs and within float slack otherwise.
+    inputs (on integer numerators over the lcm of the denominators) and
+    within float slack otherwise.
     """
 
     values: tuple
@@ -161,7 +179,11 @@ class ModulusVector:
         object.__setattr__(self, "values", v)
         if not v or v[0] != 0:
             raise ValueError("modulus vector must start at v[0] = 0")
-        slack = rail_slack(all_exact(v), max(v))
+        if all_exact(v):
+            scale = math.lcm(*(x.denominator for x in v))
+            v, slack = [x.numerator * (scale // x.denominator) for x in v], 0
+        else:
+            slack = rail_slack(False, max(v))
         for n in range(1, len(v)):
             if v[n] < v[n - 1] - slack:
                 raise ValueError(f"modulus must be nondecreasing (n={n})")
@@ -237,6 +259,12 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     total with j complete intervals plus one open interval maximizing a later
     upward (U) or downward (D) close.  Intervals may share endpoints, so an
     interval may open at the index where the previous one closed.
+
+    On the exact rail the states are integer numerators over D, the lcm of
+    the value denominators, each flagged when a Fraction value took part in
+    it.  An entry comes back as Fraction(a, D) when flagged and as the int
+    a // D otherwise, the types Fraction arithmetic gives: A[0], and any
+    entry never raised, stay the int 0.  Float values run as they are.
     """
     B = f.segments
     if n_max is None:
@@ -244,25 +272,36 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
     y = f.values
-    A = [0] * (n_max + 1)
-    U = [None] * (n_max + 1)
-    D = [None] * (n_max + 1)
-    for i in range(B + 1):
-        yi = y[i]
-        for j in range(n_max + 1):
+    if all_exact(y):
+        scale = math.lcm(*(v.denominator for v in y))
+        ys = [v.numerator * (scale // v.denominator) for v in y]
+        yf = [isinstance(v, Fraction) for v in y]
+    else:
+        scale, ys, yf = None, y, [False] * len(y)
+    size = n_max + 1
+    A, Af = [0] * size, [False] * size
+    # at the first breakpoint every interval opens and none closes
+    U, Uf = [0 - ys[0]] * size, [yf[0]] * size
+    D, Df = [0 + ys[0]] * size, [yf[0]] * size
+    for i in range(1, B + 1):
+        yi, fi = ys[i], yf[i]
+        for j in range(size):
             if j:
-                close_up = U[j - 1] + yi
-                close_down = D[j - 1] - yi
-                if close_up > A[j]:
-                    A[j] = close_up
-                if close_down > A[j]:
-                    A[j] = close_down
-            open_up = A[j] - yi
-            open_down = A[j] + yi
-            if U[j] is None or open_up > U[j]:
-                U[j] = open_up
-            if D[j] is None or open_down > D[j]:
-                D[j] = open_down
+                close = U[j - 1] + yi
+                if close > A[j]:
+                    A[j], Af[j] = close, Uf[j - 1] or fi
+                close = D[j - 1] - yi
+                if close > A[j]:
+                    A[j], Af[j] = close, Df[j - 1] or fi
+            a = A[j]
+            open_ = a - yi
+            if open_ > U[j]:
+                U[j], Uf[j] = open_, Af[j] or fi
+            open_ = a + yi
+            if open_ > D[j]:
+                D[j], Df[j] = open_, Af[j] or fi
+    if scale is not None:
+        A = [Fraction(a, scale) if af else a // scale for a, af in zip(A, Af)]
     return ModulusVector(tuple(A))
 
 
@@ -402,8 +441,22 @@ def _oscillation_profiles(values: tuple, max_count: int, types: tuple, maximal: 
 
 
 @lru_cache(maxsize=64)
-def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple) -> np.ndarray:
-    """Sorted profiles of the maximal families as float rows, zero-padded."""
+def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
+                           keys: bool) -> np.ndarray:
+    """Sorted profiles of the maximal families, zero-padded.
+
+    With ``keys`` (exact values only) the rows are the integer keys of
+    ``_oscillation_table`` in nonincreasing order, one row of width
+    max_count per maximal family in its order, all-zero rows included,
+    on int64 while the keys fit and on Python ints otherwise.  Without it,
+    the float rows of the nonempty profiles."""
+    if keys:
+        _, key, _ = _oscillation_table(values)
+        rows = [sorted([key[i][j] for i, j in fam], reverse=True)
+                for fam in _maximal_index_families(len(values), max_count)]
+        top = max(row[0] for row in rows)
+        return np.array([row + [0] * (max_count - len(row)) for row in rows],
+                        np.int64 if top < _INT64_BOUND else object)
     profiles = _oscillation_profiles(values, max_count, types, True)
     width = max((len(s) for _, s in profiles), default=0)
     M = np.zeros((len(profiles), width))
@@ -429,12 +482,15 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     against.  There only the inclusion-maximal families within the cap are
     evaluated (see the module docstring): the sorted hat is monotone under
     adding an interval, so the supremum is the same.  Elsewhere
-    (max-with-unit) every family is evaluated and the larger of the
-    left-to-right and sorted hats is used: a lower bound, consistent with
-    that variant's no-closed-form stance.  Rational inputs are evaluated in
-    exact arithmetic; float inputs with a sorted-optimal base go through a
-    vectorized pass over the same maximal families: the last column of the
-    base's ``truncation_norms`` of the sorted rows, each row summed left to
+    (max-with-unit, a shift over a permutation) every family is evaluated
+    and the larger of the left-to-right and sorted hats is used: a lower
+    bound, consistent with that variant's no-closed-form stance.  Rational
+    inputs with a sorted-optimal base are scored on integers (see the module
+    docstring), with the value and type of a loop over the families: the
+    first family of top score names it, the int 0 when none oscillates.
+    Float inputs with a sorted-optimal base go through a vectorized pass
+    over the same maximal families: the last column of the base's
+    ``truncation_norms`` of the sorted rows, each row summed left to
     right.  Its float maximum is the full enumeration's too: with
     nonnegative weights and a fixed left-to-right order, rounding is
     monotone, so adding an interval never lowers a row's float hat.
@@ -450,21 +506,30 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     if phi.horizon is not None:
         max_count = min(max_count, phi.horizon)
     psi = phi.rearrangement_base()
-    sorted_is_sup = psi.sorted_hat_is_sup
     types = tuple(map(type, f.values))
-    if sorted_is_sup and not (f.is_exact() and phi.is_exact()):
-        M = _sorted_profile_matrix(f.values, max_count, types)
-        return float(psi.truncation_norms(M)[:, -1].max()) if M.size else 0.0
-    best = 0
-    for ltr, srt in _oscillation_profiles(f.values, max_count, types, sorted_is_sup):
-        if sorted_is_sup:
-            val = psi.hat(srt)
-        else:
+    if not psi.sorted_hat_is_sup:
+        best = 0
+        for ltr, srt in _oscillation_profiles(f.values, max_count, types, False):
             a, b = psi.hat(ltr), psi.hat(srt)
             val = a if a > b else b
-        if val > best:
-            best = val
-    return best
+            if val > best:
+                best = val
+        return best
+    if not (f.is_exact() and phi.is_exact()):
+        M = _sorted_profile_matrix(f.values, max_count, types, False)
+        return float(psi.truncation_norms(M)[:, -1].max()) if M.size else 0.0
+    K = _sorted_profile_matrix(f.values, max_count, types, True)
+    top = int(K[:, 0].max())
+    if not top:
+        return 0
+    forms, _ = psi.sorted_forms(max_count)
+    dtype = np.int64 if top * max(map(max, forms)) * max_count < _INT64_BOUND else object
+    scores = (K.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
+    fam = _maximal_index_families(len(f.values), max_count)[int(np.argmax(scores))]
+    # the winner's profile, sorted as _oscillation_profiles sorts it
+    osc, keys, _ = _oscillation_table(f.values)
+    pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
+    return psi.hat(tuple([v for _, v in sorted(pairs, key=itemgetter(0), reverse=True)]))
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):

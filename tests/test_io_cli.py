@@ -323,6 +323,13 @@ def test_cli_usage_error_exits_one(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_cli_selftest_fast_passes_every_criterion(capsys):
+    from gbv.cli import main
+
+    assert main(["selftest", "--fast"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "10/10 acceptance criteria passed"
+
+
 def test_cli_reports_deterministic(workdir):
     args = ("compare", "--relation", "preceq_m",
             "--a", str(workdir / "harmonic.json"),

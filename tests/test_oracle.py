@@ -51,6 +51,16 @@ def test_size_refusal():
         hat_norm_oracle(counting(), (1,) * 13)
 
 
+def test_size_cap_counts_the_support_not_the_zeros():
+    assert hat_norm_oracle(counting(), [1, 2, 3, 4, 5] + [0] * 11) == 15
+    assert hat_norm_oracle(unit(), [0] * 20 + [F(7, 2)]) == F(7, 2)
+    with pytest.raises(SizeRefusal, match=r"support of 12 coordinates \(got 13 nonzero\)"):
+        hat_norm_oracle(counting(), [0, 1] * 13)
+    # the NaN check comes first and sees every entry, zeros included
+    with pytest.raises(NonFiniteValue, match="entry 30 of the sequence is not finite"):
+        hat_norm_oracle(counting(), [1] * 13 + [0] * 16 + [math.nan])
+
+
 def test_density_prefix_formula_is_a_strict_lower_bound_off_monotone():
     # The dominated-measure supremum exceeds the prefix-sum formula when a
     # late coordinate dominates: mu = (3/4, 0, 0, 1/4) is dominated by the

@@ -430,6 +430,58 @@ def test_non_finite_weights_and_entries_are_refused():
     assert hat_norm(summable(harmonic_weights(5)), [1.0, 0.5]) == 1.25
 
 
+def _every_hat_variant():
+    return [summable(harmonic_weights(3)), density(sqrt_bound()), unit(), counting(),
+            shift_normalize(unit()), permuted(counting(), (2, 1)),
+            max_with_unit(counting())]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("phi", _every_hat_variant(), ids=repr)
+def test_every_hat_refuses_non_finite_entries(phi, bad):
+    for x, k in (([bad, 1.0], 1), ([1.0, bad], 2), ((F(1, 2), 0, bad), 3)):
+        with pytest.raises(NonFiniteValue, match=f"entry {k} of the sequence is not finite"):
+            phi.hat(x)
+    assert phi.hat([1.0, 0.5]) > 0
+
+
+def _sorted_form_variants():
+    table = summable(WatermanWeights([1, F(1, 2), F(1, 3), F(1, 5), F(1, 8), F(1, 9),
+                                      F(1, 11), F(1, 12)], form="table"))
+    dens = density(density_from_table([1, 2, 3, 4, 4, 4, 4, 4]))
+    return [table, summable(harmonic_weights(8)), summable(log_weights(8)),
+            summable(ones_weights(8)), dens, density(sqrt_bound()), density(log_bound()),
+            density(identity_bound()), unit(), counting(), shift_normalize(table),
+            shift_normalize(dens), shift_normalize(unit()), shift_normalize(counting()),
+            shift_normalize(shift_normalize(density(sqrt_bound())))]
+
+
+def test_sorted_forms_give_the_hat_of_every_nonincreasing_vector():
+    rng = random.Random(71)
+    for phi in _sorted_form_variants():
+        assert phi.sorted_hat_is_sup and phi.is_exact(), phi
+        for m in range(1, 9):
+            rows, den = phi.sorted_forms(m)
+            assert den > 0 and rows and all(len(r) == m for r in rows), (phi, m)
+            assert all(type(v) is int for r in rows for v in r), (phi, m)
+            for length in range(m + 1):
+                for _ in range(4):
+                    x = sorted((rng.choice((rng.randint(0, 9), F(rng.randint(0, 30),
+                                                                 rng.randint(1, 7))))
+                                for _ in range(length)), reverse=True)
+                    padded = x + [0] * (m - length)
+                    best = max(sum(r * v for r, v in zip(row, padded)) for row in rows)
+                    assert F(best, den) == phi.hat(x), (phi, m, x)
+
+
+def test_sorted_forms_are_stated_only_where_the_sorted_hat_is_the_sup():
+    for phi in (max_with_unit(counting()), permuted(counting(), (2, 1)),
+                shift_normalize(permuted(counting(), (2, 1)))):
+        assert not phi.sorted_hat_is_sup
+        with pytest.raises(NotImplementedError):
+            phi.sorted_forms(2)
+
+
 def test_density_table_validation():
     with pytest.raises(ValueError):
         density_from_table([2, 1])        # decreasing

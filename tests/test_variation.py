@@ -14,8 +14,11 @@ from gbv.submeasure import (
     WatermanWeights,
     counting,
     density,
+    density_from_table,
     harmonic_weights,
     identity_bound,
+    log_bound,
+    log_weights,
     max_with_unit,
     ones_weights,
     permuted,
@@ -155,6 +158,62 @@ def test_modulus_dp_equals_enumeration_randomized():
         v = modulus_of_variation(f)
         assert v.values == modulus_by_enumeration(f).values
         assert v.values[-1] == jordan_variation(f)
+
+
+def fraction_modulus_dp(f, n_max):
+    """The modulus DP on the values themselves, as it ran before it moved to
+    integer numerators: the reference for values and entry types."""
+    y = f.values
+    A = [0] * (n_max + 1)
+    U = [None] * (n_max + 1)
+    D = [None] * (n_max + 1)
+    for i in range(len(y)):
+        yi = y[i]
+        for j in range(n_max + 1):
+            if j:
+                close_up = U[j - 1] + yi
+                close_down = D[j - 1] - yi
+                if close_up > A[j]:
+                    A[j] = close_up
+                if close_down > A[j]:
+                    A[j] = close_down
+            open_up = A[j] - yi
+            open_down = A[j] + yi
+            if U[j] is None or open_up > U[j]:
+                U[j] = open_up
+            if D[j] is None or open_down > D[j]:
+                D[j] = open_down
+    return tuple(A)
+
+
+def test_integer_modulus_dp_matches_the_fraction_dp_in_value_and_type():
+    bps = (0, F(1, 3), F(2, 3), 1)
+    # the int 0 stays where no Fraction takes part; a Fraction of any
+    # value where one does
+    f = PiecewiseLinearFunction(bps, (0, F(3, 2), -1, 2))
+    got = modulus_of_variation(f).values
+    assert got == (0, 3, F(11, 2), 7)
+    assert [type(v) for v in got] == [int, int, F, F]
+    assert typed(got) == typed(fraction_modulus_dp(f, 3))
+    for values in ((5, 5, 5, 5), (F(5, 2),) * 4, (0.5, 0.5, 0.5, 0.5)):
+        got = modulus_of_variation(PiecewiseLinearFunction(bps, values)).values
+        assert got == (0, 0, 0, 0) and all(type(v) is int for v in got), values
+    rng = random.Random(61)
+    kinds = (lambda: rng.randint(-9, 9),
+             lambda: F(rng.randint(-24, 24), rng.randint(1, 6)),
+             lambda: rng.choice((rng.randint(-4, 4), F(rng.randint(-8, 8), 2),
+                                 F(rng.randint(-4, 4)))),
+             lambda: F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 7)),
+             lambda: rng.randint(-6144, 6144) / 1024,
+             lambda: rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), 4), 0.25, -0.0)))
+    for _ in range(300):
+        B = rng.randint(1, 9)
+        kind = rng.choice(kinds)
+        f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)),
+                                    tuple(kind() for _ in range(B + 1)))
+        for n_max in (B, rng.randint(0, B)):
+            got = modulus_of_variation(f, n_max).values
+            assert typed(got) == typed(fraction_modulus_dp(f, n_max)), (f, n_max)
 
 
 def summed_per_family_modulus(f, n_max):
@@ -603,3 +662,64 @@ def test_maximal_family_brute_force_equals_full_enumeration():
                 assert type(got) is float and got == ref, (phi, ff, max_count)
     # the horizon caps max_count below B on the 6-segment functions
     assert table.horizon == 5 and max(f.segments for f in funcs) == 6
+
+
+def per_family_bruteforce(f, phi, max_count):
+    """The exact brute force as a loop over the maximal families' sorted
+    profiles, one ``hat`` per family, the first largest winning: the
+    reference for the integer scoring."""
+    from gbv.variation import _oscillation_profiles
+
+    psi = phi.rearrangement_base()
+    if phi.horizon is not None:
+        max_count = min(max_count, phi.horizon)
+    best = 0
+    for _, srt in _oscillation_profiles(f.values, max_count, tuple(map(type, f.values)), True):
+        val = psi.hat(srt)
+        if val > best:
+            best = val
+    return best
+
+
+def test_integer_scoring_matches_the_per_family_hat_in_value_and_type():
+    from gbv.variation import _sorted_profile_matrix
+
+    table = summable(WatermanWeights([1, F(1, 2), F(1, 3), F(1, 5), F(1, 8), F(1, 9),
+                                      F(1, 11), F(1, 12)], form="table"))
+    phis = [table, summable(harmonic_weights(12)), summable(log_weights(12)),
+            summable(ones_weights(12)), density(density_from_table([1, 2, 3, 4, 4, 4, 4, 4])),
+            density(sqrt_bound()), density(log_bound()), unit(), counting(),
+            shift_normalize(table), shift_normalize(density(sqrt_bound())),
+            permuted(summable(harmonic_weights(8)), (2, 1, 4, 3, 6, 5, 8, 7))]
+    rng = random.Random(67)
+    kinds = {"int": lambda: rng.randint(-9, 9),
+             "fraction": lambda: F(rng.randint(-24, 24), rng.randint(1, 6)),
+             # equal oscillations as an int and as a Fraction
+             "mixed": lambda: rng.choice((rng.randint(-4, 4), F(rng.randint(-8, 8), 2),
+                                          F(rng.randint(-4, 4)))),
+             # many families tie for the top, some through an int, some a Fraction
+             "ties": lambda: rng.choice((0, 2, F(2), -2, F(-2))),
+             # keys past int64, and keys that fit but whose products do not
+             "huge": lambda: F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 7)),
+             "wide": lambda: rng.randint(-2 ** 50, 2 ** 50)}
+    dtypes = set()
+    for kind in sorted(kinds):
+        for _ in range(8):
+            B = rng.randint(1, 9)
+            f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)),
+                                        tuple(kinds[kind]() for _ in range(B + 1)))
+            for phi in phis:
+                for max_count in sorted({B, rng.randint(1, B)}):
+                    got = variation_bruteforce(f, phi, max_count)
+                    want = per_family_bruteforce(f, phi, max_count)
+                    assert typed(got) == typed(want), (kind, f, phi, max_count)
+            dtypes.add(_sorted_profile_matrix(f.values, B, tuple(map(type, f.values)),
+                                              True).dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # the first family of top score, ((0, 1), (1, 2), (2, 3)), sorts to
+    # (2, 2, Fraction(2)), and the unit hat keeps the first of equal entries
+    f = PiecewiseLinearFunction((0, F(1, 3), F(2, 3), 1), (0, 2, 0, F(2)))
+    assert type(variation_bruteforce(f, unit())) is int
+    assert type(variation_bruteforce(f, unit(), 1)) is int
+    constant = PiecewiseLinearFunction((0, F(1, 2), 1), (F(3, 2),) * 3)
+    assert all(type(variation_bruteforce(constant, phi)) is int for phi in phis)

@@ -63,6 +63,13 @@ def exact_div(num, den):
     return num / den
 
 
+def over_common_denominator(values) -> tuple:
+    """``(nums, den)``: exact values as integer numerators over den, the lcm
+    of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def subset_sums(items) -> list:
     """sums[mask] = sum of items[j] over the bits j of mask, for every mask:
     each item doubles the list, the new half adding it to the old."""

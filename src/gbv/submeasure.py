@@ -50,6 +50,7 @@ from ._util import (
     ceil_power,
     exact_div,
     is_finite,
+    over_common_denominator,
     subset_sums,
 )
 
@@ -560,8 +561,7 @@ class Submeasure:
             grown = [C + (i,) for C in members]
             values += [Fraction(self._set_value(C)) for C in grown]
             members += grown
-        den = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
+        return over_common_denominator(values)
 
     def hat(self, x) -> Number:
         raise NotImplementedError
@@ -661,8 +661,8 @@ class SummableSubmeasure(Submeasure):
         if not all_exact(w):
             # a float sum rounds in the order _set_value adds it up
             return super()._set_table(support)
-        den = math.lcm(*(v.denominator for v in w))
-        return subset_sums([v.numerator * (den // v.denominator) for v in w]), den
+        nums, den = over_common_denominator(w)
+        return subset_sums(nums), den
 
     def hat(self, x):
         entries = finite_entries(x)
@@ -675,9 +675,8 @@ class SummableSubmeasure(Submeasure):
 
     def sorted_forms(self, m):
         # the weights themselves, over their lcm
-        w = [self.weights.value_at(i) for i in range(1, m + 1)]
-        den = math.lcm(*(v.denominator for v in w))
-        return [[v.numerator * (den // v.denominator) for v in w]], den
+        nums, den = over_common_denominator([self.weights.value_at(i) for i in range(1, m + 1)])
+        return [nums], den
 
     def truncation_norms(self, x):
         ax = np.abs(np.asarray(as_float_array(x)))

@@ -69,7 +69,6 @@ decaying weights the merged family wins.  The brute-force oracle arbitrates.
 
 from __future__ import annotations
 
-import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -79,7 +78,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._util import NonFiniteValue, SizeRefusal, all_exact, exact_div, is_finite, rail_slack
+from ._util import (NonFiniteValue, SizeRefusal, all_exact, exact_div, is_finite,
+                    over_common_denominator, rail_slack)
 from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
@@ -180,8 +180,8 @@ class ModulusVector:
         if not v or v[0] != 0:
             raise ValueError("modulus vector must start at v[0] = 0")
         if all_exact(v):
-            scale = math.lcm(*(x.denominator for x in v))
-            v, slack = [x.numerator * (scale // x.denominator) for x in v], 0
+            v, _ = over_common_denominator(v)
+            slack = 0
         else:
             slack = rail_slack(False, max(v))
         for n in range(1, len(v)):
@@ -273,8 +273,7 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
         raise ValueError(f"n_max must lie in 0..{B}")
     y = f.values
     if all_exact(y):
-        scale = math.lcm(*(v.denominator for v in y))
-        ys = [v.numerator * (scale // v.denominator) for v in y]
+        ys, scale = over_common_denominator(y)
         yf = [isinstance(v, Fraction) for v in y]
     else:
         scale, ys, yf = None, y, [False] * len(y)
@@ -368,8 +367,7 @@ def _oscillation_table(values: tuple) -> tuple:
            for i in range(n)]
     if not all_exact(values):
         return osc, osc, None
-    scale = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (scale // v.denominator) for v in values]
+    nums, scale = over_common_denominator(values)
     keys = [[None] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
             for i in range(n)]
     return osc, keys, scale

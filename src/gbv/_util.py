@@ -15,6 +15,11 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 EXACT_TYPES = (int, Fraction)
 
+# The integer numpy kernels (the oracle's certification scan, the scoring of
+# the exact brute force) run on int64 while every number they form stays
+# below this bound, and on object arrays of Python ints otherwise.
+INT64_BOUND = 1 << 62
+
 
 class HorizonExceeded(ValueError):
     """An index fell beyond the finite horizon of a tabulated object."""

@@ -52,13 +52,11 @@ from math import gcd, lcm
 
 import numpy as np
 
+from ._util import INT64_BOUND as _INT64_SCAN_BOUND
 from ._util import SizeRefusal, all_exact
 from .submeasure import Submeasure, finite_entries
 
 ORACLE_MAX_LEN = 12
-
-# The certification scan runs on int64 while its numbers stay below this.
-_INT64_SCAN_BOUND = 1 << 62
 
 
 def hat_norm_oracle(phi: Submeasure, x):

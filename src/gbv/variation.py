@@ -78,15 +78,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._util import (NonFiniteValue, SizeRefusal, all_exact, exact_div, is_finite,
-                    over_common_denominator, rail_slack)
+from ._util import (INT64_BOUND, NonFiniteValue, SizeRefusal, all_exact, exact_div,
+                    is_finite, over_common_denominator, rail_slack)
 from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
-
-# The integer scoring of the brute force runs on int64 while every product
-# and sum stays below this bound, as the oracle's certification scan does.
-_INT64_BOUND = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -428,14 +424,21 @@ def _oscillation_profiles(values: tuple, max_count: int, types: tuple, maximal: 
             if ltr:
                 profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
     else:
-        # a stable reverse sort by the integer keys orders like the values
         for fam in families:
-            pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
-            if pairs:
-                profiles.append((tuple([v for _, v in pairs]),
-                                 tuple([v for _, v in sorted(pairs, key=itemgetter(0),
-                                                             reverse=True)])))
+            ltr, srt = _exact_profile(osc, keys, fam)
+            if ltr:
+                profiles.append((ltr, srt))
     return tuple(profiles)
+
+
+def _exact_profile(osc, keys, fam) -> tuple:
+    """The nonzero oscillations of one family on the exact rail, left to
+    right and sorted.  A stable reverse sort by the integer keys orders like
+    the values and keeps equal ones (an int and a Fraction, say) in family
+    order, which decides the type a hat returns."""
+    pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
+    return (tuple([v for _, v in pairs]),
+            tuple([v for _, v in sorted(pairs, key=itemgetter(0), reverse=True)]))
 
 
 @lru_cache(maxsize=64)
@@ -454,7 +457,7 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
                 for fam in _maximal_index_families(len(values), max_count)]
         top = max(row[0] for row in rows)
         return np.array([row + [0] * (max_count - len(row)) for row in rows],
-                        np.int64 if top < _INT64_BOUND else object)
+                        np.int64 if top < INT64_BOUND else object)
     profiles = _oscillation_profiles(values, max_count, types, True)
     width = max((len(s) for _, s in profiles), default=0)
     M = np.zeros((len(profiles), width))
@@ -521,13 +524,11 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     if not top:
         return 0
     forms, _ = psi.sorted_forms(max_count)
-    dtype = np.int64 if top * max(map(max, forms)) * max_count < _INT64_BOUND else object
+    dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
     scores = (K.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
     fam = _maximal_index_families(len(f.values), max_count)[int(np.argmax(scores))]
-    # the winner's profile, sorted as _oscillation_profiles sorts it
     osc, keys, _ = _oscillation_table(f.values)
-    pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
-    return psi.hat(tuple([v for _, v in sorted(pairs, key=itemgetter(0), reverse=True)]))
+    return psi.hat(_exact_profile(osc, keys, fam)[1])
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):

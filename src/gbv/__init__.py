@@ -48,6 +48,7 @@ from .oracle import ORACLE_MAX_LEN, hat_norm_oracle
 from .orders import (
     ComparisonReport,
     KatetovPartition,
+    compare,
     ideal_criterion_c,
     katetov_partition_build,
     katetov_scan,
@@ -99,7 +100,6 @@ from .submeasure import (
 )
 from .variation import (
     BVNormResult,
-    IntervalFamily,
     ModulusVector,
     PiecewiseLinearFunction,
     abv_norm,

@@ -47,16 +47,10 @@ from .io import (
     save_function_csv,
     save_sequence,
 )
-from .orders import (
-    ideal_criterion_c,
-    katetov_scan,
-    preceq_density,
-    preceq_m_summable,
-    preceq_summable,
-)
+from .orders import compare
 from .selftest import run_all
 from .sequence_spaces import exh_certificate, fin_certificate
-from .submeasure import DensitySubmeasure, SequencePrefix, SummableSubmeasure
+from .submeasure import SequencePrefix
 from .variation import (
     PiecewiseLinearFunction,
     bv_norm_detail,
@@ -200,27 +194,8 @@ def _cmd_compare(args) -> int:
         raise DescriptorError(f"--horizon must be at least 1, got {args.horizon}")
     if not 0 < args.cap < math.inf:
         raise DescriptorError(f"--cap must be positive and finite, got {args.cap}")
-    phi_a = load_submeasure(args.a)
-    phi_b = load_submeasure(args.b)
-    relation = args.relation
-    if relation == "preceq":
-        if isinstance(phi_a, DensitySubmeasure) and isinstance(phi_b, DensitySubmeasure):
-            report = preceq_density(phi_a.bound, phi_b.bound, args.horizon, args.cap)
-        elif isinstance(phi_a, SummableSubmeasure) and isinstance(phi_b, SummableSubmeasure):
-            report = preceq_summable(phi_a.weights, phi_b.weights, args.cap)
-        else:
-            raise DescriptorError(
-                "preceq needs two density or two summable descriptors")
-    elif relation == "preceq_m":
-        if not (isinstance(phi_a, SummableSubmeasure) and isinstance(phi_b, SummableSubmeasure)):
-            raise DescriptorError("preceq_m needs two summable descriptors")
-        report = preceq_m_summable(phi_a.weights, phi_b.weights, args.cap)
-    elif relation == "katetov":
-        if not (isinstance(phi_a, SummableSubmeasure) and isinstance(phi_b, SummableSubmeasure)):
-            raise DescriptorError("katetov needs two summable descriptors")
-        report = katetov_scan(phi_a.weights, phi_b.weights, args.cap, args.horizon)
-    else:
-        report = ideal_criterion_c(phi_a, phi_b, args.horizon, args.cap)
+    report = compare(load_submeasure(args.a), load_submeasure(args.b),
+                     args.relation, args.horizon, args.cap)
     payload = {
         "relation": report.relation,
         "bound_estimate": report.bound_estimate,
@@ -284,10 +259,10 @@ def _cmd_construct(args) -> int:
                                       args.depth, args.search_len, args.monotone)
     elif kind == "separating":
         _need(args, "weights", "g")
-        phi_a = load_submeasure(args.weights)
-        if not isinstance(phi_a, SummableSubmeasure):
+        weights = load_submeasure(args.weights).weights
+        if weights is None:
             raise DescriptorError("--weights must be a summable descriptor")
-        cert = separating_sequence(phi_a.weights, _density_bound(args.g),
+        cert = separating_sequence(weights, _density_bound(args.g),
                                    args.depth, args.horizon)
     else:
         _need(args, "submeasure", "perm", "function")
@@ -308,10 +283,10 @@ def _cmd_construct(args) -> int:
 
 
 def _density_bound(path):
-    phi = load_submeasure(path)
-    if not isinstance(phi, DensitySubmeasure):
+    bound = load_submeasure(path).bound
+    if bound is None:
         raise DescriptorError(f"{path}: expected a density descriptor")
-    return phi.bound
+    return bound
 
 
 def _need(args, *fields):

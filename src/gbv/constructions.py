@@ -403,6 +403,8 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
     Divergent branch: x itself already has unbounded weighted partial sums;
     emits x with a growth certificate against the weighted-sum submeasure.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not g.increments_vanishing():
         raise HypothesisViolation(
             "needs g increments nonincreasing and tending to 0 "

@@ -114,7 +114,10 @@ def _bound_from_descriptor(desc: dict) -> DensityBound:
         p = desc.get("param")
         if p is None:
             raise DescriptorError("field 'param': required for the power density form")
-        return DensityBound("power", p)
+        try:
+            return DensityBound("power", p)
+        except ZeroDivisionError:
+            raise DescriptorError(f"field 'param': zero denominator in {p!r}") from None
     if form == "log":
         return DensityBound("log")
     if form == "table":
@@ -177,6 +180,8 @@ def sequence_from_descriptor(desc: dict) -> SequencePrefix:
         if not isinstance(length, int) or length < 1:
             raise DescriptorError(f"field 'length': need a positive integer, got {length!r}")
         p = desc.get("param", 1)
+        if not isinstance(p, (int, float, str)):
+            raise DescriptorError(f"field 'param': need a number, got {p!r}")
         try:
             if form == "power":
                 entries = [scale * float(i) ** (-float(p)) for i in range(1, length + 1)]

@@ -14,6 +14,13 @@ The relations: hat-norm domination ``preceq`` (all finite sequences) and
 the Katetov comparison of summable ideals via the partial-sum/entry scan and
 via explicit block partitions, and the finite-set criterion characterizing
 when tail-vanishing sets of one submeasure have bounded value under another.
+
+``compare(phi_a, phi_b, relation)`` is the one place that maps a relation
+and a pair of submeasures to a checker, reading the facts the variants state:
+``preceq`` runs ``preceq_density`` on two density ``bound``s and
+``preceq_summable`` on two ``weights``; ``preceq_m`` and ``katetov`` need two
+``weights``; ``criterion_c`` takes any pair.  Any other pair, a wrapped base
+included, is refused with a ValueError.
 """
 
 from __future__ import annotations
@@ -79,6 +86,31 @@ class KatetovPartition:
         return self.failure_index is None
 
 
+def compare(phi_a: Submeasure, phi_b: Submeasure, relation: str,
+            horizon: int = DEFAULT_HORIZON,
+            cap=DEFAULT_RATIO_CAP) -> ComparisonReport:
+    """Run the checker of ``relation`` on the pair, phi_a the dominating
+    side: cap is the ratio cap of the preceq relations and the level M of
+    ``katetov`` and ``criterion_c``."""
+    if relation == "criterion_c":
+        return ideal_criterion_c(phi_a, phi_b, horizon, cap)
+    A, B = phi_a.weights, phi_b.weights
+    summable_pair = A is not None and B is not None
+    if relation == "preceq":
+        if phi_a.bound is not None and phi_b.bound is not None:
+            return preceq_density(phi_a.bound, phi_b.bound, horizon, cap)
+        if summable_pair:
+            return preceq_summable(A, B, cap)
+        raise ValueError("preceq needs two density or two summable descriptors")
+    if relation not in ("preceq_m", "katetov"):
+        raise ValueError(f"unknown relation {relation!r}")
+    if not summable_pair:
+        raise ValueError(f"{relation} needs two summable descriptors")
+    if relation == "preceq_m":
+        return preceq_m_summable(A, B, cap)
+    return katetov_scan(A, B, cap, horizon)
+
+
 # ---------------------------------------------------------------------------
 # Hat-norm domination
 # ---------------------------------------------------------------------------
@@ -95,7 +127,7 @@ def preceq_density(g: DensityBound, h: DensityBound,
     cap the flat-prefix witness at the first crossing is attached (its g-norm
     is exactly 1 while its h-norm carries the ratio).
     """
-    _check_cap(cap)
+    _check_positive_finite(cap)
     for bound in (g, h):
         if bound.horizon is not None and bound.horizon < horizon:
             raise ValueError(f"horizon mismatch: {bound!r} ends before {horizon}")
@@ -122,11 +154,12 @@ def preceq_density(g: DensityBound, h: DensityBound,
     return ComparisonReport("preceq", best, verdict, None, details)
 
 
-def _check_cap(cap) -> None:
-    if not is_finite(cap):
-        raise NonFiniteValue(f"cap must be positive and finite, got {cap!r}")
-    if not cap > 0:
-        raise ValueError(f"cap must be positive and finite, got {cap!r}")
+def _check_positive_finite(value, name: str = "cap") -> None:
+    """Refuse a ratio cap or a level M that is not positive and finite."""
+    if not is_finite(value):
+        raise NonFiniteValue(f"{name} must be positive and finite, got {value!r}")
+    if not value > 0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _density_pair_provable(g: DensityBound, h: DensityBound) -> bool:
@@ -144,7 +177,7 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     """Hat-norm domination for weighted sums: sup_n b_n / a_n is both
     sufficient and necessary (the coordinate vector e_n witnesses necessity).
     """
-    _check_cap(cap)
+    _check_positive_finite(cap)
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
@@ -181,7 +214,7 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
     eta = max_n (sum_{i<=n} b_i)/(sum_{i<=n} a_i) dominates on the monotone
     cone, and the flat prefix at the argmax attains the ratio exactly.
     """
-    _check_cap(cap)
+    _check_positive_finite(cap)
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
@@ -236,8 +269,7 @@ def katetov_scan(A: WatermanWeights, B: WatermanWeights, M,
     O(N).  The exhaustive quadratic scan is kept in the test suite as the
     oracle for this pointer dance.
     """
-    if M <= 0:
-        raise ValueError("Katetov level M must be positive")
+    _check_positive_finite(M, "Katetov level M")
     n_vals = min(len(A.values), len(B.values))
     if horizon is not None:
         n_vals = min(n_vals, horizon)
@@ -347,8 +379,7 @@ def ideal_criterion_c(phi1: Submeasure, phi2: Submeasure,
     of the known separating witnesses, using that both set functions are
     monotone in j.
     """
-    if M <= 0:
-        raise ValueError("criterion level M must be positive")
+    _check_positive_finite(M, "criterion level M")
     low = exact_div(1, M) if isinstance(M, (int, Fraction)) else 1.0 / M
     best_val = 0
     witness = None

@@ -517,6 +517,10 @@ class Submeasure:
       closed forms are exact: integer rows and a denominator whose largest
       row product is the hat of any nonincreasing vector, so that the exact
       brute force scores families on integers.
+    * ``weights`` -- the Waterman weights of a weighted sum, and
+      ``bound`` -- the divisor g of a density submeasure.  The order
+      checkers read these; every other variant, wrappers included, keeps
+      ``None``, so a wrapped base is not compared as its base.
 
     Every ``hat`` refuses a NaN or infinite entry with
     :class:`~gbv._util.NonFiniteValue`.
@@ -527,6 +531,8 @@ class Submeasure:
 
     sorted_hat_is_sup: bool = False
     greedy_guarantee: bool = False
+    weights: Optional[WatermanWeights] = None
+    bound: Optional[DensityBound] = None
 
     def set_value(self, C) -> Number:
         """phi(C) for a finite set C of positive integers, given in any order

@@ -129,36 +129,6 @@ class PiecewiseLinearFunction:
 
 
 @dataclass(frozen=True)
-class IntervalFamily:
-    """An ordered list of nonoverlapping closed subintervals of [0, 1].
-
-    Interiors are disjoint but endpoints may touch; degenerate one-point
-    intervals are allowed.
-    """
-
-    intervals: tuple
-
-    def __post_init__(self):
-        ivs = tuple((s, t) for s, t in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        prev_end = 0
-        for j, (s, t) in enumerate(ivs):
-            if s < 0 or t > 1:
-                raise ValueError(f"interval {j} leaves [0, 1]")
-            if t < s:
-                raise ValueError(f"interval {j} has negative length")
-            if s < prev_end:
-                raise ValueError(f"interval {j} overlaps its predecessor")
-            prev_end = t
-
-    def __len__(self):
-        return len(self.intervals)
-
-    def oscillations(self, f: PiecewiseLinearFunction) -> tuple:
-        return tuple(oscillation(f, iv) for iv in self.intervals)
-
-
-@dataclass(frozen=True)
 class ModulusVector:
     """v[n] = largest total oscillation achievable with n intervals.
 

@@ -314,6 +314,61 @@ def test_cli_compare_refuses_cap_that_is_not_positive_and_finite(workdir, capsys
     assert "--cap must be positive and finite" in err
 
 
+@pytest.mark.parametrize("relation,a,b,message", [
+    ("preceq", "sqrt.json", "harmonic.json",
+     "preceq needs two density or two summable descriptors"),
+    ("preceq", "counting.json", "counting.json",
+     "preceq needs two density or two summable descriptors"),
+    ("preceq", "shifted.json", "harmonic.json",
+     "preceq needs two density or two summable descriptors"),
+    ("preceq_m", "sqrt.json", "identity.json", "preceq_m needs two summable descriptors"),
+    ("preceq_m", "ones.json", "shifted.json", "preceq_m needs two summable descriptors"),
+    ("katetov", "harmonic.json", "sqrt.json", "katetov needs two summable descriptors"),
+    ("katetov", "shifted.json", "ones.json", "katetov needs two summable descriptors"),
+])
+def test_cli_compare_refuses_a_pair_with_the_message_of_compare(workdir, capsys, relation,
+                                                               a, b, message):
+    from gbv.cli import main
+
+    (workdir / "shifted.json").write_text(json.dumps(
+        {"type": "summable", "form": "harmonic", "horizon": 1000, "wrap": ["shifted"]}))
+    for first, second in ((a, b), (b, a)):
+        rc = main(["compare", "--relation", relation, "--a", str(workdir / first),
+                   "--b", str(workdir / second)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_cli_construct_reads_weights_and_bound_from_the_descriptor(workdir, capsys):
+    from gbv.cli import main
+
+    rc = main(["construct", "--kind", "separating", "--weights", str(workdir / "sqrt.json"),
+               "--g", str(workdir / "sqrt.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --weights must be a summable descriptor\n"
+    rc = main(["construct", "--kind", "density-witness", "--g", str(workdir / "harmonic.json"),
+               "--h", str(workdir / "sqrt.json"), "--index", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'harmonic.json'}: expected a density descriptor\n")
+
+
+def test_density_param_with_a_zero_denominator_is_a_named_input_error(workdir, capsys):
+    from gbv.cli import main
+
+    desc = {"type": "density", "form": "power", "param": "1/0"}
+    with pytest.raises(DescriptorError, match="field 'param': zero denominator in '1/0'"):
+        submeasure_from_descriptor(desc)
+    (workdir / "z.json").write_text(json.dumps(desc))
+    (workdir / "s.csv").write_text("1\n1/2\n")
+    rc = main(["certify", "--submeasure", str(workdir / "z.json"),
+               "--sequence", str(workdir / "s.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "error: field 'param': zero denominator in '1/0'\n"
+
+
 def test_cli_usage_error_exits_one(capsys):
     from gbv.cli import main
 

@@ -11,6 +11,7 @@ from gbv._util import NonFiniteValue
 from gbv.orders import (
     ComparisonReport,
     KatetovPartition,
+    compare,
     ideal_criterion_c,
     katetov_partition_build,
     katetov_scan,
@@ -28,7 +29,10 @@ from gbv.submeasure import (
     hat_norm,
     identity_bound,
     log_bound,
+    max_with_unit,
     ones_weights,
+    permuted,
+    shift_normalize,
     sqrt_bound,
     summable,
     unit,
@@ -430,3 +434,89 @@ def test_preceq_m_identical_weights_bound_one():
     r = preceq_m_summable(h, h)
     assert r.bound_estimate == 1
     assert r.verdict == "holds-with-constant"
+
+
+# ---------------------------------------------------------------------------
+# compare: the one dispatch from (relation, pair) to a checker
+# ---------------------------------------------------------------------------
+
+def _harm(n=64):
+    return summable(harmonic_weights(n))
+
+
+def _ones(n=64):
+    return summable(ones_weights(n))
+
+
+@pytest.mark.parametrize("relation,phi_a,phi_b,direct", [
+    ("preceq", density(sqrt_bound()), density(identity_bound()),
+     lambda: preceq_density(sqrt_bound(), identity_bound(), 50, 3)),
+    ("preceq", density(identity_bound()), density(sqrt_bound()),
+     lambda: preceq_density(identity_bound(), sqrt_bound(), 50, 3)),
+    ("preceq", _harm(), _ones(),
+     lambda: preceq_summable(harmonic_weights(64), ones_weights(64), 3)),
+    ("preceq", _ones(), _harm(),
+     lambda: preceq_summable(ones_weights(64), harmonic_weights(64), 3)),
+    ("preceq_m", _harm(), _ones(),
+     lambda: preceq_m_summable(harmonic_weights(64), ones_weights(64), 3)),
+    ("katetov", _harm(), _ones(),
+     lambda: katetov_scan(harmonic_weights(64), ones_weights(64), 3, 50)),
+    ("katetov", _ones(), _harm(),
+     lambda: katetov_scan(ones_weights(64), harmonic_weights(64), 3, 50)),
+    ("criterion_c", unit(), counting(),
+     lambda: ideal_criterion_c(unit(), counting(), 50, 3)),
+    ("criterion_c", density(identity_bound()), shift_normalize(density(sqrt_bound())),
+     lambda: ideal_criterion_c(density(identity_bound()),
+                               shift_normalize(density(sqrt_bound())), 50, 3)),
+])
+def test_compare_reports_as_the_direct_checker(relation, phi_a, phi_b, direct):
+    assert compare(phi_a, phi_b, relation, horizon=50, cap=3) == direct()
+
+
+PRECEQ_REFUSAL = "preceq needs two density or two summable descriptors"
+REFUSED_PAIRS = [
+    ("preceq", density(sqrt_bound()), _harm(), PRECEQ_REFUSAL),
+    ("preceq", counting(), counting(), PRECEQ_REFUSAL),
+    ("preceq", shift_normalize(_harm()), _harm(), PRECEQ_REFUSAL),
+    ("preceq", permuted(density(log_bound()), (2, 1)), density(log_bound()), PRECEQ_REFUSAL),
+    ("preceq", max_with_unit(density(sqrt_bound())), density(sqrt_bound()), PRECEQ_REFUSAL),
+    ("preceq_m", density(sqrt_bound()), density(identity_bound()),
+     "preceq_m needs two summable descriptors"),
+    ("preceq_m", _harm(), unit(), "preceq_m needs two summable descriptors"),
+    ("preceq_m", permuted(_harm(), (2, 1)), _harm(), "preceq_m needs two summable descriptors"),
+    ("katetov", _harm(), density(sqrt_bound()), "katetov needs two summable descriptors"),
+    ("katetov", max_with_unit(_harm()), _harm(), "katetov needs two summable descriptors"),
+    ("katetov", shift_normalize(_ones()), _harm(), "katetov needs two summable descriptors"),
+]
+
+
+@pytest.mark.parametrize("relation,phi_a,phi_b,message", REFUSED_PAIRS)
+def test_compare_refuses_pairs_the_relation_has_no_checker_for(relation, phi_a, phi_b, message):
+    for a, b in ((phi_a, phi_b), (phi_b, phi_a)):
+        with pytest.raises(ValueError) as exc:
+            compare(a, b, relation, horizon=50, cap=3)
+        assert str(exc.value) == message
+
+
+def test_compare_refuses_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown relation 'katetov_le'"):
+        compare(_harm(), _harm(), "katetov_le")
+
+
+def test_only_summable_and_density_state_weights_or_bound():
+    h, g = harmonic_weights(8), sqrt_bound()
+    assert summable(h).weights is h and summable(h).bound is None
+    assert density(g).bound is g and density(g).weights is None
+    wrapped = [unit(), counting()]
+    for base in (summable(h), density(g), unit(), counting()):
+        wrapped += [shift_normalize(base), permuted(base, (2, 1)), max_with_unit(base)]
+    for phi in wrapped:
+        assert phi.weights is None and phi.bound is None, phi
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_levels_must_be_finite(level):
+    with pytest.raises(NonFiniteValue, match="Katetov level M must be positive and finite"):
+        katetov_scan(harmonic_weights(50), ones_weights(50), level)
+    with pytest.raises(NonFiniteValue, match="criterion level M must be positive and finite"):
+        ideal_criterion_c(density(identity_bound()), density(sqrt_bound()), 30, level)

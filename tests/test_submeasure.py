@@ -200,6 +200,34 @@ def test_truncation_and_tail_fast_paths_match_hat():
             assert tails[n - 1] == pytest.approx(float(tail_norm(phi, x, n)), rel=1e-12)
 
 
+@pytest.mark.parametrize("phi", [
+    permuted(summable(harmonic_weights(8)), (3, 1, 8, 2, 7, 4, 6, 5)),
+    permuted(density(identity_bound()), (2, 1, 4, 3, 6, 5, 8, 7)),
+    max_with_unit(summable(harmonic_weights(8))),
+    max_with_unit(density(sqrt_bound())),
+], ids=["permuted-summable", "permuted-density", "max-unit-summable", "max-unit-density"])
+def test_base_class_truncation_and_tail_norms_are_the_hat_of_each_cut(phi):
+    # permuted and max-with-unit have no O(n) pass of their own
+    assert "truncation_norms" not in vars(type(phi))
+    assert "tail_norms" not in vars(type(phi))
+    x = (F(3, 2), -1, 0, F(5, 4), -2, F(1, 3), 4, F(-1, 2))
+    for k in range(1, len(x) + 1):
+        trunc = phi.truncation_norms(x[:k])
+        tails = phi.tail_norms(x[:k])
+        assert len(trunc) == len(tails) == k
+        for n in range(1, k + 1):
+            assert trunc[n - 1] == float(hat_norm(phi, x[:n]))
+            assert tails[n - 1] == float(hat_norm(phi, (0,) * (n - 1) + x[n - 1:k]))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 1.5, 2])
+def test_power_partial_sums_past_the_float_cache_follow_the_asymptotic_terms(p):
+    w = power_weights(p, 10)
+    for n in ((1 << 17) + 1, 200_003, 300_000):
+        expected = math.fsum(float(i) ** (-p) for i in range(1, n + 1))
+        assert w.partial_sum(n) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # submeasure axioms, exhaustively on {1..10}
 # ---------------------------------------------------------------------------

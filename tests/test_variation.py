@@ -28,7 +28,6 @@ from gbv.submeasure import (
     unit,
 )
 from gbv.variation import (
-    IntervalFamily,
     ModulusVector,
     PiecewiseLinearFunction,
     abv_norm,
@@ -100,14 +99,6 @@ def test_oscillation_examples():
     assert oscillation(line, (0, 1)) == 1
     assert oscillation(line, (F(1, 3), F(1, 3))) == 0
     assert oscillation(tent(), (F(1, 4), F(3, 4))) == 0
-
-
-def test_interval_family_validation():
-    IntervalFamily(((0, F(1, 4)), (F(1, 4), F(1, 2)), (F(3, 4), F(3, 4))))
-    with pytest.raises(ValueError):
-        IntervalFamily(((0, F(1, 2)), (F(1, 4), 1)))            # overlap
-    with pytest.raises(ValueError):
-        IntervalFamily(((0, F(3, 2)),))                          # leaves [0,1]
 
 
 def test_monotone_runs_examples():

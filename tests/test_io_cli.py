@@ -156,6 +156,8 @@ def workdir(tmp_path):
         json.dumps({"type": "density", "form": "power", "param": 0.5}))
     (tmp_path / "identity.json").write_text(
         json.dumps({"type": "density", "form": "power", "param": 1}))
+    (tmp_path / "shifted.json").write_text(json.dumps(
+        {"type": "summable", "form": "harmonic", "horizon": 1000, "wrap": ["shifted"]}))
     return tmp_path
 
 
@@ -330,8 +332,6 @@ def test_cli_compare_refuses_a_pair_with_the_message_of_compare(workdir, capsys,
                                                                a, b, message):
     from gbv.cli import main
 
-    (workdir / "shifted.json").write_text(json.dumps(
-        {"type": "summable", "form": "harmonic", "horizon": 1000, "wrap": ["shifted"]}))
     for first, second in ((a, b), (b, a)):
         rc = main(["compare", "--relation", relation, "--a", str(workdir / first),
                    "--b", str(workdir / second)])

@@ -20,6 +20,11 @@ EXACT_TYPES = (int, Fraction)
 # below this bound, and on object arrays of Python ints otherwise.
 INT64_BOUND = 1 << 62
 
+#: largest horizon a descriptor or a CLI ``--horizon`` may ask for: a
+#: closed-form descriptor materializes that many weights, and the order
+#: checkers and constructions scan that far
+MAX_HORIZON = 1 << 20
+
 
 class HorizonExceeded(ValueError):
     """An index fell beyond the finite horizon of a tabulated object."""
@@ -85,19 +90,29 @@ def subset_sums(items) -> list:
 
 
 def iroot_floor(n: int, k: int) -> int:
-    """Largest integer r with r**k <= n, for n >= 0, k >= 1."""
+    """Largest integer r with r**k <= n, for n >= 0, k >= 1.
+
+    Integer Newton steps r -> ((k-1) r + n // r**(k-1)) // k.  By AM-GM a
+    step from any r > 0 lands at or above the floor of the root, and from
+    above the root each step decreases until it reaches the floor.  The
+    seed is 1 + floor(2**(log2(n)/k)), from the float log of n (which takes
+    ints of any size), so that the descent is a step or two; only its speed
+    rests on the float, never the result."""
     if n < 0 or k < 1:
         raise ValueError("iroot_floor needs n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n
     if k == 2:
         return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    # Newton correction: float seeds can be off by a few ulps.
-    while r > 0 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+
+    def step(r):
+        return ((k - 1) * r + n // r ** (k - 1)) // k
+
+    e = math.log2(n) / k
+    whole = int(e)
+    r = step(((int(2 ** (e - whole) * (1 << 52)) << whole) >> 52) + 1)
+    while (s := step(r)) < r:
+        r = s
     return r
 
 

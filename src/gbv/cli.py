@@ -24,6 +24,7 @@ from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from ._util import (
+    MAX_HORIZON,
     DescriptorError,
     HorizonExceeded,
     HypothesisViolation,
@@ -189,9 +190,16 @@ def _cmd_variation(args) -> int:
     return OK
 
 
+def _check_horizon(horizon: int) -> int:
+    if horizon > MAX_HORIZON:
+        raise SizeRefusal(f"--horizon {horizon} is past the cap {MAX_HORIZON}")
+    return horizon
+
+
 def _cmd_compare(args) -> int:
     if args.horizon < 1:
         raise DescriptorError(f"--horizon must be at least 1, got {args.horizon}")
+    _check_horizon(args.horizon)
     if not 0 < args.cap < math.inf:
         raise DescriptorError(f"--cap must be positive and finite, got {args.cap}")
     report = compare(load_submeasure(args.a), load_submeasure(args.b),
@@ -263,7 +271,7 @@ def _cmd_construct(args) -> int:
         if weights is None:
             raise DescriptorError("--weights must be a summable descriptor")
         cert = separating_sequence(weights, _density_bound(args.g),
-                                   args.depth, args.horizon)
+                                   args.depth, _check_horizon(args.horizon))
     else:
         _need(args, "submeasure", "perm", "function")
         perm = tuple(int(v) for v in args.perm.split(","))

@@ -10,7 +10,8 @@ Submeasure descriptor (JSON object, exact field names):
      "horizon": N}
 
 ``wrap`` entries apply in list order around the base.  ``horizon`` is the
-materialization length for closed-form weights (default 4096).
+materialization length for closed-form weights (default 4096, at most
+``MAX_HORIZON`` = 2^20).
 
 Sequences travel as CSV with one value per line ("p/q" tokens allowed) or as
 a descriptor {"form": "power" | "alt" | "table", "param": p, "length": L,
@@ -25,7 +26,8 @@ import json
 import math
 from fractions import Fraction
 
-from ._util import DescriptorError, NonFiniteValue, is_finite, parse_number
+from ._util import (MAX_HORIZON, DescriptorError, NonFiniteValue, SizeRefusal, is_finite,
+                    parse_number)
 from .submeasure import (
     DensityBound,
     SequencePrefix,
@@ -54,6 +56,8 @@ def submeasure_from_descriptor(desc: dict) -> Submeasure:
     horizon = desc.get("horizon", DEFAULT_DESCRIPTOR_HORIZON)
     if not isinstance(horizon, int) or horizon < 1:
         raise DescriptorError(f"field 'horizon': need a positive integer, got {horizon!r}")
+    if horizon > MAX_HORIZON:
+        raise SizeRefusal(f"field 'horizon': {horizon} is past the cap {MAX_HORIZON}")
     if kind == "unit":
         phi = unit()
     elif kind == "counting":

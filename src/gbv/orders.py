@@ -42,6 +42,10 @@ from .submeasure import (
 
 DEFAULT_HORIZON = 10 ** 4
 DEFAULT_RATIO_CAP = 10 ** 3
+#: ideal_criterion_c searches every subset up to this horizon, intervals beyond
+CRITERION_C_EXHAUSTIVE_LIMIT = 20
+#: a table of weights whose last entry is below this is tall-consistent
+TALLNESS_TOLERANCE = 1e-3
 
 HOLDS = "holds-with-constant"
 VIOLATED = "violated-by-witness"
@@ -368,13 +372,12 @@ def _greedy_block_end(B: WatermanWeights, start: int, target, exact_limit: int):
 
 
 def ideal_criterion_c(phi1: Submeasure, phi2: Submeasure,
-                      horizon: int = DEFAULT_HORIZON, M=2,
-                      exhaustive_limit: int = 20) -> ComparisonReport:
+                      horizon: int = DEFAULT_HORIZON, M=2) -> ComparisonReport:
     """Search for a finite F with phi1(F) <= 1/M and phi2(F) >= M.
 
     Such an F violates, at level M, the criterion characterizing when every
     tail-vanishing set of phi1 keeps finite phi2-value.  Exhaustive over all
-    subsets (with monotonicity pruning on phi1) up to ``exhaustive_limit``;
+    subsets (with monotonicity pruning on phi1) up to ``CRITERION_C_EXHAUSTIVE_LIMIT``;
     beyond that the search restricts to intervals {i..j}, which are the shape
     of the known separating witnesses, using that both set functions are
     monotone in j.
@@ -383,7 +386,7 @@ def ideal_criterion_c(phi1: Submeasure, phi2: Submeasure,
     low = exact_div(1, M) if isinstance(M, (int, Fraction)) else 1.0 / M
     best_val = 0
     witness = None
-    if horizon <= exhaustive_limit:
+    if horizon <= CRITERION_C_EXHAUSTIVE_LIMIT:
         stack = [((), 1)]
         while stack:
             F, next_i = stack.pop()
@@ -425,13 +428,15 @@ def ideal_criterion_c(phi1: Submeasure, phi2: Submeasure,
     return ComparisonReport("ideal_criterion_c", best_val, CONSISTENT, None, details)
 
 
-def tallness_hint(A: WatermanWeights, tolerance: float = 1e-3) -> str:
+def tallness_hint(A: WatermanWeights) -> str:
     """Whether the weights are consistent with tending to zero (tallness of
     the induced summable ideal).  Closed forms answer analytically; tables
-    by comparing the last entry against the tolerance.  Metadata only."""
+    by comparing the last entry against ``TALLNESS_TOLERANCE``.  Metadata only."""
     if A.form == "log":
         return "tall-consistent"
     q = A.exponent
     if q is not None:
         return "tall-consistent" if q > 0 else "not-tall-consistent"
-    return "tall-consistent" if float(A.values[-1]) < tolerance else "not-tall-consistent"
+    if float(A.values[-1]) < TALLNESS_TOLERANCE:
+        return "tall-consistent"
+    return "not-tall-consistent"

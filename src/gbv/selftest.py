@@ -25,9 +25,7 @@ from .orders import (
     preceq_m_summable,
 )
 from .submeasure import (
-    CountingSubmeasure,
     DensityBound,
-    UnitSubmeasure,
     WatermanWeights,
     counting,
     density,
@@ -49,7 +47,6 @@ from .variation import (
     jordan_variation,
     modulus_by_enumeration,
     modulus_of_variation,
-    monotone_runs,
     pl_add,
     pl_scale,
     variation_bruteforce,
@@ -225,13 +222,8 @@ def criterion_2_variation_oracle(scale: float = 1.0) -> CriterionResult:
     for f in funcs:
         for phi in phis:
             br = float(variation_bruteforce(f, phi))
-            if isinstance(phi, (UnitSubmeasure, CountingSubmeasure)):
-                runs = monotone_runs(f)
-                gr = float(max(runs)) if isinstance(phi, UnitSubmeasure) else float(jordan_variation(f))
-                up = br
-            else:
-                gr = float(variation_greedy(f, phi))
-                up = float(variation_upper_bound(f, phi))
+            gr = float(variation_greedy(f, phi))
+            up = float(variation_upper_bound(f, phi))
             if abs(gr - br) > 1e-9 * max(br, 1.0) or br > up * (1 + 1e-12):
                 return CriterionResult(2, "variation oracle agreement", False,
                                        time.time() - t0,

@@ -11,15 +11,15 @@ finite prefix, so nothing here ever claims membership.  A certificate records
 the two diagnostic curves that the definitions are about — hat-norms of
 initial truncations (nondecreasing, by lower semicontinuity) and hat-norms of
 tail cuts (nonincreasing) — together with a "consistent with" verdict derived
-from configurable thresholds.  The verdict vocabulary:
+from fixed thresholds.  The verdict vocabulary:
 
 * ``bounded-consistent`` / ``growth-detected(rate)`` for the FIN curve,
 * ``tail-vanishing-consistent`` / ``tail-stuck(level)`` for the EXH curve.
 
 Growth detection fits a least-squares slope to log(norm) against log(n) over
-the last half of the horizon; slopes above the threshold (default 0.05) count
-as growth.  Tail vanishing requires the final tail to drop below
-max(abs_tol, rel_tol * initial tail), a scale-free criterion.
+the last half of the horizon; slopes above ``GROWTH_SLOPE_THRESHOLD`` (0.05)
+count as growth.  Tail vanishing requires the final tail to drop below
+max(TAIL_ABS_TOL, TAIL_REL_TOL * initial tail), a scale-free criterion.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def characteristic_prefix(C, length: int) -> SequencePrefix:
     return SequencePrefix(tuple(1 if i in C else 0 for i in range(1, length + 1)))
 
 
-def fin_certificate(phi: Submeasure, x, *,
-                    slope_threshold: float = GROWTH_SLOPE_THRESHOLD) -> MembershipCertificate:
+def fin_certificate(phi: Submeasure, x) -> MembershipCertificate:
     """Diagnose boundedness of hat-norms along initial truncations of x.
 
     The curve itself is always reported; the verdict is ``growth-detected``
@@ -99,8 +98,8 @@ def fin_certificate(phi: Submeasure, x, *,
     norms = _finite_curve(phi.truncation_norms, x, "truncation")
     slope = _loglog_slope(norms)
     final = float(norms[-1]) if len(norms) else 0.0
-    params = {"slope": slope, "threshold": slope_threshold, "level": final}
-    if slope > slope_threshold:
+    params = {"slope": slope, "threshold": GROWTH_SLOPE_THRESHOLD, "level": final}
+    if slope > GROWTH_SLOPE_THRESHOLD:
         verdict = "growth-detected"
         params["rate"] = slope
     else:
@@ -108,16 +107,14 @@ def fin_certificate(phi: Submeasure, x, *,
     return MembershipCertificate("fin", tuple(norms.tolist()), (), verdict, params)
 
 
-def exh_certificate(phi: Submeasure, x, *,
-                    rel_tol: float = TAIL_REL_TOL,
-                    abs_tol: float = TAIL_ABS_TOL) -> MembershipCertificate:
+def exh_certificate(phi: Submeasure, x) -> MembershipCertificate:
     """Diagnose vanishing of tail hat-norms of x.  A NaN or infinite entry,
     or a hat-norm that overflows the float range, raises
     :class:`~gbv._util.NonFiniteValue`."""
     tails = _finite_curve(phi.tail_norms, x, "tail")
     initial = float(tails[0]) if len(tails) else 0.0
     final = float(tails[-1]) if len(tails) else 0.0
-    threshold = max(abs_tol, rel_tol * initial)
+    threshold = max(TAIL_ABS_TOL, TAIL_REL_TOL * initial)
     params = {"initial": initial, "final": final, "threshold": threshold}
     if final <= threshold:
         verdict = "tail-vanishing-consistent"

@@ -46,6 +46,7 @@ import numpy as np
 from ._util import (
     HorizonExceeded,
     NonFiniteValue,
+    SizeRefusal,
     all_exact,
     ceil_power,
     exact_div,
@@ -55,6 +56,10 @@ from ._util import (
 )
 
 EULER_GAMMA = 0.5772156649015328606065121
+
+#: largest denominator b of a power density param a/b; each g(n) costs a
+#: b-th root of n**a
+POWER_DENOMINATOR_CAP = 1000
 
 Number = Union[int, float, Fraction]
 
@@ -231,15 +236,6 @@ class WatermanWeights:
             return float(self._log_partial_exact(n))
         return self._asymptotic_sum(n)
 
-    def partial_sum_exact(self, n: int):
-        """Exact partial sum by direct summation; O(n), small n only."""
-        if self.form == "log":
-            return self._log_partial_exact(n)
-        total = 0
-        for i in range(1, n + 1):
-            total += self.value_at(i)
-        return total
-
     # -- internals --------------------------------------------------------
 
     def _log_partial_exact(self, n: int) -> Fraction:
@@ -365,6 +361,10 @@ class DensityBound:
             param = param if isinstance(param, Fraction) else Fraction(str(param))
             if not (0 < param <= 1):
                 raise ValueError("power density bounds need 0 < p <= 1")
+            if param.denominator > POWER_DENOMINATOR_CAP:
+                raise SizeRefusal(
+                    f"power density param: the denominator b of a/b is past "
+                    f"{POWER_DENOMINATOR_CAP}, and g(n) = ceil(n**(a/b)) takes a b-th root")
         elif form == "log":
             param = None
         else:
@@ -506,10 +506,9 @@ class Submeasure:
     * ``sorted_hat_is_sup`` -- the hat of a nonincreasing vector is the
       largest hat over its rearrangements, and the hat is monotone under
       prefix-sum domination of nonincreasing vectors.  Where it holds,
-      ``truncation_norms`` also takes a 2-D array and works along its rows.
-    * ``greedy_guarantee`` -- the greedy variation is certified: a lower
-      bound that is exact whenever the runs saturate the modulus.  Declared
-      for weighted sums, density bounds and counting, and their shifts.
+      ``truncation_norms`` also takes a 2-D array and works along its rows,
+      and the greedy variation is certified: a lower bound that is exact
+      whenever the runs saturate the modulus.
     * ``rearrangement_base()`` -- a submeasure whose hat has the same
       supremum over rearrangements of any vector (a permutation wrapper
       ranges over the same orderings as its base).
@@ -530,7 +529,6 @@ class Submeasure:
     horizon: Optional[int] = None
 
     sorted_hat_is_sup: bool = False
-    greedy_guarantee: bool = False
     weights: Optional[WatermanWeights] = None
     bound: Optional[DensityBound] = None
 
@@ -628,7 +626,6 @@ class SummableSubmeasure(Submeasure):
 
     # nonincreasing weights: the rearrangement inequality
     sorted_hat_is_sup = True
-    greedy_guarantee = True
 
     def __init__(self, weights: WatermanWeights):
         self.weights = weights
@@ -719,7 +716,6 @@ class DensitySubmeasure(Submeasure):
 
     # sorting maximizes every prefix sum
     sorted_hat_is_sup = True
-    greedy_guarantee = True
 
     def __init__(self, bound: DensityBound):
         self.bound = bound
@@ -845,7 +841,6 @@ class CountingSubmeasure(Submeasure):
 
     # order-free, and the all-ones weighted sum
     sorted_hat_is_sup = True
-    greedy_guarantee = True
 
     def __repr__(self):
         return "Counting()"
@@ -949,15 +944,11 @@ class ShiftedSubmeasure(Submeasure):
     def horizon(self):
         return self.base.horizon
 
-    # The dyadic weights are nonincreasing, so the base decides both facts.
+    # The dyadic weights are nonincreasing, so the base decides the fact.
     # Not its rearrangement base: the dyadic part is not order-free.
     @property
     def sorted_hat_is_sup(self):
         return self.base.sorted_hat_is_sup
-
-    @property
-    def greedy_guarantee(self):
-        return self.base.greedy_guarantee
 
     def __repr__(self):
         return f"Shifted({self.base!r})"

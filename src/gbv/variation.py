@@ -28,15 +28,19 @@ The same B(B+1)/2 index intervals recur in thousands of families, so their
 oscillations are computed once per function (``_oscillation_table``), with
 integer keys over a common denominator on the exact rail.  The enumeration
 of the modulus walks the family tree carrying each family's running total,
-one addition per family, and still visits every family; the profiles read
-the table and sort exact ones by their integer keys.
+one addition per family, and still visits every family; the left-to-right
+profiles read the table and sort by its keys.
 
-The exact rail scores on integers too.  A variant with ``sorted_hat_is_sup``
+Where the sorted hat is the supremum, the brute force reads one matrix on
+both rails (``_sorted_profile_matrix``): a row per maximal family, its
+oscillations from the table sorted nonincreasing and zero-padded to
+max_count, as integer keys on the exact rail and as floats otherwise.  The
+float rail takes the last column of the base's ``truncation_norms`` of it.
+The exact rail scores on integers.  A variant with ``sorted_hat_is_sup``
 states its hat on nonincreasing vectors as integer linear forms
-(``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x / den), so the
-brute force puts the sorted keys of every maximal family into one integer
-matrix K and scores all of them with one product, max over the rows of
-K @ rows^T.  The scores are hat * den * D for the key scale D, so the first
+(``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x / den), so all the
+rows of the key matrix M are scored with one product, max over the rows of
+M @ rows^T.  The scores are hat * den * D for the key scale D, so the first
 maximal score names the family the per-family loop would return; ``hat`` runs
 once, on that family's profile, and gives the value its type.  The product
 runs on int64 while max key * max form entry * width < 2^62, on Python ints
@@ -373,37 +377,23 @@ def _maximal_index_families(num_points: int, max_count: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _oscillation_profiles(values: tuple, max_count: int, types: tuple, maximal: bool) -> tuple:
-    """Per family: oscillation vector in left-to-right and sorted order,
-    zero oscillations stripped (a family with zeros removed is also
-    enumerated, so stripping loses nothing).  With ``maximal`` only the
-    inclusion-maximal families are enumerated.  The oscillations are read
-    from ``_oscillation_table``; the sorted vector is the stable reverse
-    sort, by the integer keys on the exact rail.
+def _oscillation_profiles(values: tuple, max_count: int, types: tuple) -> tuple:
+    """Per family of ``_index_families``: its ``_profile``, the families
+    with no nonzero oscillation left out (a family with zeros removed is
+    also enumerated, so this loses nothing).  Only the left-to-right search
+    reads these.
 
     ``types`` (the type of each value) is part of the key because equal
     numbers hash alike across int, Fraction and float: without it a function
     would be handed the profiles of a twin whose values have other types."""
-    families = (_maximal_index_families if maximal else _index_families)(len(values), max_count)
-    osc, keys, scale = _oscillation_table(values)
-    profiles = []
-    if scale is None:
-        # floats sort fastest as they are
-        for fam in families:
-            ltr = tuple(v for v in (osc[i][j] for i, j in fam) if v != 0)
-            if ltr:
-                profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
-    else:
-        for fam in families:
-            ltr, srt = _exact_profile(osc, keys, fam)
-            if ltr:
-                profiles.append((ltr, srt))
-    return tuple(profiles)
+    osc, keys, _ = _oscillation_table(values)
+    profiles = (_profile(osc, keys, fam) for fam in _index_families(len(values), max_count))
+    return tuple(p for p in profiles if p[0])
 
 
-def _exact_profile(osc, keys, fam) -> tuple:
-    """The nonzero oscillations of one family on the exact rail, left to
-    right and sorted.  A stable reverse sort by the integer keys orders like
+def _profile(osc, keys, fam) -> tuple:
+    """The nonzero oscillations of one family, left to right and sorted.  A
+    stable reverse sort by the keys of ``_oscillation_table`` orders like
     the values and keeps equal ones (an int and a Fraction, say) in family
     order, which decides the type a hat returns."""
     pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
@@ -413,27 +403,21 @@ def _exact_profile(osc, keys, fam) -> tuple:
 
 @lru_cache(maxsize=64)
 def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
-                           keys: bool) -> np.ndarray:
+                           exact: bool) -> np.ndarray:
     """Sorted profiles of the maximal families, zero-padded.
 
-    With ``keys`` (exact values only) the rows are the integer keys of
-    ``_oscillation_table`` in nonincreasing order, one row of width
-    max_count per maximal family in its order, all-zero rows included,
-    on int64 while the keys fit and on Python ints otherwise.  Without it,
-    the float rows of the nonempty profiles."""
-    if keys:
-        _, key, _ = _oscillation_table(values)
-        rows = [sorted([key[i][j] for i, j in fam], reverse=True)
-                for fam in _maximal_index_families(len(values), max_count)]
-        top = max(row[0] for row in rows)
-        return np.array([row + [0] * (max_count - len(row)) for row in rows],
-                        np.int64 if top < INT64_BOUND else object)
-    profiles = _oscillation_profiles(values, max_count, types, True)
-    width = max((len(s) for _, s in profiles), default=0)
-    M = np.zeros((len(profiles), width))
-    for r, (_, srt) in enumerate(profiles):
-        M[r, :len(srt)] = [float(v) for v in srt]
-    return M
+    One row of width max_count per maximal family in its order, all-zero
+    rows included, nonincreasing.  With ``exact`` (exact values only) the
+    rows hold the integer keys of ``_oscillation_table``, on int64 while
+    they fit and on Python ints otherwise; without it, the oscillations as
+    floats."""
+    osc, keys, _ = _oscillation_table(values)
+    rows = [sorted([keys[i][j] if exact else float(osc[i][j]) for i, j in fam], reverse=True)
+            for fam in _maximal_index_families(len(values), max_count)]
+    rows = [row + [0] * (max_count - len(row)) for row in rows]
+    if not exact:
+        return np.array(rows, float)
+    return np.array(rows, np.int64 if max(row[0] for row in rows) < INT64_BOUND else object)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +443,13 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     inputs with a sorted-optimal base are scored on integers (see the module
     docstring), with the value and type of a loop over the families: the
     first family of top score names it, the int 0 when none oscillates.
-    Float inputs with a sorted-optimal base go through a vectorized pass
-    over the same maximal families: the last column of the base's
-    ``truncation_norms`` of the sorted rows, each row summed left to
-    right.  Its float maximum is the full enumeration's too: with
-    nonnegative weights and a fixed left-to-right order, rounding is
-    monotone, so adding an interval never lowers a row's float hat.
+    A float f or a float phi with a sorted-optimal base reads the same
+    matrix of maximal families with the oscillations as floats: the value is
+    the largest entry of the last column of the base's ``truncation_norms``,
+    each row summed left to right, where the zero padding adds nothing.
+    Its float maximum is the full enumeration's too: with nonnegative
+    weights and a fixed left-to-right order, rounding is monotone, so adding
+    an interval never lowers a row's float hat.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -480,25 +465,25 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     types = tuple(map(type, f.values))
     if not psi.sorted_hat_is_sup:
         best = 0
-        for ltr, srt in _oscillation_profiles(f.values, max_count, types, False):
+        for ltr, srt in _oscillation_profiles(f.values, max_count, types):
             a, b = psi.hat(ltr), psi.hat(srt)
             val = a if a > b else b
             if val > best:
                 best = val
         return best
-    if not (f.is_exact() and phi.is_exact()):
-        M = _sorted_profile_matrix(f.values, max_count, types, False)
-        return float(psi.truncation_norms(M)[:, -1].max()) if M.size else 0.0
-    K = _sorted_profile_matrix(f.values, max_count, types, True)
-    top = int(K[:, 0].max())
+    exact = f.is_exact() and phi.is_exact()
+    M = _sorted_profile_matrix(f.values, max_count, types, exact)
+    if not exact:
+        return float(psi.truncation_norms(M)[:, -1].max())
+    top = int(M[:, 0].max())
     if not top:
         return 0
     forms, _ = psi.sorted_forms(max_count)
     dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
-    scores = (K.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
+    scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
     fam = _maximal_index_families(len(f.values), max_count)[int(np.argmax(scores))]
     osc, keys, _ = _oscillation_table(f.values)
-    return psi.hat(_exact_profile(osc, keys, fam)[1])
+    return psi.hat(_profile(osc, keys, fam)[1])
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
@@ -506,11 +491,11 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
 
     A lower bound of the true variation; exact exactly when the k largest
     runs attain the k-interval modulus for every k (``runs_saturate_modulus``)
-    and ``phi.greedy_guarantee`` holds (weighted sums, density bounds,
-    counting, their shifted wrappers).  For other variants a warning flags
+    and ``phi.sorted_hat_is_sup`` holds, since then
+    greedy <= brute <= upper = greedy.  For other variants a warning flags
     that not even the lower-bound ordering argument is available.
     """
-    if not phi.greedy_guarantee:
+    if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
@@ -577,7 +562,7 @@ def bv_norm_detail(f: PiecewiseLinearFunction, phi: Submeasure,
         exact = phi.rearrangement_base().sorted_hat_is_sup
     elif method == "greedy":
         var = variation_greedy(f, phi)
-        exact = phi.greedy_guarantee and runs_saturate_modulus(f)
+        exact = phi.sorted_hat_is_sup and runs_saturate_modulus(f)
     else:
         raise ValueError(f"unknown method {method!r}")
     return BVNormResult(abs(f.values[0]) + var, var, method, exact)

@@ -30,6 +30,7 @@ BAD_DESCRIPTORS = [
     {"type": "summable", "form": "power", "param": "1/0"},
     {"type": "summable", "form": "power", "param": -1},
     {"type": "summable", "form": "power", "param": 10 ** 400},
+    {"type": "summable", "form": "harmonic", "horizon": 10 ** 30},
     {"type": "summable", "form": "table", "table": []},
     {"type": "summable", "form": "table", "table": ["1/0"]},
     {"type": "summable", "form": "table", "table": ["nan"]},
@@ -45,6 +46,8 @@ BAD_DESCRIPTORS = [
     {"type": "density", "form": "power", "param": 2},
     {"type": "density", "form": "power", "param": None},
     {"type": "density", "form": "power", "param": "-1/2"},
+    {"type": "density", "form": "power", "param": 0.3333333333333333},
+    {"type": "density", "form": "power", "param": "1e-400"},
     {"type": "density", "form": "table", "table": [1, 1]},
     {"type": "density", "form": "table", "table": [1, "1/0"]},
     {"type": "density", "form": "table", "table": ["x"]},

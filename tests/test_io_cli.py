@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gbv._util import DescriptorError, NonFiniteValue
+from gbv._util import MAX_HORIZON, DescriptorError, NonFiniteValue, SizeRefusal
 from gbv.io import (
     load_function_csv,
     load_sequence,
@@ -367,6 +367,66 @@ def test_density_param_with_a_zero_denominator_is_a_named_input_error(workdir, c
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err == "error: field 'param': zero denominator in '1/0'\n"
+
+
+def test_density_power_param_with_a_large_numerator_gives_a_report(workdir, capsys):
+    from gbv.cli import main
+
+    # g(n) = ceil(n**(99/100)) takes a 100th root of n**99, past the float range
+    (workdir / "p99.json").write_text(
+        json.dumps({"type": "density", "form": "power", "param": 0.99}))
+    for a, b in (("p99.json", "sqrt.json"), ("sqrt.json", "p99.json")):
+        rc = main(["compare", "--relation", "preceq", "--a", str(workdir / a),
+                   "--b", str(workdir / b)])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2) and err == "", err
+        assert json.loads(out)["result"]["verdict"]
+
+
+@pytest.mark.parametrize("param", [0.3333333333333333, "1e-400"])
+def test_density_power_param_past_the_denominator_cap_is_refused(workdir, capsys, param):
+    from gbv.cli import main
+
+    desc = {"type": "density", "form": "power", "param": param}
+    with pytest.raises(SizeRefusal, match="denominator b of a/b is past 1000"):
+        submeasure_from_descriptor(desc)
+    (workdir / "p.json").write_text(json.dumps(desc))
+    rc = main(["compare", "--relation", "preceq", "--a", str(workdir / "p.json"),
+               "--b", str(workdir / "sqrt.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: power density param: the denominator b of a/b is past 1000")
+
+
+def test_descriptor_horizon_past_the_cap_is_refused(workdir, capsys):
+    from gbv.cli import main
+
+    assert MAX_HORIZON == 2 ** 20
+    assert submeasure_from_descriptor({"type": "unit", "horizon": MAX_HORIZON}) is not None
+    desc = {"type": "summable", "form": "harmonic", "horizon": 10 ** 12}
+    with pytest.raises(SizeRefusal, match="field 'horizon': 1000000000000 is past the cap"):
+        submeasure_from_descriptor(desc)
+    (workdir / "far.json").write_text(json.dumps(desc))
+    rc = main(["compare", "--relation", "preceq", "--a", str(workdir / "far.json"),
+               "--b", str(workdir / "harmonic.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "error: field 'horizon': 1000000000000 is past the cap 1048576\n"
+
+
+def test_cli_horizon_past_the_cap_is_refused(workdir, capsys):
+    from gbv.cli import main
+
+    far = str(MAX_HORIZON + 1)
+    for argv in (["compare", "--relation", "criterion_c", "--a", str(workdir / "counting.json"),
+                  "--b", str(workdir / "counting.json"), "--horizon", far],
+                 ["construct", "--kind", "separating", "--weights",
+                  str(workdir / "harmonic.json"), "--g", str(workdir / "sqrt.json"),
+                  "--horizon", far]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: --horizon 1048577 is past the cap 1048576\n"
 
 
 def test_cli_usage_error_exits_one(capsys):

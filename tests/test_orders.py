@@ -383,8 +383,7 @@ def test_criterion_c_density_pair_interval_scan():
 
 
 def test_criterion_c_exhaustive_finds_non_interval_witnesses():
-    r = ideal_criterion_c(summable(harmonic_weights(12)), counting(), horizon=12,
-                          M=2, exhaustive_limit=20)
+    r = ideal_criterion_c(summable(harmonic_weights(12)), counting(), horizon=12, M=2)
     # phi1(F) <= 1/2 needs small harmonic mass, phi2 = |F| >= 2: {7, 8} works
     assert r.verdict == "violated-by-witness"
     assert summable(harmonic_weights(12)).set_value(r.witness) <= F(1, 2)

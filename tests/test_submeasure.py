@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import HorizonExceeded, NonFiniteValue, exact_div
+from gbv._util import HorizonExceeded, NonFiniteValue, SizeRefusal, exact_div, iroot_floor
 from gbv.submeasure import (
     CountingSubmeasure,
     DensityBound,
@@ -510,6 +510,23 @@ def test_sorted_forms_are_stated_only_where_the_sorted_hat_is_the_sup():
             phi.sorted_forms(2)
 
 
+def test_power_density_g_is_the_exact_ceiling():
+    # n**a for a = 99 or 999 is past the float range, which a float seed of
+    # the root cannot take
+    for p in (F(99, 100), F(999, 1000), F(3, 4), F(1, 3), F(2, 7)):
+        bound = DensityBound("power", p)
+        a, b = p.numerator, p.denominator
+        for n in list(range(1, 60)) + [2 ** 20, 10 ** 30 + 7]:
+            g = bound.g(n)
+            assert (g - 1) ** b < n ** a <= g ** b, (p, n, g)
+    for n, k in ((10 ** 30, 1000), (2 ** 20000 - 1, 3), (3 ** 4000, 999), (5 ** 30, 30)):
+        r = iroot_floor(n, k)
+        assert r ** k <= n < (r + 1) ** k, (n, k)
+    with pytest.raises(SizeRefusal, match="denominator b of a/b is past 1000"):
+        DensityBound("power", F(1, 1001))
+    assert DensityBound("power", F(1, 1000)).g(2) == 2
+
+
 def test_density_table_validation():
     with pytest.raises(ValueError):
         density_from_table([2, 1])        # decreasing
@@ -532,8 +549,13 @@ def test_horizon_errors():
 
 def test_log_weights_partial_sums():
     w = log_weights(10)
-    assert w.partial_sum_exact(10) == F(49, 12)
+    assert w._log_partial_exact(10) == F(49, 12)
     assert w.partial_sum(10) == pytest.approx(float(F(49, 12)))
+    # past the float cache the exact block sums answer: a_i = 1/k on the
+    # 2^(k-1) indices of block k, so 18 full blocks and 5 of the 19th
+    full = sum(F(2 ** (k - 1), k) for k in range(1, 19))
+    assert w.partial_sum(2 ** 18 - 1) == float(full)
+    assert w.partial_sum(2 ** 18 + 4) == float(full + F(5, 19))
 
 
 def test_harmonic_asymptotic_partial_sum():

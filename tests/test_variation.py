@@ -226,19 +226,34 @@ def summed_per_family_modulus(f, n_max):
     return tuple(best)
 
 
-def subtracted_per_family_profiles(values, max_count, maximal):
+def subtracted_per_family_profiles(values, max_count):
     """The profiles with each oscillation subtracted per family: the reference
     for ``_oscillation_profiles`` read from the table."""
-    from gbv.variation import _index_families, _maximal_index_families
+    from gbv.variation import _index_families
 
-    families = (_maximal_index_families if maximal else _index_families)(len(values), max_count)
     profiles = []
-    for fam in families:
+    for fam in _index_families(len(values), max_count):
         ltr = tuple(v for v in (abs(values[j] - values[i]) for i, j in fam) if v != 0)
         if not ltr:
             continue
         profiles.append((ltr, tuple(sorted(ltr, reverse=True))))
     return tuple(profiles)
+
+
+def subtracted_sorted_rows(values, max_count, exact):
+    """Each maximal family's oscillations subtracted per family, sorted
+    nonincreasing and zero-padded to max_count: as integer numerators over
+    the lcm of the value denominators with ``exact``, as floats otherwise.
+    The reference for ``_sorted_profile_matrix``."""
+    from gbv.variation import _maximal_index_families
+
+    scale = math.lcm(*(v.denominator for v in values)) if exact else None
+    rows = []
+    for fam in _maximal_index_families(len(values), max_count):
+        osc = [abs(values[j] - values[i]) for i, j in fam]
+        row = [int(v * scale) if exact else float(v) for v in osc]
+        rows.append(sorted(row, reverse=True) + [0 if exact else 0.0] * (max_count - len(row)))
+    return rows
 
 
 def typed(x):
@@ -259,7 +274,7 @@ VALUE_KINDS = {"int": _ints, "fraction": _fractions, "mixed": st.one_of(_ints, _
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_table_walk_and_profiles_match_the_per_family_sums(data):
-    from gbv.variation import _oscillation_profiles
+    from gbv.variation import _oscillation_profiles, _sorted_profile_matrix
 
     kind = data.draw(st.sampled_from(sorted(VALUE_KINDS)), label="kind")
     B = data.draw(st.integers(1, 9), label="B")
@@ -271,10 +286,13 @@ def test_table_walk_and_profiles_match_the_per_family_sums(data):
     assert typed(got) == typed(summed_per_family_modulus(f, n_max))
     max_count = data.draw(st.integers(1, B), label="max_count")
     types = tuple(map(type, values))
-    for maximal in (False, True):
-        got = _oscillation_profiles(values, max_count, types, maximal)
-        want = subtracted_per_family_profiles(values, max_count, maximal)
-        assert typed(got) == typed(want), maximal
+    got = _oscillation_profiles(values, max_count, types)
+    assert typed(got) == typed(subtracted_per_family_profiles(values, max_count))
+    # float rows for a float f, and for an exact f under a float phi
+    for exact in (False, True) if f.is_exact() else (False,):
+        got = _sorted_profile_matrix(values, max_count, types, exact).tolist()
+        want = subtracted_sorted_rows(values, max_count, exact)
+        assert [typed(tuple(row)) for row in got] == [typed(tuple(row)) for row in want], exact
 
 
 def test_table_walk_edge_cases():
@@ -286,7 +304,7 @@ def test_table_walk_edge_cases():
         got = modulus_by_enumeration(f).values
         assert got == (0,) * len(values) and all(type(v) is int for v in got), values
         assert modulus_by_enumeration(f, 0).values == (0,)
-        assert _oscillation_profiles(values, f.segments, tuple(map(type, values)), False) == ()
+        assert _oscillation_profiles(values, f.segments, tuple(map(type, values))) == ()
     assert modulus_by_enumeration(zigzag(), 0).values == (0,)
     # mixed int/Fraction: an entry is a Fraction exactly when the first family
     # to reach it has a Fraction oscillation, so equal values can differ in type
@@ -418,10 +436,11 @@ def test_permutation_invariance_of_bruteforce():
 
 def test_greedy_warns_off_guarantee():
     with pytest.warns(UserWarning):
-        variation_greedy(tent(), unit())
+        variation_greedy(tent(), max_with_unit(unit()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         variation_greedy(tent(), counting())     # all-ones weights: guaranteed
+        variation_greedy(tent(), unit())         # the sorted hat is the sup
 
 
 def test_bruteforce_size_refusal():
@@ -459,6 +478,11 @@ def test_bv_norm_detail_flags():
     g = bv_norm_detail(merging_runs_function(), summable(harmonic_weights(3)),
                        method="greedy")
     assert not g.exact                       # runs do not saturate the modulus
+    # alternating with nonincreasing amplitudes: the runs saturate the modulus
+    f = pl_from_points([(0, 0), (F(1, 4), 4), (F(1, 2), 1), (F(3, 4), 3), (1, 2)])
+    for phi in (unit(), shift_normalize(unit())):
+        g = bv_norm_detail(f, phi, method="greedy")
+        assert g.exact and g.variation == variation_bruteforce(f, phi)
 
 
 def test_sorted_family_evaluation_dominates_unsorted():
@@ -470,8 +494,7 @@ def test_sorted_family_evaluation_dominates_unsorted():
     rng = random.Random(47)
     for _ in range(10):
         f = random_plf(rng, max_b=5)
-        profiles = _oscillation_profiles(f.values, f.segments, tuple(map(type, f.values)),
-                                         False)
+        profiles = _oscillation_profiles(f.values, f.segments, tuple(map(type, f.values)))
         for phi in (summable(harmonic_weights(8)), density(sqrt_bound())):
             for ltr, srt in profiles:
                 assert hat_norm(phi, srt) >= hat_norm(phi, ltr)
@@ -549,7 +572,7 @@ def test_ordering_facts_hold_on_every_wrapper_stack():
                 greedy = variation_greedy(f, phi)
                 upper = variation_upper_bound(f, phi)
             said = " ".join(str(w.message) for w in caught)
-            assert ("greedy" in said) != phi.greedy_guarantee, phi
+            assert ("greedy" in said) != phi.sorted_hat_is_sup, phi
             assert ("upper bound" in said) != phi.sorted_hat_is_sup, phi
             if not psi.sorted_hat_is_sup:
                 continue
@@ -557,10 +580,8 @@ def test_ordering_facts_hold_on_every_wrapper_stack():
             exact = variation_bruteforce(f, phi)
             fast = variation_bruteforce(float_twin(f), phi)
             assert abs(fast - float(exact)) <= 1e-9 * max(1.0, float(exact)), (phi, f)
-            if phi.greedy_guarantee:
-                assert greedy <= exact, (phi, f)
             if phi.sorted_hat_is_sup:
-                assert exact <= upper, (phi, f)
+                assert greedy <= exact <= upper, (phi, f)
 
 
 def test_maximal_families_are_the_inclusion_maximal_ones():
@@ -659,16 +680,20 @@ def per_family_bruteforce(f, phi, max_count):
     """The exact brute force as a loop over the maximal families' sorted
     profiles, one ``hat`` per family, the first largest winning: the
     reference for the integer scoring."""
-    from gbv.variation import _oscillation_profiles
+    from gbv.variation import _maximal_index_families
 
     psi = phi.rearrangement_base()
     if phi.horizon is not None:
         max_count = min(max_count, phi.horizon)
+    y = f.values
     best = 0
-    for _, srt in _oscillation_profiles(f.values, max_count, tuple(map(type, f.values)), True):
-        val = psi.hat(srt)
-        if val > best:
-            best = val
+    for fam in _maximal_index_families(len(y), max_count):
+        srt = tuple(sorted((v for v in (abs(y[j] - y[i]) for i, j in fam) if v != 0),
+                           reverse=True))
+        if srt:
+            val = psi.hat(srt)
+            if val > best:
+                best = val
     return best
 
 

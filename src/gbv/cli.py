@@ -190,9 +190,9 @@ def _cmd_variation(args) -> int:
     return OK
 
 
-def _check_horizon(horizon: int) -> int:
+def _check_horizon(horizon: int, flag: str = "--horizon") -> int:
     if horizon > MAX_HORIZON:
-        raise SizeRefusal(f"--horizon {horizon} is past the cap {MAX_HORIZON}")
+        raise SizeRefusal(f"{flag} {horizon} is past the cap {MAX_HORIZON}")
     return horizon
 
 
@@ -262,9 +262,10 @@ def _cmd_construct(args) -> int:
         _, cert = zigzag_from_sequence(load_sequence(args.sequence), phi)
     elif kind == "exh-not-fin":
         _need(args, "phi1", "phi2")
+        search_len = _check_horizon(args.search_len, "--search-len")
         cert = exh_minus_fin_sequence(load_submeasure(args.phi1),
                                       load_submeasure(args.phi2),
-                                      args.depth, args.search_len, args.monotone)
+                                      args.depth, search_len, args.monotone)
     elif kind == "separating":
         _need(args, "weights", "g")
         weights = load_submeasure(args.weights).weights

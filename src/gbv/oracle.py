@@ -47,13 +47,14 @@ than :data:`ORACLE_MAX_LEN`, and NaN or infinite entries; zeros cost nothing.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 from ._util import INT64_BOUND as _INT64_SCAN_BOUND
-from ._util import SizeRefusal, all_exact
+from ._util import NonFiniteValue, SizeRefusal, all_exact
 from .submeasure import Submeasure, finite_entries
 
 ORACLE_MAX_LEN = 12
@@ -65,7 +66,8 @@ def hat_norm_oracle(phi: Submeasure, x):
     Arithmetic is rational throughout (float inputs are converted exactly),
     so the result is the true LP value of the represented data.  Returns a
     Fraction when both phi and x are exact, else a float.  A NaN or
-    infinite entry raises :class:`~gbv._util.NonFiniteValue`.
+    infinite entry, or a float result past the float range, raises
+    :class:`~gbv._util.NonFiniteValue`.
     """
     entries = finite_entries(x)
     support = [i + 1 for i, v in enumerate(entries) if v]
@@ -103,8 +105,17 @@ def hat_norm_oracle(phi: Submeasure, x):
         violations = sums - phi_arr.astype(dtype, copy=False) * phi_scale
         worst = int(np.argmax(violations))
         if violations[worst] <= 0:
-            return value if exact else float(value)
+            return value if exact else _as_float(value)
         tableau.add_row(worst)
+
+
+def _as_float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        approx = Decimal(value.numerator) / value.denominator
+        raise NonFiniteValue(
+            f"the hat-norm value {approx:.6e} overflows a float ({exc})") from exc
 
 
 class _Tableau:

@@ -26,17 +26,28 @@ later ones to other weights, so that path enumerates every family; so does
 
 The same B(B+1)/2 index intervals recur in thousands of families, so their
 oscillations are computed once per function (``_oscillation_table``), with
-integer keys over a common denominator on the exact rail.  The enumeration
-of the modulus walks the family tree carrying each family's running total,
-one addition per family, and still visits every family; the left-to-right
-profiles read the table and sort by its keys.
+integer keys over a common denominator on the exact rail; the left-to-right
+profiles read the table and sort by its keys.  The families depend only on
+B and the cap, so ``_family_tree`` lays them out once as integer index
+arrays into the flattened table, cell i * (B + 1) + j for the interval
+(i, j): for each family size k, each family's parent (its position among
+the families of k - 1 intervals once its last interval is dropped) and
+the cell of that last interval; and the cells of each maximal family,
+zero-padded, cell 0 holding a 0.  The enumeration of the modulus is one
+numpy gather and addition per size, total = total[parent] + grid[cell],
+so every family is still scored, summed left to right, and the first
+argmax of a size is the first family of ``_index_families`` to reach its
+maximum.  Its grid is int64 on the exact rail while n_max times the top key
+fits, float64 when every value is a float, and Python objects otherwise
+(int, Fraction and float mixed, or keys past int64), on which numpy runs
+Python's own arithmetic and comparisons.
 
 Where the sorted hat is the supremum, the brute force reads one matrix on
-both rails (``_sorted_profile_matrix``): a row per maximal family, its
-oscillations from the table sorted nonincreasing and zero-padded to
-max_count, as integer keys on the exact rail and as floats otherwise.  The
-float rail takes the last column of the base's ``truncation_norms`` of it.
-The exact rail scores on integers.  A variant with ``sorted_hat_is_sup``
+both rails (``_sorted_profile_matrix``): the grid gathered through the
+maximal families' cells, a row per family sorted nonincreasing, as integer
+keys on the exact rail and as floats otherwise.  The float rail takes the
+last column of the base's ``truncation_norms`` of it.  The exact rail
+scores on integers.  A variant with ``sorted_hat_is_sup``
 states its hat on nonincreasing vectors as integer linear forms
 (``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x / den), so all the
 rows of the key matrix M are scored with one product, max over the rows of
@@ -277,16 +288,21 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
 def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
     """Brute-force modulus: exhaustive over breakpoint interval families.
 
-    Every family of ``_index_families(B + 1, n_max)`` is visited, in its
-    order, by a depth-first walk that carries the family's running total, so
-    a family costs one addition to its parent's total and one comparison.
-    The oscillations come from ``_oscillation_table``: integer keys on the
-    exact rail, mapped back to an int or a Fraction at the end, and the float
-    oscillations themselves otherwise, summed left to right as a loop over
-    the family would.  The first family to reach a size's maximum names it,
-    so an entry is a Fraction exactly when that family has a Fraction
-    oscillation.  Nothing is pruned and nothing is shared with the DP, which
-    this function checks.
+    Every family of ``_index_families(B + 1, n_max)`` is scored, level by
+    level of ``_family_tree``: the totals of the families of k intervals are
+    their parents' totals plus the keys of their last intervals, one numpy
+    gather and addition per level, so each family is summed left to right
+    as a loop over it would.  The keys come from ``_oscillation_table`` as
+    one flat grid: on the exact rail the integer keys, on int64 while
+    n_max times the top key is below ``INT64_BOUND`` and as Python ints
+    otherwise, mapped back to an int or a Fraction at the end; float64 when
+    every value is a float; and the oscillations as Python objects
+    otherwise (int, Fraction and float mixed), whose sums then have the
+    values and types of Python arithmetic.  The first family to reach a
+    size's maximum (the first argmax, if positive) names it, so an entry is
+    a Fraction exactly when that family, read back along its parent links,
+    has a Fraction oscillation.  Nothing is pruned and nothing is shared
+    with the DP, which this function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -294,28 +310,28 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     if n_max is None:
         n_max = B
     osc, keys, scale = _oscillation_table(f.values)
-    is_frac = [[isinstance(v, Fraction) for v in row] for row in osc]
-    best = [0] * (n_max + 1)
-    won_frac = [False] * (n_max + 1)
-
-    def walk(start, total, frac, k):
-        # the families extending one parent by an interval (i, j), i >= start
-        top, top_frac = best[k], won_frac[k]
-        deeper = k < n_max
-        for i in range(start, B):
-            key_row, frac_row = keys[i], is_frac[i]
-            for j in range(i + 1, B + 1):
-                t = total + key_row[j]
-                if t > top:
-                    top, top_frac = t, frac or frac_row[j]
-                if deeper and j < B:
-                    walk(j, t, frac or frac_row[j], k + 1)
-        best[k], won_frac[k] = top, top_frac
-
-    if n_max:
-        walk(0, 0, False, 1)
     if scale is not None:
-        best = [Fraction(t, scale) if frac else t // scale for t, frac in zip(best, won_frac)]
+        grid = _int_grid(keys, max(n_max, 1))
+    elif all(type(v) is float for v in f.values):
+        grid = np.array(osc, float).ravel()
+    else:
+        grid = np.array(osc, object).ravel()
+    best = [0] * (n_max + 1)
+    won = [None] * (n_max + 1)
+    total = np.zeros(1, grid.dtype)
+    levels = _family_tree(B + 1, n_max)[0] if n_max > 0 else ()
+    # float sums overflow to inf without a word, as Python's do
+    with np.errstate(over="ignore"):
+        for k, (parent, cell) in enumerate(levels, 1):
+            total = total[parent] + grid[cell]
+            at = int(np.argmax(total))
+            if total.item(at) > 0:
+                best[k], won[k] = total.item(at), at
+    if scale is not None:
+        for k in range(1, n_max + 1):
+            frac = won[k] is not None and any(
+                isinstance(osc[i][j], Fraction) for i, j in _family_at(levels, k, won[k], B + 1))
+            best[k] = Fraction(best[k], scale) if frac else best[k] // scale
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
             best[k] = best[k - 1]
@@ -325,22 +341,31 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
 def _oscillation_table(values: tuple) -> tuple:
     """Each oscillation |y_j - y_i|, i < j, computed once, with a comparison key.
 
-    Returns ``(osc, keys, scale)`` as rows indexed ``[i][j]``, None for
-    j <= i.  ``osc`` holds the objects the subtraction makes (int, Fraction
-    or float).  On the exact rail (every value an int or a Fraction) ``scale``
-    is the lcm D of the value denominators and ``keys[i][j]`` the int
-    numerator of the oscillation over D, so key sums and comparisons are
-    integer operations in the same order; otherwise ``scale`` is None and the
-    keys are the oscillations themselves."""
+    Returns ``(osc, keys, scale)`` as square rows indexed ``[i][j]``, the int
+    0 for j <= i (so cell (0, 0) of a flattened grid is 0).  ``osc`` holds
+    the objects the subtraction makes (int, Fraction or float).  On the
+    exact rail (every value an int or a Fraction) ``scale`` is the lcm D of
+    the value denominators and ``keys[i][j]`` the int numerator of the
+    oscillation over D, so key sums and comparisons are integer operations
+    in the same order; otherwise ``scale`` is None and the keys are the
+    oscillations themselves."""
     n = len(values)
-    osc = [[None] * (i + 1) + [abs(values[j] - values[i]) for j in range(i + 1, n)]
+    osc = [[0] * (i + 1) + [abs(values[j] - values[i]) for j in range(i + 1, n)]
            for i in range(n)]
     if not all_exact(values):
         return osc, osc, None
     nums, scale = over_common_denominator(values)
-    keys = [[None] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
+    keys = [[0] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
             for i in range(n)]
     return osc, keys, scale
+
+
+def _int_grid(keys, terms: int) -> np.ndarray:
+    """The integer keys of ``_oscillation_table`` as one flat array, on int64
+    while a sum of ``terms`` of them fits (top key * terms < INT64_BOUND)
+    and on Python ints (object) otherwise."""
+    top = max(map(max, keys))
+    return np.array(keys, np.int64 if top * terms < INT64_BOUND else object).ravel()
 
 
 @lru_cache(maxsize=128)
@@ -376,6 +401,67 @@ def _maximal_index_families(num_points: int, max_count: int) -> tuple:
                      and all(a[1] == b[0] for a, b in zip(fam, fam[1:]))))
 
 
+@lru_cache(maxsize=128)
+def _family_tree(num_points: int, max_count: int) -> tuple:
+    """The families of ``_index_families(num_points, max_count)`` as
+    read-only integer index arrays into a flat grid of per-interval keys,
+    the interval (i, j) at cell i * num_points + j.
+
+    Returns ``(levels, maximal)``.  ``levels[k - 1]`` is a pair of arrays
+    ``(parent, cell)`` over the families of k intervals, in their order in
+    ``_index_families``, for each size k that occurs: ``parent`` is the
+    position in level k - 1 of the family without its last interval (0,
+    the empty family, for k = 1) and ``cell`` the cell of that last
+    interval, so a family's left-to-right key total is its parent's plus
+    ``grid[cell]``.  ``_index_families`` lists a family's extensions by
+    their last interval, in (i, j) order, before its next sibling, so a
+    level lists the children of each parent in turn, and the children of a
+    family ending at point e are the intervals with i >= e: a suffix of the
+    list of all intervals.  ``maximal`` has a row per family of
+    ``_maximal_index_families``, its cells zero-padded to max_count: cell 0
+    is (0, 0), whose key is 0, so ``grid[maximal]`` is the zero-padded key
+    matrix of those families."""
+    intervals = [(i, j) for i in range(num_points - 1) for j in range(i + 1, num_points)]
+    cells = np.array([i * num_points + j for i, j in intervals], np.intp)
+    ends = np.array([j for _, j in intervals], np.intp)
+    # first[e]: the first interval with i >= e
+    first = np.searchsorted(np.array([i for i, _ in intervals], np.intp),
+                            np.arange(num_points))
+    levels = []
+    # the point where each family of the level before ends; the empty family at 0
+    last = np.zeros(1, np.intp)
+    for _ in range(max_count):
+        start = first[last]
+        count = len(intervals) - start
+        if not count.any():
+            break
+        # child t of the level is interval start[p] + (t - offset[p]) of parent p
+        offset = np.cumsum(count) - count
+        pick = np.repeat(start - offset, count) + np.arange(count.sum())
+        levels.append((_read_only(np.repeat(np.arange(len(last)), count)),
+                       _read_only(cells[pick])))
+        last = ends[pick]
+    families = _maximal_index_families(num_points, max_count)
+    maximal = np.array([[i * num_points + j for i, j in fam] + [0] * (max_count - len(fam))
+                        for fam in families], np.intp).reshape(len(families), max_count)
+    return tuple(levels), _read_only(maximal)
+
+
+def _family_at(levels, k: int, at: int, num_points: int) -> list:
+    """Family ``at`` of size k in the ``levels`` of ``_family_tree`` as its
+    index intervals, last first, read back along its parent links."""
+    family = []
+    for parent, cell in reversed(levels[:k]):
+        family.append(divmod(int(cell[at]), num_points))
+        at = int(parent[at])
+    return family
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def _oscillation_profiles(values: tuple, max_count: int, types: tuple) -> tuple:
     """Per family of ``_index_families``: its ``_profile``, the families
@@ -407,17 +493,16 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
     """Sorted profiles of the maximal families, zero-padded.
 
     One row of width max_count per maximal family in its order, all-zero
-    rows included, nonincreasing.  With ``exact`` (exact values only) the
-    rows hold the integer keys of ``_oscillation_table``, on int64 while
-    they fit and on Python ints otherwise; without it, the oscillations as
-    floats."""
+    rows included, nonincreasing, C-contiguous: the key grid gathered
+    through the ``maximal`` cells of ``_family_tree`` and sorted row by
+    row.  With ``exact`` (exact values only) the grid holds the integer
+    keys of ``_oscillation_table``, on int64 while the top key is below
+    ``INT64_BOUND`` and on Python ints otherwise; without it, the
+    oscillations as floats."""
     osc, keys, _ = _oscillation_table(values)
-    rows = [sorted([keys[i][j] if exact else float(osc[i][j]) for i, j in fam], reverse=True)
-            for fam in _maximal_index_families(len(values), max_count)]
-    rows = [row + [0] * (max_count - len(row)) for row in rows]
-    if not exact:
-        return np.array(rows, float)
-    return np.array(rows, np.int64 if max(row[0] for row in rows) < INT64_BOUND else object)
+    grid = _int_grid(keys, 1) if exact else np.array(osc, float).ravel()
+    rows = np.sort(grid[_family_tree(len(values), max_count)[1]], axis=1)
+    return np.ascontiguousarray(rows[:, ::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,9 @@ BAD_SEQUENCE_DESCRIPTORS = [
 ]
 
 TENT = "0,0\n1/2,1\n1,0\n"
+# finite values whose oscillations sum past the float range
+HUGE = "0,0\n1/2,1.7e308\n1,7e307\n"
+MAX_UNIT_COUNTING = {"type": "counting", "wrap": ["max_unit"]}
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,8 @@ def files(tmp_path_factory):
     sequences += [put("xdtext.json", "{"), str(d / "missing_x.csv")]
     return {"valid": valid, "bad": bad, "functions": functions, "sequences": sequences,
             "tent": put("tent.csv", TENT), "seq": put("seq.csv", "1\n1/2\n1/3\n"),
+            "huge": put("huge.csv", HUGE),
+            "max_unit_counting": put("max_unit_counting.json", json.dumps(MAX_UNIT_COUNTING)),
             "no_dir": str(d / "no_dir" / "out.json")}
 
 
@@ -121,6 +126,8 @@ def _variation(f):
               "--modulus", n] for n in ("-1", "0")]
     cmds.append(["variation", "--function", f["tent"], "--submeasure", v["counting"],
                  "--output", f["no_dir"]])
+    cmds += [["variation", "--function", f["huge"], "--submeasure", s]
+             for s in [f["max_unit_counting"], *v.values()]]
     return cmds
 
 
@@ -189,6 +196,8 @@ def _construct(f):
             ["construct", "--kind", "separating", "--weights", v["harmonic"],
              "--g", v["sqrt"], "--horizon", n],
         ]
+    cmds.append(["construct", "--kind", "exh-not-fin", "--phi1", v["harmonic"],
+                 "--phi2", v["counting"], "--search-len", "1000000000000"])
     cmds += [["construct", "--kind", kind]
              for kind in ("density-witness", "density-set", "zigzag", "exh-not-fin",
                           "separating", "permuted-demo")]

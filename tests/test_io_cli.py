@@ -429,6 +429,32 @@ def test_cli_horizon_past_the_cap_is_refused(workdir, capsys):
         assert err == "error: --horizon 1048577 is past the cap 1048576\n"
 
 
+def test_cli_search_len_past_the_cap_is_refused(workdir, capsys):
+    from gbv.cli import main
+
+    for length in (str(MAX_HORIZON + 1), "1000000000000"):
+        rc = main(["construct", "--kind", "exh-not-fin", "--phi1", str(workdir / "harmonic.json"),
+                   "--phi2", str(workdir / "counting.json"), "--search-len", length])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: --search-len {length} is past the cap 1048576\n"
+
+
+def test_cli_variation_past_the_float_range_is_a_named_error(workdir, capsys):
+    # a max-with-unit base searches left to right through the oracle, whose
+    # float hat-norm of the family (1.7e308, 1e308) passes the float range
+    from gbv.cli import main
+
+    (workdir / "huge.csv").write_text("0,0\n1/2,1.7e308\n1,7e307\n")
+    (workdir / "max_unit.json").write_text(json.dumps({"type": "counting",
+                                                       "wrap": ["max_unit"]}))
+    rc = main(["variation", "--function", str(workdir / "huge.csv"),
+               "--submeasure", str(workdir / "max_unit.json")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: the hat-norm value 2.700000e+308 overflows a float")
+
+
 def test_cli_usage_error_exits_one(capsys):
     from gbv.cli import main
 

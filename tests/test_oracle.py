@@ -46,6 +46,15 @@ def test_oracle_refuses_non_finite_entries(bad):
         hat_norm_oracle(max_with_unit(summable(harmonic_weights(4))), (1, 0, bad))
 
 
+def test_oracle_float_value_past_the_float_range_is_refused():
+    # finite float entries whose exact hat-norm passes the largest float
+    with pytest.raises(NonFiniteValue, match=r"hat-norm value 2\.400000e\+308 overflows a float"):
+        hat_norm_oracle(counting(), [1.7e308, 7e307])
+    with pytest.raises(NonFiniteValue, match="overflows a float"):
+        hat_norm_oracle(max_with_unit(counting()), [F(17, 10) * 10 ** 308, 7e307])
+    assert hat_norm_oracle(counting(), [1.7e308, 1e306]) == 1.7e308 + 1e306
+
+
 def test_size_refusal():
     with pytest.raises(SizeRefusal):
         hat_norm_oracle(counting(), (1,) * 13)

@@ -320,31 +320,70 @@ def test_table_walk_edge_cases():
         == (0, 2, 4, 6)
 
 
-def test_table_walk_visits_every_family(monkeypatch):
-    # each family adds one key to its parent's total, so the walk reads as
-    # many keys as there are families: it prunes nothing
+def test_table_walk_visits_every_family():
+    # nothing is pruned: the levels of the family tree hold one entry per
+    # family of _index_families, in its order, and following the parent
+    # links and cells back from an entry rebuilds its family
     from gbv import variation as V
 
-    reads = []
+    for B in range(1, 8):
+        points = B + 1
+        for n_max in range(B + 2):
+            families = V._index_families(points, n_max)
+            levels, maximal = V._family_tree(points, n_max)
+            rebuilt = [[()]]
+            for parent, cell in levels:
+                assert not parent.flags.writeable and not cell.flags.writeable
+                assert len(parent) == len(cell)
+                rebuilt.append([rebuilt[-1][p] + (divmod(c, points),)
+                                for p, c in zip(parent.tolist(), cell.tolist())])
+            for k, level in enumerate(rebuilt[1:], 1):
+                assert level == [fam for fam in families if len(fam) == k]
+            assert sum(map(len, rebuilt[1:])) == len(families), (B, n_max)
+            # the maximal rows are their families' cells, zero-padded
+            assert maximal.shape == (len(V._maximal_index_families(points, n_max)), n_max)
+            assert [tuple(divmod(c, points) for c in row if c) for row in maximal.tolist()] \
+                == list(V._maximal_index_families(points, n_max))
 
-    class CountedRow(list):
-        def __getitem__(self, j):
-            reads.append(j)
-            return list.__getitem__(self, j)
 
-    table = V._oscillation_table
+def test_object_grids_match_the_per_family_references():
+    # the gathers fall back to Python objects for keys past int64 and for
+    # int/float mixes, and B = 1 has a single level of one family
+    from gbv.variation import _sorted_profile_matrix
 
-    def counted_table(values):
-        osc, keys, scale = table(values)
-        return osc, [CountedRow(row) for row in keys], scale
-
-    monkeypatch.setattr(V, "_oscillation_table", counted_table)
-    for f in (zigzag(), merging_runs_function(), float_twin(zigzag()),
-              PiecewiseLinearFunction(tuple(F(k, 7) for k in range(8)), (0,) * 8)):
-        for n_max in range(f.segments + 1):
-            reads.clear()
-            modulus_by_enumeration(f, n_max)
-            assert len(reads) == len(V._index_families(f.segments + 1, n_max)), (f, n_max)
+    big = 10 ** 19
+    near = 2 ** 60
+    cases = [
+        # Fraction numerators past int64 over the lcm 21
+        (F(big, 3), F(-big, 7), F(2 * big + 1, 3), 0, F(big, 21)),
+        # keys that fit one by one but not as a sum of n_max of them
+        (0, near, -near, near + 1, 0),
+        # an int/float mix whose winning families are all-int
+        (0, 3, 1.5, 0),
+        (F(3, 2), 0, 1.5, 4, 0.25),
+        (F(1, 2), 3), (0.5, 2), (0, 1.5), (7, 7),
+    ]
+    for values in cases:
+        B = len(values) - 1
+        f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)), values)
+        for n_max in range(B + 1):
+            got = modulus_by_enumeration(f, n_max).values
+            assert typed(got) == typed(summed_per_family_modulus(f, n_max)), (values, n_max)
+        types = tuple(map(type, values))
+        for max_count in range(1, B + 1):
+            for exact in (False, True) if f.is_exact() else (False,):
+                M = _sorted_profile_matrix(values, max_count, types, exact)
+                assert M.flags.c_contiguous
+                want = subtracted_sorted_rows(values, max_count, exact)
+                assert [typed(tuple(row)) for row in M.tolist()] \
+                    == [typed(tuple(row)) for row in want], (values, max_count, exact)
+    # the first family to reach 3 and 6 is all-int; the three-interval
+    # maximum 6.0 is reached first through the float oscillation 1.5
+    got = modulus_by_enumeration(PiecewiseLinearFunction((0, F(1, 3), F(2, 3), 1),
+                                                         (0, 3, 1.5, 0))).values
+    assert typed(got) == ((int, 0), (int, 3), (int, 6), (float, (6.0).hex()))
+    M = _sorted_profile_matrix(cases[0], 4, tuple(map(type, cases[0])), True)
+    assert M.dtype == object and max(map(max, M.tolist())) > 2 ** 63
 
 
 def test_modulus_prefix_query():

@@ -21,6 +21,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, is_dataclass
+from functools import lru_cache
 
 from . import __version__
 from ._util import (
@@ -84,7 +85,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    returns a new namespace, so no call sees another's values."""
     parser = _Parser(
         prog="gbv",
         description="Submeasure hat-norms, generalized bounded variation, and "

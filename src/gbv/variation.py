@@ -25,39 +25,45 @@ later ones to other weights, so that path enumerates every family; so does
 ``modulus_by_enumeration``, which wants the best family of each size.
 
 The same B(B+1)/2 index intervals recur in thousands of families, so their
-oscillations are computed once per function (``_oscillation_table``), with
-integer keys over a common denominator on the exact rail; the left-to-right
-profiles read the table and sort by its keys.  The families depend only on
-B and the cap, so ``_family_tree`` lays them out once as integer index
-arrays into the flattened table, cell i * (B + 1) + j for the interval
-(i, j): for each family size k, each family's parent (its position among
-the families of k - 1 intervals once its last interval is dropped) and
-the cell of that last interval; and the cells of each maximal family,
-zero-padded, cell 0 holding a 0.  The enumeration of the modulus is one
-numpy gather and addition per size, total = total[parent] + grid[cell],
-so every family is still scored, summed left to right, and the first
-argmax of a size is the first family of ``_index_families`` to reach its
-maximum.  Its grid is int64 on the exact rail while n_max times the top key
-fits, float64 when every value is a float, and Python objects otherwise
-(int, Fraction and float mixed, or keys past int64), on which numpy runs
-Python's own arithmetic and comparisons.
+oscillations are computed once per function, as one flat grid with the
+interval (i, j) at cell i * (B + 1) + j and 0 for j <= i
+(``_oscillation_grid``), by one numpy subtraction on the rail of the
+values.  On the exact rail the grid holds integer keys, the numerators of
+the oscillations over the lcm D of the value denominators: int64 while the
+sums it feeds fit, Python ints otherwise.  When every value is a float it
+is float64, whose differences are Python's bits.  Otherwise (int, Fraction
+and float mixed, or exact values scored as floats) it holds the objects
+Python's subtraction makes, on which numpy runs Python's own arithmetic and
+comparisons.  Only the left-to-right profiles still read a table of Python
+objects with keys (``_oscillation_table``) and sort by its keys.
+
+The families depend only on B and the cap, so ``_family_tree`` lays them
+out once as integer index arrays into the grid: for each family size k,
+each family's parent (its position among the families of k - 1 intervals
+once its last interval is dropped) and the cell of that last interval; and
+the cells of each maximal family, zero-padded, cell 0 holding a 0, read off
+the same levels.  The enumeration of the modulus is one numpy gather and
+addition per size, total = total[parent] + grid[cell], so every family is
+still scored, summed left to right, and the first argmax of a size is the
+first family of ``_index_families`` to reach its maximum.
 
 Where the sorted hat is the supremum, the brute force reads one matrix on
 both rails (``_sorted_profile_matrix``): the grid gathered through the
 maximal families' cells, a row per family sorted nonincreasing, as integer
 keys on the exact rail and as floats otherwise.  The float rail takes the
-last column of the base's ``truncation_norms`` of it.  The exact rail
-scores on integers.  A variant with ``sorted_hat_is_sup``
-states its hat on nonincreasing vectors as integer linear forms
-(``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x / den), so all the
-rows of the key matrix M are scored with one product, max over the rows of
-M @ rows^T.  The scores are hat * den * D for the key scale D, so the first
-maximal score names the family the per-family loop would return; ``hat`` runs
-once, on that family's profile, and gives the value its type.  The product
-runs on int64 while max key * max form entry * width < 2^62, on Python ints
-otherwise.  The modulus DP likewise runs on the integer numerators over D,
-with one flag per state recording whether a Fraction value took part, which
-is when Fraction arithmetic would have returned a Fraction.
+last column of the base's ``truncation_norms`` of it, and refuses a maximum
+past the float range.  The exact rail scores on integers.  A variant with
+``sorted_hat_is_sup`` states its hat on nonincreasing vectors as integer
+linear forms (``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x /
+den), so all the rows of the key matrix M are scored with one product, max
+over the rows of M @ rows^T.  The scores are hat * den * D for the key
+scale D, so the first maximal score names the family the per-family loop
+would return; ``hat`` runs once, on that family's profile read from its row
+of cells, and gives the value its type.  The product runs on int64 while
+max key * max form entry * width < 2^62, on Python ints otherwise.  The
+modulus DP likewise runs on the integer numerators over D, with one flag
+per state recording whether a Fraction value took part, which is when
+Fraction arithmetic would have returned a Fraction.
 
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
@@ -292,30 +298,26 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     level of ``_family_tree``: the totals of the families of k intervals are
     their parents' totals plus the keys of their last intervals, one numpy
     gather and addition per level, so each family is summed left to right
-    as a loop over it would.  The keys come from ``_oscillation_table`` as
-    one flat grid: on the exact rail the integer keys, on int64 while
-    n_max times the top key is below ``INT64_BOUND`` and as Python ints
-    otherwise, mapped back to an int or a Fraction at the end; float64 when
-    every value is a float; and the oscillations as Python objects
-    otherwise (int, Fraction and float mixed), whose sums then have the
-    values and types of Python arithmetic.  The first family to reach a
-    size's maximum (the first argmax, if positive) names it, so an entry is
-    a Fraction exactly when that family, read back along its parent links,
-    has a Fraction oscillation.  Nothing is pruned and nothing is shared
-    with the DP, which this function checks.
+    as a loop over it would.  The keys are the grid of ``_oscillation_grid``
+    on the values' own rail: integer keys on the exact rail (int64 while
+    n_max of them sum below ``INT64_BOUND``, Python ints otherwise), mapped
+    back to an int or a Fraction at the end; float64 when every value is a
+    float; and Python's own oscillation objects otherwise (int, Fraction and
+    float mixed), whose sums then have the values and types of Python
+    arithmetic.  The first family to reach a size's maximum (the first
+    argmax, if positive) names it, so an exact entry is a Fraction exactly
+    when that family, read back along its parent links, has an interval
+    with a Fraction endpoint value, which is when its oscillation
+    ``abs(y_j - y_i)`` is a Fraction.  Nothing is pruned and nothing is
+    shared with the DP, which this function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
         raise SizeRefusal(f"enumeration limited to {BRUTE_FORCE_MAX_SEGMENTS} segments")
     if n_max is None:
         n_max = B
-    osc, keys, scale = _oscillation_table(f.values)
-    if scale is not None:
-        grid = _int_grid(keys, max(n_max, 1))
-    elif all(type(v) is float for v in f.values):
-        grid = np.array(osc, float).ravel()
-    else:
-        grid = np.array(osc, object).ravel()
+    y = f.values
+    grid, scale = _oscillation_grid(y, all_exact(y), max(n_max, 1))
     best = [0] * (n_max + 1)
     won = [None] * (n_max + 1)
     total = np.zeros(1, grid.dtype)
@@ -330,7 +332,8 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     if scale is not None:
         for k in range(1, n_max + 1):
             frac = won[k] is not None and any(
-                isinstance(osc[i][j], Fraction) for i, j in _family_at(levels, k, won[k], B + 1))
+                isinstance(y[i], Fraction) or isinstance(y[j], Fraction)
+                for i, j in _family_at(levels, k, won[k], B + 1))
             best[k] = Fraction(best[k], scale) if frac else best[k] // scale
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
@@ -338,34 +341,57 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     return ModulusVector(tuple(best))
 
 
-def _oscillation_table(values: tuple) -> tuple:
-    """Each oscillation |y_j - y_i|, i < j, computed once, with a comparison key.
+def _oscillation_grid(values: tuple, exact: bool, terms: int = 1) -> tuple:
+    """Every oscillation |y_j - y_i| as one flat grid, the interval (i, j) at
+    cell i * n + j for n values and 0 for j <= i (so cell 0 holds a 0),
+    built by one numpy subtraction on the rail of the values.
 
-    Returns ``(osc, keys, scale)`` as square rows indexed ``[i][j]``, the int
-    0 for j <= i (so cell (0, 0) of a flattened grid is 0).  ``osc`` holds
-    the objects the subtraction makes (int, Fraction or float).  On the
-    exact rail (every value an int or a Fraction) ``scale`` is the lcm D of
-    the value denominators and ``keys[i][j]`` the int numerator of the
-    oscillation over D, so key sums and comparisons are integer operations
-    in the same order; otherwise ``scale`` is None and the keys are the
-    oscillations themselves."""
+    Returns ``(grid, scale)``.  With ``exact`` (every value an int or a
+    Fraction) ``scale`` is the lcm D of the value denominators and the grid
+    holds the integer keys, the numerators of the oscillations over D: on
+    int64 while a sum of ``terms`` of them fits (top key * terms <
+    ``INT64_BOUND``; the numerators are shifted by their minimum first, so
+    a large common offset does not count) and on Python ints otherwise.
+    Without it ``scale`` is None and the grid holds the oscillations: in
+    float64 when every value is a float, where IEEE subtraction gives
+    Python's bits and overflows to inf without a word as Python does; as
+    the objects Python's ``abs(y_j - y_i)`` makes otherwise (int, Fraction
+    and float mixed, or exact values to be scored as floats, which then
+    round each exact oscillation once)."""
+    scale = None
+    if exact:
+        nums, scale = over_common_denominator(values)
+        low = min(nums)
+        fits = (max(nums) - low) * terms < INT64_BOUND
+        a = np.array([v - low for v in nums], np.int64 if fits else object)
+    elif all(type(v) is float for v in values):
+        a = np.array(values, float)
+    else:
+        a = np.array(values, object)
+    with np.errstate(over="ignore"):
+        return np.triu(np.abs(a[None, :] - a[:, None]), 1).ravel(), scale
+
+
+def _oscillation_table(values: tuple) -> tuple:
+    """Each oscillation |y_j - y_i|, i < j, computed once, with a comparison
+    key, for the left-to-right search (``_oscillation_profiles``).
+
+    Returns ``(osc, keys)`` as square rows of Python objects indexed
+    ``[i][j]``, the int 0 for j <= i.  ``osc`` holds the objects the
+    subtraction makes (int, Fraction or float).  On the exact rail (every
+    value an int or a Fraction) ``keys[i][j]`` is the int numerator of the
+    oscillation over the lcm of the value denominators, so sorting by the
+    keys is integer comparison; otherwise the keys are the oscillations
+    themselves."""
     n = len(values)
     osc = [[0] * (i + 1) + [abs(values[j] - values[i]) for j in range(i + 1, n)]
            for i in range(n)]
     if not all_exact(values):
-        return osc, osc, None
-    nums, scale = over_common_denominator(values)
+        return osc, osc
+    nums, _ = over_common_denominator(values)
     keys = [[0] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
             for i in range(n)]
-    return osc, keys, scale
-
-
-def _int_grid(keys, terms: int) -> np.ndarray:
-    """The integer keys of ``_oscillation_table`` as one flat array, on int64
-    while a sum of ``terms`` of them fits (top key * terms < INT64_BOUND)
-    and on Python ints (object) otherwise."""
-    top = max(map(max, keys))
-    return np.array(keys, np.int64 if top * terms < INT64_BOUND else object).ravel()
+    return osc, keys
 
 
 @lru_cache(maxsize=128)
@@ -393,7 +419,8 @@ def _index_families(num_points: int, max_count: int) -> tuple:
 def _maximal_index_families(num_points: int, max_count: int) -> tuple:
     """The families of ``_index_families``, in its order, that no further
     interval can join: those of max_count intervals, and those of fewer that
-    run from the first point to the last without a gap."""
+    run from the first point to the last without a gap.  The reference for
+    the ``maximal`` rows of ``_family_tree``."""
     last = num_points - 1
     return tuple(fam for fam in _index_families(num_points, max_count)
                  if len(fam) == max_count
@@ -417,20 +444,28 @@ def _family_tree(num_points: int, max_count: int) -> tuple:
     their last interval, in (i, j) order, before its next sibling, so a
     level lists the children of each parent in turn, and the children of a
     family ending at point e are the intervals with i >= e: a suffix of the
-    list of all intervals.  ``maximal`` has a row per family of
-    ``_maximal_index_families``, its cells zero-padded to max_count: cell 0
-    is (0, 0), whose key is 0, so ``grid[maximal]`` is the zero-padded key
-    matrix of those families."""
+    list of all intervals.
+
+    ``maximal`` has a row per family of ``_maximal_index_families``, its
+    cells left to right, zero-padded to max_count: cell 0 is (0, 0), whose
+    key is 0, so ``grid[maximal]`` is the zero-padded key matrix of those
+    families.  They are read off the levels: every family of max_count
+    intervals, and each shorter one that ends at the last point with no
+    gap from point 0, a flag carried from parent to child.  A real cell is
+    at least 1 and cells order like their intervals, so sorting the rows
+    lexicographically puts them in the order of ``_index_families``, where
+    a family comes before its extensions."""
     intervals = [(i, j) for i in range(num_points - 1) for j in range(i + 1, num_points)]
     cells = np.array([i * num_points + j for i, j in intervals], np.intp)
+    starts = np.array([i for i, _ in intervals], np.intp)
     ends = np.array([j for _, j in intervals], np.intp)
     # first[e]: the first interval with i >= e
-    first = np.searchsorted(np.array([i for i, _ in intervals], np.intp),
-                            np.arange(num_points))
-    levels = []
-    # the point where each family of the level before ends; the empty family at 0
-    last = np.zeros(1, np.intp)
-    for _ in range(max_count):
+    first = np.searchsorted(starts, np.arange(num_points))
+    levels, rows = [], []
+    # where each family of the level before ends, and whether it runs from
+    # point 0 to there without a gap; the empty family ends at 0
+    last, flush = np.zeros(1, np.intp), np.ones(1, bool)
+    for k in range(1, max_count + 1):
         start = first[last]
         count = len(intervals) - start
         if not count.any():
@@ -438,12 +473,21 @@ def _family_tree(num_points: int, max_count: int) -> tuple:
         # child t of the level is interval start[p] + (t - offset[p]) of parent p
         offset = np.cumsum(count) - count
         pick = np.repeat(start - offset, count) + np.arange(count.sum())
-        levels.append((_read_only(np.repeat(np.arange(len(last)), count)),
-                       _read_only(cells[pick])))
+        parent = np.repeat(np.arange(len(last)), count)
+        levels.append((_read_only(parent), _read_only(cells[pick])))
+        flush = flush[parent] & (starts[pick] == last[parent])
         last = ends[pick]
-    families = _maximal_index_families(num_points, max_count)
-    maximal = np.array([[i * num_points + j for i, j in fam] + [0] * (max_count - len(fam))
-                        for fam in families], np.intp).reshape(len(families), max_count)
+        at = (np.arange(len(last)) if k == max_count
+              else np.flatnonzero(flush & (last == num_points - 1)))
+        row = np.zeros((len(at), max_count), np.intp)
+        for col in range(k - 1, -1, -1):
+            row[:, col] = levels[col][1][at]
+            at = levels[col][0][at]
+        rows.append(row)
+    maximal = np.zeros((0, max_count), np.intp)
+    if rows:
+        maximal = np.concatenate(rows)
+        maximal = maximal[np.lexsort(maximal.T[::-1])]
     return tuple(levels), _read_only(maximal)
 
 
@@ -472,7 +516,7 @@ def _oscillation_profiles(values: tuple, max_count: int, types: tuple) -> tuple:
     ``types`` (the type of each value) is part of the key because equal
     numbers hash alike across int, Fraction and float: without it a function
     would be handed the profiles of a twin whose values have other types."""
-    osc, keys, _ = _oscillation_table(values)
+    osc, keys = _oscillation_table(values)
     profiles = (_profile(osc, keys, fam) for fam in _index_families(len(values), max_count))
     return tuple(p for p in profiles if p[0])
 
@@ -493,14 +537,16 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
     """Sorted profiles of the maximal families, zero-padded.
 
     One row of width max_count per maximal family in its order, all-zero
-    rows included, nonincreasing, C-contiguous: the key grid gathered
-    through the ``maximal`` cells of ``_family_tree`` and sorted row by
-    row.  With ``exact`` (exact values only) the grid holds the integer
-    keys of ``_oscillation_table``, on int64 while the top key is below
-    ``INT64_BOUND`` and on Python ints otherwise; without it, the
-    oscillations as floats."""
-    osc, keys, _ = _oscillation_table(values)
-    grid = _int_grid(keys, 1) if exact else np.array(osc, float).ravel()
+    rows included, nonincreasing, C-contiguous: the grid of
+    ``_oscillation_grid`` gathered through the ``maximal`` cells of
+    ``_family_tree`` and sorted row by row.  With ``exact`` (exact values
+    only) the grid holds the integer keys, on int64 while the top key is
+    below ``INT64_BOUND`` and on Python ints otherwise; without it, the
+    oscillations as floats: float64 differences of float values, and
+    Python's exact or mixed oscillations each rounded to a float."""
+    grid, _ = _oscillation_grid(values, exact)
+    if not exact:
+        grid = grid.astype(float, copy=False)
     rows = np.sort(grid[_family_tree(len(values), max_count)[1]], axis=1)
     return np.ascontiguousarray(rows[:, ::-1])
 
@@ -534,7 +580,8 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     each row summed left to right, where the zero padding adds nothing.
     Its float maximum is the full enumeration's too: with nonnegative
     weights and a fixed left-to-right order, rounding is monotone, so adding
-    an interval never lowers a row's float hat.
+    an interval never lowers a row's float hat.  A float maximum past the
+    float range raises ``NonFiniteValue``.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -559,16 +606,24 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     exact = f.is_exact() and phi.is_exact()
     M = _sorted_profile_matrix(f.values, max_count, types, exact)
     if not exact:
-        return float(psi.truncation_norms(M)[:, -1].max())
+        # a float hat past the float range is refused, not returned as inf
+        with np.errstate(over="ignore"):
+            best = float(psi.truncation_norms(M)[:, -1].max())
+        if not is_finite(best):
+            raise NonFiniteValue(f"the variation overflows the float range ({best!r})")
+        return best
     top = int(M[:, 0].max())
     if not top:
         return 0
     forms, _ = psi.sorted_forms(max_count)
     dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
     scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
-    fam = _maximal_index_families(len(f.values), max_count)[int(np.argmax(scores))]
-    osc, keys, _ = _oscillation_table(f.values)
-    return psi.hat(_profile(osc, keys, fam)[1])
+    # the winner's nonzero oscillations in a stable reverse sort, as
+    # ``_profile`` sorts them: the exact values order like their keys
+    y, n = f.values, len(f.values)
+    row = _family_tree(n, max_count)[1][int(np.argmax(scores))]
+    osc = [abs(y[j] - y[i]) for i, j in (divmod(int(c), n) for c in row)]
+    return psi.hat(tuple(sorted([v for v in osc if v], reverse=True)))
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
@@ -596,12 +651,18 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
     where ``phi.sorted_hat_is_sup`` holds (the sorted vector is the best
     ordering and the hat is prefix-monotone) this dominates the brute-force
     supremum.  For unit and counting it degenerates to v(1) and v(B), both
-    exact.
+    exact.  A float modulus past the float range raises ``NonFiniteValue``
+    naming the first increment that is not finite.
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
     d = modulus_of_variation(f).increments()
+    for n, v in enumerate(d, 1):
+        if not is_finite(v):
+            raise NonFiniteValue(
+                f"modulus increment {n} is not finite ({v!r}): the modulus overflows "
+                "the float range")
     return hat_norm(phi, d)
 
 

@@ -7,6 +7,7 @@ with ``error:``; any other run exits 0 or 2.
 
 import itertools
 import json
+import warnings
 
 import pytest
 
@@ -222,3 +223,20 @@ def test_malformed_input_ends_in_a_named_error_never_a_traceback(files, capsys, 
         elif rc not in (0, 1, 2):
             failures.append((argv, f"exit code {rc!r}"))
     assert not failures, "\n".join(f"{' '.join(a)}: {why}" for a, why in failures)
+
+
+def test_float_variation_past_the_float_range_is_refused_without_a_numpy_warning(files, capsys):
+    # every oscillation of HUGE is finite, their weighted sums are not: each
+    # method that sums them names the overflow, and numpy prints nothing
+    harmonic = files["valid"]["harmonic"]
+    for method, message in (("all", "the variation overflows the float range (inf)"),
+                            ("brute", "the variation overflows the float range (inf)"),
+                            ("upper", "modulus increment 2 is not finite (inf)")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["variation", "--function", files["huge"], "--submeasure", harmonic,
+                       "--method", method])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "", method
+        assert err.startswith(f"error: {message}"), (method, err)
+        assert [str(w.message) for w in caught] == [], method

@@ -464,6 +464,29 @@ def test_cli_usage_error_exits_one(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_cli_runs_in_one_process_report_what_a_fresh_process_reports(workdir, capsys):
+    # the parser is built once per process: a run must see neither the
+    # values nor the errors of the runs before it
+    from gbv.cli import _build_parser, main
+
+    f = workdir / "zigzag.csv"
+    f.write_text("0,0\n1/4,4\n1/2,1\n3/4,5\n1,0\n")
+    plain = ["variation", "--function", str(f), "--submeasure", str(workdir / "harmonic.json")]
+    assert main([*plain, "--modulus", "2", "--method", "brute"]) == 0
+    first = json.loads(capsys.readouterr().out)["result"]
+    assert list(first["variation"]) == ["brute"] and len(first["modulus_vector"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main([*plain, "--method", "bogus"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(plain) == 0
+    out = capsys.readouterr().out
+    fresh = run_cli(*plain)
+    assert fresh.returncode == 0 and out == fresh.stdout
+    assert sorted(json.loads(out)["result"]["variation"]) == ["brute", "greedy", "upper"]
+    assert _build_parser() is _build_parser()
+
+
 def test_cli_selftest_fast_passes_every_criterion(capsys):
     from gbv.cli import main
 

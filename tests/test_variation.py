@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import SizeRefusal
+from gbv._util import NonFiniteValue, SizeRefusal
 from gbv.submeasure import (
     WatermanWeights,
     counting,
@@ -330,7 +330,7 @@ def test_table_walk_visits_every_family():
         points = B + 1
         for n_max in range(B + 2):
             families = V._index_families(points, n_max)
-            levels, maximal = V._family_tree(points, n_max)
+            levels = V._family_tree(points, n_max)[0]
             rebuilt = [[()]]
             for parent, cell in levels:
                 assert not parent.flags.writeable and not cell.flags.writeable
@@ -340,16 +340,47 @@ def test_table_walk_visits_every_family():
             for k, level in enumerate(rebuilt[1:], 1):
                 assert level == [fam for fam in families if len(fam) == k]
             assert sum(map(len, rebuilt[1:])) == len(families), (B, n_max)
-            # the maximal rows are their families' cells, zero-padded
-            assert maximal.shape == (len(V._maximal_index_families(points, n_max)), n_max)
-            assert [tuple(divmod(c, points) for c in row if c) for row in maximal.tolist()] \
-                == list(V._maximal_index_families(points, n_max))
+
+
+def test_maximal_rows_are_the_maximal_families_in_order():
+    # the maximal rows, read off the levels and sorted, are the cells of the
+    # families of _maximal_index_families left to right, zero-padded, in its
+    # order, up to the 12 segments the brute force allows
+    from gbv import variation as V
+
+    for points in range(1, 14):
+        for n_max in range(points + 1):
+            maximal = V._family_tree(points, n_max)[1]
+            want = [[i * points + j for i, j in fam] + [0] * (n_max - len(fam))
+                    for fam in V._maximal_index_families(points, n_max)]
+            assert not maximal.flags.writeable
+            assert maximal.shape == (len(want), n_max), (points, n_max)
+            assert maximal.tolist() == want, (points, n_max)
+
+
+def table_grid(values, exact, terms=1):
+    """The flat grid as ``_oscillation_table`` gives it, under the dtype
+    rule the grid builder keeps: the integer keys on int64 while top key *
+    terms is below INT64_BOUND and as Python ints otherwise, float64 when
+    every value is a float, Python objects otherwise.  The reference for
+    ``_oscillation_grid``."""
+    from gbv._util import INT64_BOUND
+    from gbv.variation import _oscillation_table
+
+    osc, keys = _oscillation_table(values)
+    if exact:
+        top = max(map(max, keys))
+        return np.array(keys, np.int64 if top * terms < INT64_BOUND else object).ravel()
+    return np.array(osc, float if all(type(v) is float for v in values) else object).ravel()
 
 
 def test_object_grids_match_the_per_family_references():
-    # the gathers fall back to Python objects for keys past int64 and for
-    # int/float mixes, and B = 1 has a single level of one family
-    from gbv.variation import _sorted_profile_matrix
+    # the grid keeps the values, types and dtypes of the table on every
+    # rail, and the gathers over it match the per-family references: Python
+    # objects for keys past int64 and for int/float mixes, int64 keys under
+    # a large common offset, inf without a warning for floats past the
+    # range, and B = 1 has a single level of one family
+    from gbv.variation import _oscillation_grid, _sorted_profile_matrix
 
     big = 10 ** 19
     near = 2 ** 60
@@ -358,25 +389,45 @@ def test_object_grids_match_the_per_family_references():
         (F(big, 3), F(-big, 7), F(2 * big + 1, 3), 0, F(big, 21)),
         # keys that fit one by one but not as a sum of n_max of them
         (0, near, -near, near + 1, 0),
+        # numerators past int64 with a small spread: the keys fit
+        (2 ** 70, 2 ** 70 + 5, 2 ** 70 - 3, 2 ** 70 + 1),
+        (F(2 ** 70, 3), F(2 ** 70 + 2, 3), F(2 ** 70 - 1, 3)),
         # an int/float mix whose winning families are all-int
         (0, 3, 1.5, 0),
         (F(3, 2), 0, 1.5, 4, 0.25),
-        (F(1, 2), 3), (0.5, 2), (0, 1.5), (7, 7),
+        # float differences past the float range are inf
+        (1.7e308, -1.7e308, 7e307, 0.0),
+        (F(1, 2), 3), (0.5, 2.0), (0.5, 2), (0, 1.5), (7, 7),
     ]
-    for values in cases:
-        B = len(values) - 1
-        f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)), values)
-        for n_max in range(B + 1):
-            got = modulus_by_enumeration(f, n_max).values
-            assert typed(got) == typed(summed_per_family_modulus(f, n_max)), (values, n_max)
-        types = tuple(map(type, values))
-        for max_count in range(1, B + 1):
-            for exact in (False, True) if f.is_exact() else (False,):
-                M = _sorted_profile_matrix(values, max_count, types, exact)
-                assert M.flags.c_contiguous
-                want = subtracted_sorted_rows(values, max_count, exact)
-                assert [typed(tuple(row)) for row in M.tolist()] \
-                    == [typed(tuple(row)) for row in want], (values, max_count, exact)
+    dtypes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in cases:
+            B = len(values) - 1
+            exact = all(isinstance(v, (int, F)) for v in values)
+            for terms in range(1, B + 1):
+                grid, scale = _oscillation_grid(values, exact, terms)
+                want = table_grid(values, exact, terms)
+                assert grid.dtype == want.dtype, (values, terms)
+                assert typed(tuple(grid.tolist())) == typed(tuple(want.tolist())), values
+                assert scale == (math.lcm(*(v.denominator for v in values)) if exact else None)
+            dtypes.append(_oscillation_grid(values, exact)[0].dtype)
+            f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)), values)
+            for n_max in range(B + 1):
+                got = modulus_by_enumeration(f, n_max).values
+                assert typed(got) == typed(summed_per_family_modulus(f, n_max)), (values, n_max)
+            types = tuple(map(type, values))
+            for max_count in range(1, B + 1):
+                for rows_exact in (False, True) if exact else (False,):
+                    M = _sorted_profile_matrix(values, max_count, types, rows_exact)
+                    assert M.flags.c_contiguous
+                    assert M.dtype == (dtypes[-1] if rows_exact else np.float64), values
+                    want = subtracted_sorted_rows(values, max_count, rows_exact)
+                    assert [typed(tuple(row)) for row in M.tolist()] \
+                        == [typed(tuple(row)) for row in want], (values, max_count, rows_exact)
+    assert dtypes[:4] == [object, np.int64, np.int64, np.int64]
+    assert dtypes[4:] == [object, object, np.float64, np.int64, np.float64, object, object,
+                          np.int64]
     # the first family to reach 3 and 6 is all-int; the three-interval
     # maximum 6.0 is reached first through the float oscillation 1.5
     got = modulus_by_enumeration(PiecewiseLinearFunction((0, F(1, 3), F(2, 3), 1),
@@ -384,6 +435,28 @@ def test_object_grids_match_the_per_family_references():
     assert typed(got) == ((int, 0), (int, 3), (int, 6), (float, (6.0).hex()))
     M = _sorted_profile_matrix(cases[0], 4, tuple(map(type, cases[0])), True)
     assert M.dtype == object and max(map(max, M.tolist())) > 2 ** 63
+    # exact values scored as floats round each exact oscillation once:
+    # 1/3 - 1/10 is 0.23333333333333334, where the float values give
+    # 0.3333333333333333 - 0.1 = 0.2333333333333333
+    assert _sorted_profile_matrix((F(1, 3), F(1, 10)), 1, (F, F), False).tolist() \
+        == [[0.23333333333333334]]
+    assert _oscillation_grid((1 / 3, 0.1), False)[0].tolist() == [0.0, 0.2333333333333333,
+                                                                  0.0, 0.0]
+
+
+def test_float_variation_past_the_float_range_is_a_named_error_without_a_warning():
+    # every oscillation is finite; sums of two of them are not
+    f = PiecewiseLinearFunction((0, F(1, 2), 1), (0, 1.7e308, 7e307))
+    phi = summable(harmonic_weights(32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue,
+                           match=r"^the variation overflows the float range \(inf\)$"):
+            variation_bruteforce(f, phi)
+        with pytest.raises(NonFiniteValue, match=r"^modulus increment 2 is not finite \(inf\)"):
+            variation_upper_bound(f, phi)
+        assert variation_bruteforce(f, phi, 1) == 1.7e308
+        assert modulus_by_enumeration(f).values == (0, 1.7e308, math.inf)
 
 
 def test_modulus_prefix_query():

@@ -480,8 +480,8 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
 
 def _real_increments(g: DensityBound, H: int) -> np.ndarray:
     if g.form == "power" and g.param == Fraction(1, 2):
-        n = np.arange(1, H + 1, dtype=float)
-        return 1.0 / (np.sqrt(n) + np.sqrt(n - 1))
+        s = np.sqrt(np.arange(0, H + 1, dtype=float))
+        return 1.0 / (s[1:] + s[:-1])
     if g.form == "power":
         p = float(g.param)
         n = np.arange(0, H + 1, dtype=float)

@@ -185,13 +185,22 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
-    best, best_n, first_crossing = 0, 0, None
-    for n in range(1, n_vals + 1):
-        r = exact_div(B.values[n - 1], A.values[n - 1])
-        if r > best:
-            best, best_n = r, n
-        if first_crossing is None and r >= cap:
-            first_crossing = n
+    if _all_float(A.values) or _all_float(B.values):
+        # every ratio is a float division, which one array division repeats
+        with np.errstate(over="ignore"):
+            ratios = B.float_values(n_vals) / A.float_values(n_vals)
+        best_n = int(np.argmax(ratios)) + 1
+        best = float(ratios[best_n - 1])
+        crossings = np.flatnonzero(ratios >= cap)
+        first_crossing = int(crossings[0]) + 1 if len(crossings) else None
+    else:
+        best, best_n, first_crossing = 0, 0, None
+        for n in range(1, n_vals + 1):
+            r = exact_div(B.values[n - 1], A.values[n - 1])
+            if r > best:
+                best, best_n = r, n
+            if first_crossing is None and r >= cap:
+                first_crossing = n
     details = {"argmax": best_n, "horizon": n_vals, "cap": cap}
     if first_crossing is not None:
         witness = SequencePrefix((0,) * (first_crossing - 1) + (1,))
@@ -199,6 +208,10 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
         return ComparisonReport("preceq", best, VIOLATED, witness, details)
     verdict = HOLDS if _summable_pair_provable(A, B) else CONSISTENT
     return ComparisonReport("preceq", best, verdict, None, details)
+
+
+def _all_float(values) -> bool:
+    return all(isinstance(v, float) for v in values)
 
 
 def _summable_pair_provable(A: WatermanWeights, B: WatermanWeights) -> bool:

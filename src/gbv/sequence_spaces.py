@@ -47,14 +47,16 @@ class MembershipCertificate:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        t = self.norm_by_truncation
-        for i in range(1, len(t)):
-            if t[i] < t[i - 1] - _FLOAT_SLACK * max(1.0, abs(t[i - 1])):
-                raise ValueError(f"truncation norms must be nondecreasing (n={i + 1})")
-        s = self.tail_by_cut
-        for i in range(1, len(s)):
-            if s[i] > s[i - 1] + _FLOAT_SLACK * max(1.0, abs(s[i - 1])):
-                raise ValueError(f"tail norms must be nonincreasing (n={i + 1})")
+        # each step may go the wrong way by the slack, relative past 1;
+        # n names the first step that goes further
+        t = np.asarray(self.norm_by_truncation)
+        bad = np.flatnonzero(t[1:] < t[:-1] - _FLOAT_SLACK * np.maximum(1.0, np.abs(t[:-1])))
+        if len(bad):
+            raise ValueError(f"truncation norms must be nondecreasing (n={bad[0] + 2})")
+        s = np.asarray(self.tail_by_cut)
+        bad = np.flatnonzero(s[1:] > s[:-1] + _FLOAT_SLACK * np.maximum(1.0, np.abs(s[:-1])))
+        if len(bad):
+            raise ValueError(f"tail norms must be nonincreasing (n={bad[0] + 2})")
 
     def to_payload(self) -> dict:
         return {
@@ -66,7 +68,12 @@ class MembershipCertificate:
 
 
 def is_monotone(x) -> bool:
-    """True when |x_{i+1}| <= |x_i| throughout (the monotone cone)."""
+    """True when |x_{i+1}| <= |x_i| throughout (the monotone cone).  A float
+    array is compared in one numpy pass; other input entry by entry, so
+    exact entries are compared exactly."""
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        a = np.abs(x)
+        return bool((a[1:] <= a[:-1]).all())
     entries = as_entries(x)
     return all(abs(entries[i + 1]) <= abs(entries[i]) for i in range(len(entries) - 1))
 

@@ -671,9 +671,14 @@ class SummableSubmeasure(Submeasure):
         entries = finite_entries(x)
         self._check_length(len(entries))
         total = 0
-        for i, v in enumerate(entries, start=1):
-            if v:
-                total += self.weights.value_at(i) * abs(v)
+        try:
+            for i, v in enumerate(entries, start=1):
+                if v:
+                    total += self.weights.value_at(i) * abs(v)
+        except OverflowError as exc:
+            # an exact entry or sum past the float range, met by a float weight
+            as_float_array(entries)
+            raise NonFiniteValue(f"the hat-norm overflows the float range ({exc})") from exc
         return total
 
     def sorted_forms(self, m):
@@ -792,18 +797,54 @@ class DensitySubmeasure(Submeasure):
         return np.maximum.accumulate(np.cumsum(ax, axis=-1) / g, axis=-1)
 
     def tail_norms(self, x):
+        """Tail at cut c: max over m >= c of (P[m] - t) / g(m), with P the
+        prefix sums of |x| and t = P[c - 1] (t = 0 at c = 1), in O(n log n).
+
+        The ratio is the slope from (0, t) to the point (g(m), P[m]), so the
+        maximum sits on the upper convex hull of the points m >= c; t <= P[m]
+        puts (0, t) left of and below them, so along the hull the slope
+        rises to the tangent point and then falls.  The cuts are scanned
+        from n down to 1: each adds its point on the left of the hull (g is
+        nondecreasing; a point whose g ties the leftmost one has no larger P
+        and is never above it), popping the points that fall on or under the
+        new chord, and a binary search finds the tangent.  Each entry is the
+        ratio above at the point found, so it has the bits of the
+        quadratic scan over every m except where rounding hides which side
+        of the tangent a hull point lies.  A prefix past the float range
+        makes every cut inf (NaN where t is inf too), as that scan would.
+        """
         ax = np.abs(np.asarray(as_float_array(x)))
         n = len(ax)
-        if n == 0:
-            return np.empty(0)
         g = self.bound.g_array(n)
         prefix = np.cumsum(ax)
-        out = np.empty(n)
-        out[0] = (prefix / g).max()
-        # tail at cut n: max_{m >= n} (prefix[m] - prefix[n-2]) / g[m]
-        for cut in range(2, n + 1):
-            out[cut - 1] = ((prefix[cut - 1:] - prefix[cut - 2]) / g[cut - 1:]).max()
-        return out
+        if n == 0 or not math.isfinite(prefix[-1]):
+            return (prefix[-1:] - np.concatenate(([0.0], prefix[:-1]))) / g[-1:]
+        P, G = prefix.tolist(), g.tolist()
+        out = [0.0] * n
+        # the upper hull from right to left, and the slope of each edge
+        # (hs[k - 1] joins hull points k - 1 and k)
+        hp, hg, hs = [], [], []
+        for c in range(n - 1, -1, -1):
+            p, q = P[c], G[c]
+            if not hg or hg[-1] != q:
+                while hs and (hp[-1] - p) / (hg[-1] - q) <= hs[-1]:
+                    hp.pop()
+                    hg.pop()
+                    hs.pop()
+                if hp:
+                    hs.append((hp[-1] - p) / (hg[-1] - q))
+                hp.append(p)
+                hg.append(q)
+            t = P[c - 1] if c else 0.0
+            lo, hi = 0, len(hp) - 1
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if (hp[mid] - t) / hg[mid] < (hp[mid + 1] - t) / hg[mid + 1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            out[c] = (hp[lo] - t) / hg[lo]
+        return np.array(out)
 
 
 class UnitSubmeasure(Submeasure):
@@ -1040,9 +1081,10 @@ class MaxWithUnitSubmeasure(Submeasure):
         return hat_norm_oracle(self, x)
 
 
-def as_float_array(x) -> np.ndarray:
+def as_float_array(x, name: str = "entry {} of the sequence") -> np.ndarray:
     """x as a float array.  An exact entry beyond the float range raises
-    :class:`~gbv._util.NonFiniteValue` naming the first such entry."""
+    :class:`~gbv._util.NonFiniteValue` naming the first such entry by
+    ``name.format(its 1-based index)``."""
     try:
         entries = x if isinstance(x, np.ndarray) else np.array(
             [float(v) for v in as_entries(x)], dtype=float)
@@ -1052,8 +1094,7 @@ def as_float_array(x) -> np.ndarray:
             try:
                 float(v)
             except OverflowError:
-                raise NonFiniteValue(
-                    f"entry {i} of the sequence overflows a float ({exc})") from exc
+                raise NonFiniteValue(f"{name.format(i)} overflows a float ({exc})") from exc
         raise
 
 

@@ -101,7 +101,7 @@ import numpy as np
 
 from ._util import (INT64_BOUND, NonFiniteValue, SizeRefusal, all_exact, exact_div,
                     is_finite, over_common_denominator, rail_slack)
-from .submeasure import Submeasure, WatermanWeights, hat_norm, summable
+from .submeasure import Submeasure, WatermanWeights, as_float_array, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
 
@@ -546,7 +546,15 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
     Python's exact or mixed oscillations each rounded to a float."""
     grid, _ = _oscillation_grid(values, exact)
     if not exact:
-        grid = grid.astype(float, copy=False)
+        try:
+            grid = grid.astype(float, copy=False)
+        except OverflowError:
+            # name the first exact oscillation past the float range
+            n = len(values)
+            for i in range(n):
+                as_float_array(grid[i * n:(i + 1) * n],
+                               f"the oscillation from breakpoint {i + 1} to breakpoint {{}}")
+            raise
     rows = np.sort(grid[_family_tree(len(values), max_count)[1]], axis=1)
     return np.ascontiguousarray(rows[:, ::-1])
 
@@ -581,7 +589,8 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     Its float maximum is the full enumeration's too: with nonnegative
     weights and a fixed left-to-right order, rounding is monotone, so adding
     an interval never lowers a row's float hat.  A float maximum past the
-    float range raises ``NonFiniteValue``.
+    float range raises ``NonFiniteValue``, and so does an exact oscillation
+    with no float, named by its breakpoints.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -633,14 +642,19 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     runs attain the k-interval modulus for every k (``runs_saturate_modulus``)
     and ``phi.sorted_hat_is_sup`` holds, since then
     greedy <= brute <= upper = greedy.  For other variants a warning flags
-    that not even the lower-bound ordering argument is available.
+    that not even the lower-bound ordering argument is available.  A float
+    hat past the float range raises ``NonFiniteValue``, as the brute force's
+    does.
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
     runs = sorted(monotone_runs(f), reverse=True)
-    return hat_norm(phi, runs)
+    value = hat_norm(phi, runs)
+    if not is_finite(value):
+        raise NonFiniteValue(f"the variation overflows the float range ({value!r})")
+    return value
 
 
 def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):

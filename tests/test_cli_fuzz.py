@@ -89,7 +89,11 @@ BAD_SEQUENCE_DESCRIPTORS = [
 TENT = "0,0\n1/2,1\n1,0\n"
 # finite values whose oscillations sum past the float range
 HUGE = "0,0\n1/2,1.7e308\n1,7e307\n"
+# exact values whose oscillation 2 * 10^308 passes the float range
+HUGE_EXACT = f"0,{10 ** 308}\n1/2,-{10 ** 308}\n1,0\n"
 MAX_UNIT_COUNTING = {"type": "counting", "wrap": ["max_unit"]}
+# float weights, so the exact oscillations are scored as floats
+POWER = {"type": "summable", "form": "power", "param": 0.7, "horizon": 16}
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +116,9 @@ def files(tmp_path_factory):
     sequences += [put("xdtext.json", "{"), str(d / "missing_x.csv")]
     return {"valid": valid, "bad": bad, "functions": functions, "sequences": sequences,
             "tent": put("tent.csv", TENT), "seq": put("seq.csv", "1\n1/2\n1/3\n"),
-            "huge": put("huge.csv", HUGE),
+            "huge": put("huge.csv", HUGE), "huge_exact": put("huge_exact.csv", HUGE_EXACT),
             "max_unit_counting": put("max_unit_counting.json", json.dumps(MAX_UNIT_COUNTING)),
+            "power": put("power.json", json.dumps(POWER)),
             "no_dir": str(d / "no_dir" / "out.json")}
 
 
@@ -129,6 +134,11 @@ def _variation(f):
                  "--output", f["no_dir"]])
     cmds += [["variation", "--function", f["huge"], "--submeasure", s]
              for s in [f["max_unit_counting"], *v.values()]]
+    methods = ("greedy", "brute", "upper", "all")
+    cmds += [["variation", "--function", f["huge"], "--submeasure", v["harmonic"],
+              "--method", m] for m in methods]
+    cmds += [["variation", "--function", f["huge_exact"], "--submeasure", s, "--method", m]
+             for s in (f["power"], v["harmonic"]) for m in methods]
     return cmds
 
 
@@ -228,10 +238,10 @@ def test_malformed_input_ends_in_a_named_error_never_a_traceback(files, capsys, 
 def test_float_variation_past_the_float_range_is_refused_without_a_numpy_warning(files, capsys):
     # every oscillation of HUGE is finite, their weighted sums are not: each
     # method that sums them names the overflow, and numpy prints nothing
+    # (--method upper scores the norm by the greedy, which overflows first)
     harmonic = files["valid"]["harmonic"]
-    for method, message in (("all", "the variation overflows the float range (inf)"),
-                            ("brute", "the variation overflows the float range (inf)"),
-                            ("upper", "modulus increment 2 is not finite (inf)")):
+    message = "the variation overflows the float range (inf)"
+    for method in ("all", "brute", "greedy", "upper"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["variation", "--function", files["huge"], "--submeasure", harmonic,

@@ -455,6 +455,42 @@ def test_cli_variation_past_the_float_range_is_a_named_error(workdir, capsys):
     assert err.startswith("error: the hat-norm value 2.700000e+308 overflows a float")
 
 
+@pytest.mark.parametrize("method, message", [
+    ("brute", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
+    ("all", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
+    ("greedy", "entry 1 of the sequence overflows a float"),
+    ("upper", "entry 1 of the sequence overflows a float"),
+])
+def test_cli_exact_oscillation_past_the_float_range_under_float_weights(
+        workdir, capsys, method, message):
+    # exact values whose oscillation 2 * 10^308 has no float, scored under
+    # float weights: the brute force names the oscillation, the greedy the run
+    from gbv.cli import main
+
+    big = 10 ** 308
+    (workdir / "big.csv").write_text(f"0,{big}\n1/2,-{big}\n1,0\n")
+    (workdir / "power.json").write_text(json.dumps(
+        {"type": "summable", "form": "power", "param": 0.7, "horizon": 16}))
+    rc = main(["variation", "--function", str(workdir / "big.csv"),
+               "--submeasure", str(workdir / "power.json"), "--method", method])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: {message} (int too large to convert to float)\n"
+
+
+def test_cli_greedy_variation_past_the_float_range_is_a_named_error(workdir, capsys):
+    # the greedy's float hat of the runs (1.7e308, 1e308) passes the float
+    # range; it is refused like the brute force's, not written as inf
+    from gbv.cli import main
+
+    (workdir / "huge.csv").write_text("0,0\n1/2,1.7e308\n1,7e307\n")
+    rc = main(["variation", "--function", str(workdir / "huge.csv"),
+               "--submeasure", str(workdir / "harmonic.json"), "--method", "greedy"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == "error: the variation overflows the float range (inf)\n"
+
+
 def test_cli_usage_error_exits_one(capsys):
     from gbv.cli import main
 

@@ -32,6 +32,7 @@ from gbv.submeasure import (
     max_with_unit,
     ones_weights,
     permuted,
+    power_weights,
     shift_normalize,
     sqrt_bound,
     summable,
@@ -201,6 +202,38 @@ def test_preceq_summable_sqrt_witness():
     assert float(r.bound_estimate) == 100.0
     assert r.details["witness_index"] == 2500
     assert r.witness.entries[-1] == 1 and len(r.witness.entries) == 2500
+
+
+def _preceq_summable_loop(A, B, cap):
+    # the per-index scan: one Python division per index, first argmax and
+    # first crossing
+    best, best_n, crossing = 0, 0, None
+    for n, (a, b) in enumerate(zip(A.values, B.values), start=1):
+        r = b / a
+        if r > best:
+            best, best_n = r, n
+        if crossing is None and r >= cap:
+            crossing = n
+    return best, best_n, crossing
+
+
+@pytest.mark.parametrize("pair", ["harmonic-power", "power-harmonic", "ones-power",
+                                  "power-ones", "power-power"])
+@pytest.mark.parametrize("cap", [1.5, 3, 10 ** 3])
+def test_float_preceq_summable_matches_the_per_index_loop(pair, cap):
+    # power weights are floats, harmonic and ones exact
+    weights = {"harmonic": harmonic_weights(4096), "ones": ones_weights(4096),
+               "power": power_weights(0.5, 4096)}
+    a, b = pair.split("-")
+    A = weights[a]
+    B = power_weights(0.7, 4096) if b == a else weights[b]
+    r = preceq_summable(A, B, cap)
+    best, best_n, crossing = _preceq_summable_loop(A, B, cap)
+    assert type(r.bound_estimate) is float
+    assert r.bound_estimate == best and r.details["argmax"] == best_n
+    assert r.details.get("witness_index") == crossing
+    if crossing is not None:
+        assert r.witness.entries == (0,) * (crossing - 1) + (1,)
 
 
 def test_preceq_m_examples():

@@ -34,6 +34,17 @@ def test_is_monotone_examples():
     assert is_monotone(())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-1e6, 1e6, allow_nan=False)), max_size=30))
+def test_is_monotone_on_a_float_array_agrees_with_its_tuple(x):
+    # the numpy pass and the entry loop, ties and signed zeros included
+    srt = sorted(x, key=abs, reverse=True)
+    for seq in (x, srt, srt + srt[-1:], [-v for v in srt]):
+        assert is_monotone(np.array(seq, dtype=float)) == is_monotone(tuple(seq))
+    assert is_monotone(np.array(srt, dtype=float))
+
+
 def test_sorted_rearrangement_examples():
     assert sorted_rearrangement((1, 3, 2)).entries == (3, 2, 1)
     assert sorted_rearrangement((-5, 0, 5)).entries == (5, 5, 0)
@@ -96,6 +107,26 @@ def test_truncation_curve_is_nondecreasing_validated():
         MembershipCertificate("fin", (2.0, 1.0), (), "bounded-consistent")
     with pytest.raises(ValueError):
         MembershipCertificate("exh", (), (1.0, 2.0), "tail-stuck")
+
+
+def test_a_curve_that_fails_late_is_refused_at_its_first_bad_step():
+    # a drop inside the slack (1e-9, relative past 1) passes; the first one
+    # past it is named by n, however many more follow
+    rising = [float(k) for k in range(1, 20001)]
+    rising[9999] -= 5e-6          # within 1e-9 * 10000
+    rising[15000] = rising[14999] - 1.6e-5
+    rising[18000] = 0.0
+    with pytest.raises(ValueError, match=r"^truncation norms must be nondecreasing "
+                                         r"\(n=15001\)$"):
+        MembershipCertificate("fin", tuple(rising), (), "growth-detected")
+    falling = rising[::-1]
+    falling[1] = falling[0] + 1e-6  # within 1e-9 * 20000
+    with pytest.raises(ValueError, match=r"^tail norms must be nonincreasing \(n=2001\)$"):
+        MembershipCertificate("exh", (), tuple(falling), "tail-stuck")
+    # slack 1e-9 absolute below 1
+    MembershipCertificate("exh", (), (0.5, 0.5 + 1e-9), "tail-stuck")
+    with pytest.raises(ValueError, match=r"\(n=3\)$"):
+        MembershipCertificate("exh", (), (0.5, 0.5, 0.5 + 2e-9), "tail-stuck")
 
 
 # ---------------------------------------------------------------------------

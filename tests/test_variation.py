@@ -22,6 +22,7 @@ from gbv.submeasure import (
     max_with_unit,
     ones_weights,
     permuted,
+    power_weights,
     shift_normalize,
     sqrt_bound,
     summable,
@@ -455,8 +456,26 @@ def test_float_variation_past_the_float_range_is_a_named_error_without_a_warning
             variation_bruteforce(f, phi)
         with pytest.raises(NonFiniteValue, match=r"^modulus increment 2 is not finite \(inf\)"):
             variation_upper_bound(f, phi)
+        with pytest.raises(NonFiniteValue,
+                           match=r"^the variation overflows the float range \(inf\)$"):
+            variation_greedy(f, phi)
         assert variation_bruteforce(f, phi, 1) == 1.7e308
         assert modulus_by_enumeration(f).values == (0, 1.7e308, math.inf)
+
+
+def test_exact_oscillation_past_the_float_range_under_float_weights_is_named():
+    # the values fit a float, the oscillation 2 * 10^308 does not
+    big = 10 ** 308
+    f = PiecewiseLinearFunction((0, F(1, 2), 1), (big, -big, 0))
+    for phi in (summable(power_weights(0.7, 16)),
+                shift_normalize(summable(power_weights(0.7, 16)))):
+        with pytest.raises(NonFiniteValue, match=r"^the oscillation from breakpoint 1 to "
+                                                 r"breakpoint 2 overflows a float"):
+            variation_bruteforce(f, phi)
+        for estimate in (variation_greedy, variation_upper_bound):
+            with pytest.raises(NonFiniteValue,
+                               match=r"^entry 1 of the sequence overflows a float"):
+                estimate(f, phi)
 
 
 def test_modulus_prefix_query():

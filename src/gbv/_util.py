@@ -3,8 +3,9 @@
 The library computes every quantity on two rails: exact rational arithmetic
 (``int`` / ``fractions.Fraction``) whenever the inputs are exact, and float
 arithmetic otherwise.  Python's numeric tower does most of the work; the
-helpers here cover the two spots where it does not (integer division and
-exact integer roots) plus number parsing/formatting for the wire formats.
+helpers here cover the spots where it does not (integer division, exact
+integer roots, and the exact first maximum of a vector of ratios) plus number
+parsing/formatting for the wire formats.
 """
 
 from __future__ import annotations
@@ -13,12 +14,18 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
+import numpy as np
+
 EXACT_TYPES = (int, Fraction)
 
 # The integer numpy kernels (the oracle's certification scan, the scoring of
 # the exact brute force) run on int64 while every number they form stays
 # below this bound, and on object arrays of Python ints otherwise.
 INT64_BOUND = 1 << 62
+
+#: exact scans of fewer ratios than this take the scalar loop, where numpy's
+#: cost per call outweighs the work
+SHORT_SCAN = 64
 
 #: largest horizon a descriptor or a CLI ``--horizon`` may ask for: a
 #: closed-form descriptor materializes that many weights, and the order
@@ -71,6 +78,26 @@ def exact_div(num, den):
     if isinstance(num, EXACT_TYPES) and isinstance(den, EXACT_TYPES):
         return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else Fraction(num) / Fraction(den)
     return num / den
+
+
+def first_max_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first maximum of num[i] / den[i], exactly, for nonempty
+    int64 arrays with num >= 0, den > 0 and max(num) * max(den) < INT64_BOUND.
+
+    The float ratios only pick where to start: their argmax i gives
+    p/q = num[i]/den[i].  Then, while some j has num[j] * q > p * den[j],
+    p/q moves to the one of those with the largest float ratio; each move
+    raises p/q strictly, so the loop ends, and it ends at the maximum.  The
+    first j with num[j] * q == p * den[j] is returned.  Every product is at
+    most max(num) * max(den), so each int64 comparison is exact and the
+    index is the one a scalar loop with a strict ``>`` would keep.
+    """
+    i = int(np.argmax(num / den))
+    p, q = int(num[i]), int(den[i])
+    while len(above := np.flatnonzero(num * q > p * den)):
+        i = int(above[np.argmax(num[above] / den[above])])
+        p, q = int(num[i]), int(den[i])
+    return int(np.flatnonzero(num * q == p * den)[0])
 
 
 def over_common_denominator(values) -> tuple:

@@ -23,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import HorizonExceeded, HypothesisViolation, exact_div, rail_slack
+from ._util import (
+    INT64_BOUND,
+    SHORT_SCAN,
+    HorizonExceeded,
+    HypothesisViolation,
+    exact_div,
+    first_max_ratio,
+    rail_slack,
+)
 from .sequence_spaces import fin_certificate, is_monotone
 from .submeasure import (
     DensityBound,
@@ -101,16 +109,25 @@ def density_witness_monotone(g: DensityBound, h: DensityBound, n: int) -> Constr
     g-norm is 1.  When n/g(n) is exactly nondecreasing s = n/g(n) and the
     object is the classical witness of height g(n)/n; for ceiling-rounded
     profiles s absorbs the rounding, keeping the first check exact.
+    s = s_num/s_den is the first maximum: found by the exact first-max kernel
+    on ``g.g_ints(n)`` where n * g(n) fits int64, else by cross-multiplying
+    in a loop (short n, a table past int64 or too short for n).
     """
     if n < 1:
         raise ValueError(f"witness index n must be at least 1, got {n}")
     phi_g, phi_h = density(g), density(h)
-    # s = s_num/s_den, the first maximum of m/g(m), by cross-multiplication
-    s_num, s_den = 0, 1
-    for m in range(1, n + 1):
-        gm = g.g(m)
-        if m * s_den > s_num * gm:
-            s_num, s_den = m, gm
+    gs = None
+    if n >= SHORT_SCAN and (g.horizon is None or n <= g.horizon):
+        gs = g.g_ints(n)
+    if gs is not None and gs.dtype == np.int64 and n * int(gs[-1]) < INT64_BOUND:
+        i = first_max_ratio(np.arange(1, n + 1), gs)
+        s_num, s_den = i + 1, int(gs[i])
+    else:
+        s_num, s_den = 0, 1
+        for m in range(1, n + 1):
+            gm = g.g(m)
+            if m * s_den > s_num * gm:
+                s_num, s_den = m, gm
     s = Fraction(s_num, s_den)
     height = Fraction(s_den, s_num)
     x = SequencePrefix((height,) * n)

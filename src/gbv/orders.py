@@ -27,10 +27,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from ._util import HorizonExceeded, NonFiniteValue, all_exact, exact_div, is_finite
+from ._util import (
+    INT64_BOUND,
+    SHORT_SCAN,
+    HorizonExceeded,
+    NonFiniteValue,
+    all_exact,
+    exact_div,
+    first_max_ratio,
+    is_finite,
+    over_common_denominator,
+)
 from .constructions import density_witness_monotone
 from .sequence_spaces import SequencePrefix
 from .submeasure import (
@@ -42,6 +53,8 @@ from .submeasure import (
 
 DEFAULT_HORIZON = 10 ** 4
 DEFAULT_RATIO_CAP = 10 ** 3
+#: preceq_m_summable scans exact weights exactly up to this many entries
+PRECEQ_M_EXACT_LIMIT = 2048
 #: ideal_criterion_c searches every subset up to this horizon, intervals beyond
 CRITERION_C_EXHAUSTIVE_LIMIT = 20
 #: a table of weights whose last entry is below this is tall-consistent
@@ -130,24 +143,41 @@ def preceq_density(g: DensityBound, h: DensityBound,
     at the horizon for all horizon-supported input.  If the ratio reaches the
     cap the flat-prefix witness at the first crossing is attached (its g-norm
     is exactly 1 while its h-norm carries the ratio).
+
+    Every ratio is compared exactly, by cross-multiplication, and
+    Fraction(float) is exact, so the crossing test is exact for a float cap
+    too.  Where g(horizon) * h(horizon) fits int64 the scan runs on the
+    ``g_ints`` arrays: the exact first-max kernel finds the argmax, and the
+    first crossing, which exists exactly when the maximum reaches the cap,
+    is the first n with g(n) * cap_den >= cap_num * h(n), on int64 where
+    those products fit and on Python ints otherwise.  Short horizons and
+    tables past int64 take the scalar loop.
     """
     _check_positive_finite(cap)
     for bound in (g, h):
         if bound.horizon is not None and bound.horizon < horizon:
             raise ValueError(f"horizon mismatch: {bound!r} ends before {horizon}")
-    # ratios g(n)/h(n) compared by cross-multiplication; Fraction(float) is
-    # exact, so the crossing test is exact for a float cap too
     exact_cap = Fraction(cap)
     cap_num, cap_den = exact_cap.numerator, exact_cap.denominator
-    num, den = 0, 1
-    best_n = 0
-    first_crossing = None
-    for n in range(1, horizon + 1):
-        gn, hn = g.g(n), h.g(n)
-        if gn * den > num * hn:
-            num, den, best_n = gn, hn, n
-        if first_crossing is None and gn * cap_den >= cap_num * hn:
-            first_crossing = n
+    G, H = _int64_profiles(g, h, horizon)
+    if G is not None:
+        i = first_max_ratio(G, H)
+        num, den, best_n = int(G[i]), int(H[i]), i + 1
+        first_crossing = None
+        if num * cap_den >= cap_num * den:
+            if int(G[-1]) * cap_den >= INT64_BOUND or cap_num * int(H[-1]) >= INT64_BOUND:
+                G, H = G.astype(object), H.astype(object)
+            first_crossing = int(np.flatnonzero(G * cap_den >= cap_num * H)[0]) + 1
+    else:
+        num, den = 0, 1
+        best_n = 0
+        first_crossing = None
+        for n in range(1, horizon + 1):
+            gn, hn = g.g(n), h.g(n)
+            if gn * den > num * hn:
+                num, den, best_n = gn, hn, n
+            if first_crossing is None and gn * cap_den >= cap_num * hn:
+                first_crossing = n
     best = Fraction(num, den)
     details = {"argmax": best_n, "horizon": horizon, "cap": cap}
     if first_crossing is not None:
@@ -156,6 +186,17 @@ def preceq_density(g: DensityBound, h: DensityBound,
         return ComparisonReport("preceq", best, VIOLATED, cert.obj, details)
     verdict = HOLDS if _density_pair_provable(g, h) else CONSISTENT
     return ComparisonReport("preceq", best, verdict, None, details)
+
+
+def _int64_profiles(g: DensityBound, h: DensityBound, horizon: int) -> tuple:
+    """``(g_ints, h_ints)`` up to the horizon where the first-max kernel
+    applies to them (horizon at least ``SHORT_SCAN``, both int64, g(horizon)
+    * h(horizon) below ``INT64_BOUND``), else ``(None, None)``."""
+    if horizon >= SHORT_SCAN:
+        G, H = g.g_ints(horizon), h.g_ints(horizon)
+        if G.dtype == H.dtype == np.int64 and int(G[-1]) * int(H[-1]) < INT64_BOUND:
+            return G, H
+    return None, None
 
 
 def _check_positive_finite(value, name: str = "cap") -> None:
@@ -230,21 +271,17 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
     By summation by parts, sum b_i |x_i| rewrites over the prefix sums, so
     eta = max_n (sum_{i<=n} b_i)/(sum_{i<=n} a_i) dominates on the monotone
     cone, and the flat prefix at the argmax attains the ratio exactly.
+
+    Exact weights (at most ``PRECEQ_M_EXACT_LIMIT`` of them) give the exact
+    maximum and its first index, found by ``_first_max_partial_ratio``.
     """
     _check_positive_finite(cap)
     if len(A.values) != len(B.values):
         raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
     n_vals = len(A.values)
-    exact = all_exact(A.values) and all_exact(B.values) and n_vals <= 2048
+    exact = all_exact(A.values) and all_exact(B.values) and n_vals <= PRECEQ_M_EXACT_LIMIT
     if exact:
-        asum = bsum = 0
-        best, best_n = 0, 0
-        for n in range(1, n_vals + 1):
-            asum += A.values[n - 1]
-            bsum += B.values[n - 1]
-            r = exact_div(bsum, asum)
-            if r > best:
-                best, best_n = r, n
+        best, best_n = _first_max_partial_ratio(A, B)
     else:
         asums = np.cumsum(A.float_values(n_vals))
         bsums = np.cumsum(B.float_values(n_vals))
@@ -257,6 +294,61 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
         return ComparisonReport("preceq_m", best, VIOLATED, witness, details)
     verdict = HOLDS if _summable_pair_m_provable(A, B) else CONSISTENT
     return ComparisonReport("preceq_m", best, verdict, None, details)
+
+
+def _first_max_partial_ratio(A: WatermanWeights, B: WatermanWeights) -> tuple:
+    """``(r, n)``: the largest ratio r of the partial sums B_n / A_n of two
+    exact weight sequences of one length, as a Fraction, and its first n.
+
+    Proportional weights (b_i * a_1 == b_1 * a_i for every i, checked on
+    the integer numerators and denominators) have every ratio equal to
+    b_1/a_1, so n = 1.  Otherwise the float partial-sum ratios screen the
+    indices.  Each float weight is the exact one rounded once, each partial
+    sum of n positive terms adds at most n - 1 more roundings, and the
+    division one more, so a float ratio is within a relative (2n + 1) 2^-53
+    of the exact one: about 5e-13 at n = 2048.  The exact maximum's float
+    ratio is therefore within a relative 1e-9 of the float maximum, and only
+    the indices that close are confirmed, in order, by cross-multiplying the
+    integer partial sums over the lcm of the denominators.  A weight whose
+    float overflows, is subnormal or is 0 voids the bound, and then every
+    ratio is formed exactly, as the weights are read.
+    """
+    a, b = A.values, B.values
+    a1, b1 = a[0], b[0]
+    c1 = b1.numerator * a1.denominator
+    c2 = b1.denominator * a1.numerator
+    if all(v.numerator * u.denominator * c2 == c1 * v.denominator * u.numerator
+           for u, v in zip(a, b)):
+        return exact_div(b1, a1), 1
+    try:
+        fa, fb = A.float_values(len(a)), B.float_values(len(b))
+    except OverflowError:
+        fa = fb = None
+    tiny = np.finfo(float).tiny
+    if fa is not None and fa.min() >= tiny and fb.min() >= tiny:
+        # a sum past the float range makes inf or NaN ratios, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = np.cumsum(fb) / np.cumsum(fa)
+        top = ratios.max()
+        if np.isfinite(top) and ratios.min() >= tiny:
+            near = np.flatnonzero(ratios >= top * (1 - 1e-9))
+            anums, aden = over_common_denominator(a[:near[-1] + 1])
+            bnums, bden = over_common_denominator(b[:near[-1] + 1])
+            asums, bsums = list(accumulate(anums)), list(accumulate(bnums))
+            best_n = int(near[0])
+            for n in near[1:].tolist():
+                if bsums[n] * asums[best_n] > bsums[best_n] * asums[n]:
+                    best_n = n
+            return Fraction(bsums[best_n] * aden, asums[best_n] * bden), best_n + 1
+    asum = bsum = 0
+    best, best_n = 0, 0
+    for n in range(1, len(a) + 1):
+        asum += a[n - 1]
+        bsum += b[n - 1]
+        r = exact_div(bsum, asum)
+        if r > best:
+            best, best_n = r, n
+    return best, best_n
 
 
 def _summable_pair_m_provable(A: WatermanWeights, B: WatermanWeights) -> bool:

@@ -44,12 +44,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._util import (
+    INT64_BOUND,
+    SHORT_SCAN,
     HorizonExceeded,
     NonFiniteValue,
     SizeRefusal,
     all_exact,
     ceil_power,
     exact_div,
+    first_max_ratio,
     is_finite,
     over_common_denominator,
     subset_sums,
@@ -62,6 +65,9 @@ EULER_GAMMA = 0.5772156649015328606065121
 POWER_DENOMINATOR_CAP = 1000
 
 Number = Union[int, float, Fraction]
+
+_EXACT_TYPE_SET = {int, Fraction}
+_FLOAT_TYPE_SET = {float}
 
 # Length above which tabulated float prefix sums switch to asymptotics.
 _FLOAT_CACHE_LIMIT = 1 << 17
@@ -98,8 +104,14 @@ def as_entries(x) -> tuple:
 
 def finite_entries(x) -> tuple:
     """``as_entries(x)``, refusing a NaN or infinite entry with
-    :class:`~gbv._util.NonFiniteValue`."""
+    :class:`~gbv._util.NonFiniteValue`.  Entries that are all ints and
+    Fractions (subclasses excluded) are finite and pass at once, and all
+    floats pass after one ``math.isfinite`` pass."""
     entries = as_entries(x)
+    types = set(map(type, entries))
+    if types <= _EXACT_TYPE_SET or (types == _FLOAT_TYPE_SET
+                                    and all(map(math.isfinite, entries))):
+        return entries
     for i, v in enumerate(entries, start=1):
         if not is_finite(v):
             raise NonFiniteValue(f"entry {i} of the sequence is not finite ({v!r})")
@@ -332,7 +344,7 @@ class DensityBound:
     rather than assuming them.
     """
 
-    __slots__ = ("form", "param", "table", "_g_cache", "_g")
+    __slots__ = ("form", "param", "table", "_g", "_g_ints", "_g_floats")
 
     def __init__(self, form: str, param=None, table=None):
         if form == "table":
@@ -372,7 +384,7 @@ class DensityBound:
         self.form = form
         self.param = param
         self.table = table
-        self._g_cache = None
+        self._g_ints = self._g_floats = None
         # g(n) for n >= 1, chosen once per form
         if form == "table":
             self._g = self._table_g
@@ -404,24 +416,60 @@ class DensityBound:
             raise HorizonExceeded(f"density table ends at {len(self.table)}, asked for {n}")
         return self.table[n - 1]
 
+    def g_ints(self, length: int) -> np.ndarray:
+        """g(1..length) as an exact integer array (cached, read-only).
+
+        int64 for every closed form and for a table whose last (largest)
+        entry is below ``INT64_BOUND``; an object array of Python ints for a
+        larger table.  Identity is an ``arange``.  The square root is the
+        float root of m = n - 1, lowered by one where its square passes m:
+        while m < 2**53 is a float, the correctly rounded root is never
+        below the integer root, and rounds up to it only next to a square.
+        Log is the bit length of n, read off the exponent of ``np.frexp``
+        (exact while n < 2**53 is a float).  Other powers run
+        ``ceil_power`` per index.  A closed form's cache grows to at least
+        twice its old length.
+        """
+        if self._g_ints is None or len(self._g_ints) < length:
+            self._g_ints = self._g_profile(length, self._g_ints)
+        return self._g_ints[:length]
+
     def g_array(self, length: int) -> np.ndarray:
-        """g(1..length) as a float array (cached)."""
-        if self._g_cache is None or len(self._g_cache) < length:
-            if self.form == "table":
-                if length > len(self.table):
-                    raise HorizonExceeded(
-                        f"density table ends at {len(self.table)}, asked for {length}")
-                self._g_cache = np.array(self.table, dtype=float)
-            elif self.form == "power" and self.param == Fraction(1, 2):
-                n = np.arange(0, length)
-                self._g_cache = np.floor(np.sqrt(n.astype(float))).astype(np.int64) + 1
-                # float sqrt is exact enough below 2**52 except at perfect squares
-                bad = (self._g_cache - 1) ** 2 > n
-                self._g_cache[bad] -= 1
-                self._g_cache = self._g_cache.astype(float)
+        """g(1..length) as a float array: the float view of ``g_ints``,
+        cached on its own, so that the float rail keeps no integer copy."""
+        if self._g_floats is None or len(self._g_floats) < length:
+            ints = self._g_ints
+            if ints is None or len(ints) < length:
+                ints = self._g_profile(length, self._g_floats)
+            self._g_floats = ints.astype(float)
+        return self._g_floats[:length]
+
+    def _g_profile(self, length: int, cache) -> np.ndarray:
+        """g(1..n) for the caches: the whole table, or a closed form up to
+        n = max(length, 2 * len(cache))."""
+        if self.form == "table":
+            if length > len(self.table):
+                raise HorizonExceeded(
+                    f"density table ends at {len(self.table)}, asked for {length}")
+            top = self.table[-1]
+            g = np.array(self.table, dtype=np.int64 if top < INT64_BOUND else object)
+        else:
+            size = max(length, 2 * len(cache) if cache is not None else 0)
+            if self.param == 1:
+                g = np.arange(1, size + 1, dtype=np.int64)
+            elif self.form == "log":
+                g = np.frexp(np.arange(1, size + 1, dtype=float))[1].astype(np.int64)
+            elif self.param == Fraction(1, 2):
+                # g(n) = isqrt(n - 1) + 1
+                m = np.arange(size, dtype=np.int64)
+                r = np.sqrt(m.astype(float)).astype(np.int64)
+                r[r * r > m] -= 1
+                g = r + 1
             else:
-                self._g_cache = np.array([self.g(i) for i in range(1, length + 1)], dtype=float)
-        return self._g_cache[:length]
+                g = np.array([ceil_power(n, self.param) for n in range(1, size + 1)],
+                             dtype=np.int64)
+        g.flags.writeable = False
+        return g
 
     def real_increment(self, n: int):
         """Increment of the underlying profile at n (g_real(n) - g_real(n-1))."""
@@ -539,7 +587,8 @@ class Submeasure:
         return self._set_value(self._check_indices(C))
 
     def _set_value(self, C) -> Number:
-        """phi(C) for C a sorted list of distinct indices within the horizon."""
+        """phi(C) for C a sorted list (or a step-1 range) of distinct indices
+        within the horizon."""
         raise NotImplementedError
 
     def set_table(self, support) -> tuple:
@@ -549,7 +598,7 @@ class Submeasure:
         for support[j]), so nums[0] = 0.  The support is checked here, once,
         as ``set_value`` checks its set, and then tabulated by the variant's
         ``_set_table``."""
-        C = self._check_indices(support)
+        C = list(self._check_indices(support))
         if C != list(support):
             raise ValueError("a table support must be strictly increasing")
         return self._set_table(C)
@@ -588,7 +637,9 @@ class Submeasure:
         return True
 
     def _check_indices(self, C):
-        C = sorted(set(map(int, C)))
+        # a step-1 range is sorted and distinct already
+        if not (type(C) is range and C.step == 1):
+            C = sorted(set(map(int, C)))
         if C and C[0] < 1:
             raise ValueError("set elements must be >= 1")
         if C and self.horizon is not None and C[-1] > self.horizon:
@@ -735,7 +786,14 @@ class DensitySubmeasure(Submeasure):
     def _set_value(self, C):
         if not C:
             return 0
-        # max of rank / g(n), compared by cross-multiplication
+        # max of rank / g(n): the exact first-max kernel over g at C where
+        # len(C) * g(max C) fits int64, else compared by cross-multiplication
+        if len(C) >= SHORT_SCAN:
+            gs = self.bound.g_ints(C[-1])
+            if gs.dtype == np.int64 and len(C) * int(gs[-1]) < INT64_BOUND:
+                gs = gs[C.start - 1:C.stop - 1] if type(C) is range else gs[np.array(C) - 1]
+                i = first_max_ratio(np.arange(1, len(C) + 1), gs)
+                return Fraction(i + 1, int(gs[i]))
         g = self.bound.g
         num, den = 0, 1
         for rank, n in enumerate(C, start=1):
@@ -759,19 +817,30 @@ class DensitySubmeasure(Submeasure):
         """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
 
         On the exact rail (every entry an int or a Fraction) the prefix sums
-        are integer numerators over D, the lcm of the entry denominators, the
-        ratios are compared by cross-multiplication and one Fraction is built
-        for the maximum.  Entries that include a float take the plain loop.
+        are integer numerators over D, the lcm of the entry denominators, and
+        one Fraction is built for the maximum.  Where the last prefix times
+        the largest g fits int64 the exact first-max kernel finds it, else
+        the ratios are compared by cross-multiplication.  Entries that
+        include a float take the plain loop.
         """
         entries = finite_entries(x)
         self._check_length(len(entries))
         g = self.bound.g
         if all_exact(entries):
-            D = math.lcm(*(v.denominator for v in entries))
+            dens = [v.denominator for v in entries]
+            D = math.lcm(*dens)
+            nums = [abs(v.numerator) * (D // d) for v, d in zip(entries, dens)]
+            if len(nums) >= SHORT_SCAN:
+                gs = self.bound.g_ints(len(nums))
+                if gs.dtype == np.int64 and sum(nums) * int(gs[-1]) < INT64_BOUND:
+                    prefix = np.cumsum(np.array(nums, dtype=np.int64))
+                    i = first_max_ratio(prefix, gs)
+                    num = int(prefix[i])
+                    return Fraction(num, D * int(gs[i])) if num else 0
             num, den = 0, 1
             prefix = 0
-            for n, v in enumerate(entries, start=1):
-                prefix += abs(v.numerator) * (D // v.denominator)
+            for n, v in enumerate(nums, start=1):
+                prefix += v
                 gn = g(n)
                 if prefix * den > num * gn:
                     num, den = prefix, gn

@@ -94,7 +94,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -139,14 +139,40 @@ class PiecewiseLinearFunction:
         return all_exact(self.breakpoints) and all_exact(self.values)
 
     def __call__(self, t):
+        """f(t) by linear interpolation, exact for exact t and breakpoints.
+
+        An int or Fraction t whose denominator divides the lcm D of the
+        breakpoint denominators is located by bisection on the integer keys
+        bp * D (built on the first such call), with frac the Fraction of the
+        key differences; other t bisect the breakpoints themselves.  Both
+        give the same frac, so f(t) has the same value and type.
+        """
         bp, y = self.breakpoints, self.values
         if t < 0 or t > 1:
             raise ValueError(f"argument {t} outside [0, 1]")
-        i = bisect_right(bp, t) - 1
-        if i >= len(bp) - 1:
-            return y[-1]
-        frac = exact_div(t - bp[i], bp[i + 1] - bp[i])
+        keys = self._keys
+        if keys is not None and type(t) in (int, Fraction) and keys[0] % t.denominator == 0:
+            D, K = keys
+            k = t.numerator * (D // t.denominator)
+            i = bisect_right(K, k) - 1
+            if i >= len(K) - 1:
+                return y[-1]
+            frac = Fraction(k - K[i], K[i + 1] - K[i])
+        else:
+            i = bisect_right(bp, t) - 1
+            if i >= len(bp) - 1:
+                return y[-1]
+            frac = exact_div(t - bp[i], bp[i + 1] - bp[i])
         return y[i] + (y[i + 1] - y[i]) * frac
+
+    @cached_property
+    def _keys(self):
+        """``(D, [bp * D for bp in breakpoints])`` for exact breakpoints, D
+        the lcm of their denominators; None if one is a float."""
+        if not all_exact(self.breakpoints):
+            return None
+        nums, D = over_common_denominator(self.breakpoints)
+        return D, nums
 
 
 @dataclass(frozen=True)
@@ -224,6 +250,22 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
     if sign != 0:
         runs.append(abs(current))
     return tuple(runs)
+
+
+def _run_breakpoints(f: PiecewiseLinearFunction) -> list:
+    """``[i, j]`` per run of ``monotone_runs``, in order: the run goes from
+    breakpoint index i to breakpoint index j (0-based), over its first and
+    last segment of nonzero slope."""
+    spans, sign = [], 0
+    for i in range(f.segments):
+        a, b = f.values[i], f.values[i + 1]
+        s = (b > a) - (b < a)
+        if s and s == sign:
+            spans[-1][1] = i + 1
+        elif s:
+            spans.append([i, i + 1])
+            sign = s
+    return spans
 
 
 def jordan_variation(f: PiecewiseLinearFunction):
@@ -644,14 +686,25 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     greedy <= brute <= upper = greedy.  For other variants a warning flags
     that not even the lower-bound ordering argument is available.  A float
     hat past the float range raises ``NonFiniteValue``, as the brute force's
-    does.
+    does, and so does a run with no finite float, named by its breakpoints.
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
     runs = sorted(monotone_runs(f), reverse=True)
-    value = hat_norm(phi, runs)
+    try:
+        value = hat_norm(phi, runs)
+    except NonFiniteValue:
+        # name the first run with no finite float, by its breakpoints
+        spans = sorted(zip(monotone_runs(f), _run_breakpoints(f)), key=itemgetter(0),
+                       reverse=True)
+        for run, (i, j) in spans:
+            name = f"the monotone run from breakpoint {i + 1} to breakpoint {j + 1}"
+            if not is_finite(run):
+                raise NonFiniteValue(f"{name} is not finite ({run!r})")
+            as_float_array([run], name)
+        raise
     if not is_finite(value):
         raise NonFiniteValue(f"the variation overflows the float range ({value!r})")
     return value
@@ -666,7 +719,8 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
     ordering and the hat is prefix-monotone) this dominates the brute-force
     supremum.  For unit and counting it degenerates to v(1) and v(B), both
     exact.  A float modulus past the float range raises ``NonFiniteValue``
-    naming the first increment that is not finite.
+    naming the first increment that is not finite, and so does an exact
+    increment with no float under float weights.
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
@@ -677,7 +731,11 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
             raise NonFiniteValue(
                 f"modulus increment {n} is not finite ({v!r}): the modulus overflows "
                 "the float range")
-    return hat_norm(phi, d)
+    try:
+        return hat_norm(phi, d)
+    except NonFiniteValue:
+        as_float_array(d, "modulus increment {}")
+        raise
 
 
 def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:

@@ -94,6 +94,18 @@ HUGE_EXACT = f"0,{10 ** 308}\n1/2,-{10 ** 308}\n1,0\n"
 MAX_UNIT_COUNTING = {"type": "counting", "wrap": ["max_unit"]}
 # float weights, so the exact oscillations are scored as floats
 POWER = {"type": "summable", "form": "power", "param": 0.7, "horizon": 16}
+# exact scans past int64 take the scalar loops: density tables whose entries
+# pass 2^62, or whose products g * h do, and weights with no normal float
+PAST_INT64 = {
+    "density_2e57": {"type": "density", "form": "table",
+                     "table": [m << 57 for m in range(1, 81)]},
+    "density_2e50": {"type": "density", "form": "table",
+                     "table": [m << 50 for m in range(1, 101)]},
+    "weights_huge": {"type": "summable", "form": "table", "table": [10 ** 400] + [1] * 99},
+    "weights_tiny": {"type": "summable", "form": "table",
+                     "table": [1] * 99 + [f"1/{10 ** 400}"]},
+    "weights_ones": {"type": "summable", "form": "table", "table": [1] * 100},
+}
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +131,7 @@ def files(tmp_path_factory):
             "huge": put("huge.csv", HUGE), "huge_exact": put("huge_exact.csv", HUGE_EXACT),
             "max_unit_counting": put("max_unit_counting.json", json.dumps(MAX_UNIT_COUNTING)),
             "power": put("power.json", json.dumps(POWER)),
+            "past_int64": {k: put(f"{k}.json", json.dumps(v)) for k, v in PAST_INT64.items()},
             "no_dir": str(d / "no_dir" / "out.json")}
 
 
@@ -167,6 +180,16 @@ def _compare(f):
     for horizon, cap in itertools.product(("0", "-5", "4"), ("0", "-1", "nan", "inf")):
         cmds.append(["compare", "--relation", "criterion_c", "--a", v[4], "--b", v[5],
                      "--horizon", horizon, "--cap", cap])
+    big = f["past_int64"]
+    dens = [big["density_2e57"], big["density_2e50"], f["valid"]["sqrt"]]
+    for a, b in itertools.product(dens, repeat=2):
+        for relation in ("preceq", "criterion_c"):
+            cmds += [["compare", "--relation", relation, "--a", a, "--b", b,
+                      "--horizon", horizon, "--cap", cap]
+                     for horizon in ("80", "81") for cap in ("2", "0.1")]
+    weights = [big["weights_huge"], big["weights_tiny"], big["weights_ones"]]
+    cmds += [["compare", "--relation", "preceq_m", "--a", a, "--b", b, "--cap", "2"]
+             for a, b in itertools.product(weights, repeat=2)]
     return cmds
 
 
@@ -209,6 +232,10 @@ def _construct(f):
         ]
     cmds.append(["construct", "--kind", "exh-not-fin", "--phi1", v["harmonic"],
                  "--phi2", v["counting"], "--search-len", "1000000000000"])
+    big = f["past_int64"]
+    for g in (big["density_2e57"], big["density_2e50"]):
+        cmds += [["construct", "--kind", "density-witness", "--g", a, "--h", b, "--index", n]
+                 for a, b in ((g, v["sqrt"]), (v["sqrt"], g)) for n in ("80", "81")]
     cmds += [["construct", "--kind", kind]
              for kind in ("density-witness", "density-set", "zigzag", "exh-not-fin",
                           "separating", "permuted-demo")]

@@ -458,13 +458,15 @@ def test_cli_variation_past_the_float_range_is_a_named_error(workdir, capsys):
 @pytest.mark.parametrize("method, message", [
     ("brute", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
     ("all", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
-    ("greedy", "entry 1 of the sequence overflows a float"),
-    ("upper", "entry 1 of the sequence overflows a float"),
+    ("greedy", "the monotone run from breakpoint 1 to breakpoint 2 overflows a float"),
+    ("upper", "the monotone run from breakpoint 1 to breakpoint 2 overflows a float"),
 ])
 def test_cli_exact_oscillation_past_the_float_range_under_float_weights(
         workdir, capsys, method, message):
     # exact values whose oscillation 2 * 10^308 has no float, scored under
-    # float weights: the brute force names the oscillation, the greedy the run
+    # float weights: the brute force names the oscillation, the greedy the
+    # run by its breakpoints (--method upper scores the norm by the greedy,
+    # which meets the run first)
     from gbv.cli import main
 
     big = 10 ** 308
@@ -476,6 +478,25 @@ def test_cli_exact_oscillation_past_the_float_range_under_float_weights(
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert err == f"error: {message} (int too large to convert to float)\n"
+
+
+def test_cli_greedy_names_the_overflowing_run_by_its_breakpoints(workdir, capsys):
+    # three runs; the second, from breakpoint 2 to breakpoint 5 over a flat
+    # segment, oscillates by 2 * 10^308 + 1 and has no float
+    from gbv.cli import main
+
+    big = 10 ** 308
+    rows = [("0", 0), ("1/5", 1), ("2/5", 0), ("3/5", 0), ("4/5", -2 * big), ("1", 0)]
+    (workdir / "runs.csv").write_text("".join(f"{t},{y}\n" for t, y in rows))
+    (workdir / "power.json").write_text(json.dumps(
+        {"type": "summable", "form": "power", "param": 0.7, "horizon": 16}))
+    for method in ("greedy", "upper"):
+        rc = main(["variation", "--function", str(workdir / "runs.csv"),
+                   "--submeasure", str(workdir / "power.json"), "--method", method])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == "", method
+        assert err == ("error: the monotone run from breakpoint 2 to breakpoint 5 overflows "
+                       "a float (int too large to convert to float)\n"), method
 
 
 def test_cli_greedy_variation_past_the_float_range_is_a_named_error(workdir, capsys):

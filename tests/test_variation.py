@@ -472,10 +472,36 @@ def test_exact_oscillation_past_the_float_range_under_float_weights_is_named():
         with pytest.raises(NonFiniteValue, match=r"^the oscillation from breakpoint 1 to "
                                                  r"breakpoint 2 overflows a float"):
             variation_bruteforce(f, phi)
-        for estimate in (variation_greedy, variation_upper_bound):
-            with pytest.raises(NonFiniteValue,
-                               match=r"^entry 1 of the sequence overflows a float"):
-                estimate(f, phi)
+        # the greedy names the run, the upper bound the modulus increment
+        with pytest.raises(NonFiniteValue, match=r"^the monotone run from breakpoint 1 to "
+                                                 r"breakpoint 2 overflows a float"):
+            variation_greedy(f, phi)
+        with pytest.raises(NonFiniteValue, match=r"^modulus increment 1 overflows a float"):
+            variation_upper_bound(f, phi)
+
+
+def test_estimates_name_the_run_or_increment_past_the_float_range():
+    from gbv.variation import _run_breakpoints
+
+    # the overflowing run is the second of three and sorts first; a flat
+    # segment lies inside it
+    big = 10 ** 308
+    f = PiecewiseLinearFunction((0, F(1, 5), F(2, 5), F(3, 5), F(4, 5), 1),
+                                (0, 1, 0, 0, -2 * big, 0))
+    assert _run_breakpoints(f) == [[0, 1], [1, 4], [4, 5]]
+    phi = summable(power_weights(0.7, 16))
+    with pytest.raises(NonFiniteValue, match=r"^the monotone run from breakpoint 2 to "
+                                             r"breakpoint 5 overflows a float \(int too large"):
+        variation_greedy(f, phi)
+    with pytest.raises(NonFiniteValue, match=r"^modulus increment 1 overflows a float"):
+        variation_upper_bound(f, phi)
+    # a float run that is itself inf is named as not finite
+    g = PiecewiseLinearFunction((0, F(1, 2), 1), (1.7e308, -1.7e308, 0.0))
+    with pytest.raises(NonFiniteValue, match=r"^the monotone run from breakpoint 1 to "
+                                             r"breakpoint 2 is not finite \(inf\)$"):
+        variation_greedy(g, phi)
+    # the exact weights of the harmonic hat take the huge run as it is
+    assert variation_greedy(f, summable(harmonic_weights(16))) == 2 * big + 1 + big + F(1, 3)
 
 
 def test_modulus_prefix_query():

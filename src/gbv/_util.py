@@ -286,12 +286,24 @@ def _float12(v: float) -> str:
 
 def _floats12(values, sep: str) -> str:
     """``sep.join`` of ``_float12`` over a list of floats, formatted by one
-    ``%`` and checked in bulk: only a list holding an integer value, an
-    exponent or a non-finite value is looked at number by number."""
-    body = sep.join(["%.12g"] * len(values)) % tuple(values)
-    if body.count(".") == len(values) and "e" not in body:
-        return body
-    return sep.join([s if "." in s and "e" not in s else _fix12(s) for s in body.split(sep)])
+    ``%``.  A short list is checked in bulk and, when it holds an integer
+    value, an exponent or a non-finite value, written number by number.  A
+    long one is screened in numpy: ``.12g`` already writes the report float
+    of a magnitude past 1e-300 unless the float lies within a relative 1e-11
+    of an integer (every one past 5e10 does), and only the floats outside
+    that screen go through ``_float12``."""
+    if len(values) < SHORT_SCAN:
+        body = sep.join(["%.12g"] * len(values)) % tuple(values)
+        if body.count(".") == len(values) and "e" not in body:
+            return body
+        return sep.join(map(_float12, values))
+    a = np.abs(np.array(values))
+    with np.errstate(invalid="ignore"):         # inf - inf; refused by _float12
+        plain = (a >= 1e-300) & (np.abs(a - np.rint(a)) > 1e-11 * a)
+    formats, values = ["%.12g"] * len(values), list(values)
+    for i in np.flatnonzero(~plain).tolist():
+        formats[i], values[i] = "%s", _float12(values[i])
+    return sep.join(formats) % tuple(values)
 
 
 def _fix12(s: str) -> str:

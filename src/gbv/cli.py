@@ -170,15 +170,18 @@ def _cmd_variation(args) -> int:
     f = load_function_csv(args.function)
     phi = load_submeasure(args.submeasure)
     brute = args.method in ("brute", "all")
-    detail = bv_norm_detail(f, phi, "brute" if brute else "greedy")
     variation = {}
+    if args.method == "upper":
+        # before the greedy that scores the norm, so a refusal is the bound's own
+        variation["upper"] = variation_upper_bound(f, phi)
+    detail = bv_norm_detail(f, phi, "brute" if brute else "greedy")
     if args.method == "greedy":
         variation["greedy"] = detail.variation
     elif args.method == "all":
         variation["greedy"] = variation_greedy(f, phi)
     if brute:
         variation["brute"] = detail.variation
-    if args.method in ("upper", "all"):
+    if args.method == "all":
         variation["upper"] = variation_upper_bound(f, phi)
     n_max = f.segments if args.modulus is None else args.modulus
     result = {

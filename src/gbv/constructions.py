@@ -433,7 +433,6 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
     a = A.float_values(H)
     ax = a * x
     S = np.cumsum(ax)
-    Sx = np.cumsum(x)
     total = float(S[-1])
 
     mode, tail_bound = _tail_mode(A, g, H, S)
@@ -457,17 +456,25 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
     # m_1: first N > n_1 with 2 x_N <= x_{n_1}
     m_list = [_first_index_leq(x, n1 + 1, x[n1 - 1] / 2.0, H)]
 
-    g_arr = g.g_array(H)
+    # the prefix sums of x, and g, only as far as the searches reach
+    Sx = np.cumsum(x[:1])
     for i in range(1, i_max + 1):
         m_i = m_list[-1]
         target_tail = 2.0 ** -(i + 2) / (i + 2)
         lo = int(np.searchsorted(S, total + tail_bound - target_tail, side="right")) + 1
         lo = max(lo, m_i + 1)
+        Sx = _grown_cumsum(x, Sx, m_i - 1)
         base = float(Sx[m_i - 2]) if m_i >= 2 else 0.0
-        window = np.nonzero(Sx[lo - 1:] - base >= g_arr[lo - 1:] / 2.0)[0]
-        if len(window) == 0:
-            raise HorizonExceeded(f"horizon exhausted before n_{i + 1}")
-        n_next = lo + int(window[0])
+        # first N >= lo with Sx[N] - base >= g(N) / 2, over doubling prefixes
+        k, n_next = lo - 1, None
+        while n_next is None:
+            if k >= H:
+                raise HorizonExceeded(f"horizon exhausted before n_{i + 1}")
+            Sx = _grown_cumsum(x, Sx, k + 1)
+            window = np.flatnonzero(Sx[k:] - base >= g.g_array(len(Sx))[k:] / 2.0)
+            if len(window):
+                n_next = k + 1 + int(window[0])
+            k = len(Sx)
         n_list.append(n_next)
         if i < i_max:
             m_list.append(_first_index_leq(x, n_next + 1,
@@ -508,10 +515,32 @@ def _real_increments(g: DensityBound, H: int) -> np.ndarray:
     return np.diff(np.log2(n + 1))
 
 
+def _grown_cumsum(x: np.ndarray, Sx: np.ndarray, need: int) -> np.ndarray:
+    """The prefix sums Sx of x, grown to at least ``need`` entries (at least
+    doubled, at most len(x)).  The new sums continue from the carry Sx[-1],
+    in order, so they have the bits of one cumsum over x."""
+    if len(Sx) >= need:
+        return Sx
+    end = min(len(x), max(need, 2 * len(Sx)))
+    more = np.cumsum(np.concatenate(([Sx[-1]], x[len(Sx):end])))[1:]
+    return np.concatenate((Sx, more))
+
+
 def _first_index_leq(x: np.ndarray, start: int, bound: float, H: int) -> int:
-    """Smallest 1-based N >= start with x[N] <= bound (x nonincreasing)."""
-    idx = int(np.searchsorted(-x[start - 1:], -bound))
-    n = start + idx
+    """Smallest 1-based N >= start with x[N] <= bound (x nonincreasing).
+
+    A binary search over x[start - 1:] that probes what
+    ``np.searchsorted(-x[start - 1:], -bound)`` probes, and so returns what it
+    returns even where rounding leaves x not quite sorted, reading O(log H)
+    entries."""
+    lo, hi = start - 1, len(x)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if x[mid] > bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    n = lo + 1
     if n > H:
         raise HorizonExceeded("horizon exhausted while locating a drop index")
     return n

@@ -223,10 +223,10 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     sufficient and necessary (the coordinate vector e_n witnesses necessity).
     """
     _check_positive_finite(cap)
-    if len(A.values) != len(B.values):
-        raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
-    n_vals = len(A.values)
-    if _all_float(A.values) or _all_float(B.values):
+    if len(A) != len(B):
+        raise ValueError(f"length mismatch: {len(A)} vs {len(B)}")
+    n_vals = len(A)
+    if _all_float(A) or _all_float(B):
         # every ratio is a float division, which one array division repeats
         with np.errstate(over="ignore"):
             ratios = B.float_values(n_vals) / A.float_values(n_vals)
@@ -251,8 +251,8 @@ def preceq_summable(A: WatermanWeights, B: WatermanWeights,
     return ComparisonReport("preceq", best, verdict, None, details)
 
 
-def _all_float(values) -> bool:
-    return all(isinstance(v, float) for v in values)
+def _all_float(W: WatermanWeights) -> bool:
+    return not W.is_exact() and all(isinstance(v, float) for v in W.values)
 
 
 def _summable_pair_provable(A: WatermanWeights, B: WatermanWeights) -> bool:
@@ -276,10 +276,10 @@ def preceq_m_summable(A: WatermanWeights, B: WatermanWeights,
     maximum and its first index, found by ``_first_max_partial_ratio``.
     """
     _check_positive_finite(cap)
-    if len(A.values) != len(B.values):
-        raise ValueError(f"length mismatch: {len(A.values)} vs {len(B.values)}")
-    n_vals = len(A.values)
-    exact = all_exact(A.values) and all_exact(B.values) and n_vals <= PRECEQ_M_EXACT_LIMIT
+    if len(A) != len(B):
+        raise ValueError(f"length mismatch: {len(A)} vs {len(B)}")
+    n_vals = len(A)
+    exact = A.is_exact() and B.is_exact() and n_vals <= PRECEQ_M_EXACT_LIMIT
     if exact:
         best, best_n = _first_max_partial_ratio(A, B)
     else:
@@ -379,14 +379,15 @@ def katetov_scan(A: WatermanWeights, B: WatermanWeights, M,
     oracle for this pointer dance.
     """
     _check_positive_finite(M, "Katetov level M")
-    n_vals = min(len(A.values), len(B.values))
+    n_vals = min(len(A), len(B))
     if horizon is not None:
         n_vals = min(n_vals, horizon)
-    a, b = A.values, B.values
-    exact = all_exact(a[:n_vals]) and all_exact(b[:n_vals]) and isinstance(M, (int, Fraction))
-    if not exact:
-        a = [float(v) for v in a[:n_vals]]
-        b = [float(v) for v in b[:n_vals]]
+    exact = (isinstance(M, (int, Fraction)) and all_exact(A.values[:n_vals])
+             and all_exact(B.values[:n_vals]))
+    if exact:
+        a, b = A.values, B.values
+    else:
+        a, b = A.float_values(n_vals).tolist(), B.float_values(n_vals).tolist()
         M = float(M)
     asum = [0]
     bsum = [0]
@@ -423,7 +424,7 @@ def katetov_partition_build(A: WatermanWeights, B: WatermanWeights, m, M,
     intervals = []
     sums = []
     start = 1
-    exact_limit = len(B.values)
+    exact_limit = len(B)
     for n in range(1, max_blocks + 1):
         try:
             a_n = A.value_at(n)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -71,6 +72,9 @@ _FLOAT_TYPE_SET = {float}
 
 # Length above which tabulated float prefix sums switch to asymptotics.
 _FLOAT_CACHE_LIMIT = 1 << 17
+
+# weight forms whose every weight is exact and follows from its index alone
+_EXACT_FORMS = ("harmonic", "ones", "log")
 
 
 @dataclass(frozen=True)
@@ -124,14 +128,24 @@ def finite_entries(x) -> tuple:
 
 
 class WatermanWeights:
-    """A nonincreasing positive weight prefix, optionally with a closed form.
+    """A nonincreasing positive weight sequence of a given length,
+    optionally with a closed form.
 
-    ``values`` holds the materialized prefix used by the order scanners.  The
-    closed-form families (harmonic, power, ones, log-reciprocal) additionally
-    support evaluation and partial sums at arbitrary indices, far beyond the
-    materialized prefix; partial sums beyond an internal cache switch to
-    Euler-Maclaurin asymptotics (float, relative error well under 1e-12 at
-    the scales involved).
+    ``len(w)`` is the length the order scanners read; ``values`` holds those
+    weights as a tuple.  The closed-form families (harmonic, power, ones,
+    log-reciprocal) also support evaluation and partial sums at arbitrary
+    indices, far beyond that length (``horizon`` is None), so for them the
+    length is a scan length, not a limit; partial sums beyond an internal
+    cache switch to Euler-Maclaurin asymptotics (float, relative error well
+    under 1e-12 at the scales involved).
+
+    The exact closed forms (harmonic 1/n, ones, log 1/ceil(log2(n+1))) are
+    built by ``closed_form`` from their length alone: their weights are
+    positive and nonincreasing by construction, ``value_at`` and
+    ``float_values`` evaluate the formula, and ``values`` is built only when
+    an exact path reads it.  Whether all weights are exact is then a fact of
+    the form (``is_exact``), so the float rail never builds the prefix.
+    Power weights and tables hold their prefix from the start.
 
     ``declared_divergent`` records whether sum a_n is known to diverge.  That
     is a property of the infinite tail, undecidable from the prefix, so it is
@@ -139,7 +153,7 @@ class WatermanWeights:
     False) for tables.
     """
 
-    __slots__ = ("values", "form", "param", "declared_divergent",
+    __slots__ = ("_values", "_length", "form", "param", "declared_divergent",
                  "_float_values", "_float_cumsum", "_tail_constant")
 
     def __init__(self, values, form: str = "table", param=None,
@@ -158,7 +172,22 @@ class WatermanWeights:
                 if not v > 0:
                     raise ValueError(f"weights must be strictly positive (index {i + 1})")
                 raise ValueError(f"weights must be nonincreasing (index {i + 1})")
-        self.values = values
+        self._setup(values, len(values), form, param, declared_divergent)
+
+    @classmethod
+    def closed_form(cls, form: str, length: int) -> "WatermanWeights":
+        """The exact closed-form weights ``form`` (harmonic, ones or log) of
+        the given length, with no prefix built."""
+        length = operator.index(length)
+        if length < 1:
+            raise ValueError("weight prefix must be nonempty")
+        w = cls.__new__(cls)
+        w._setup(None, length, form, None, None)
+        return w
+
+    def _setup(self, values, length, form, param, declared_divergent):
+        self._values = values
+        self._length = length
         self.form = form
         self.param = param
         if declared_divergent is None:
@@ -169,17 +198,25 @@ class WatermanWeights:
         self._float_cumsum = None
         self._tail_constant = None
 
+    @property
+    def values(self) -> tuple:
+        """The first ``len(self)`` weights (built on first read for the
+        exact closed forms)."""
+        if self._values is None:
+            self._values = tuple(map(self._formula, range(1, self._length + 1)))
+        return self._values
+
     def __len__(self):
-        return len(self.values)
+        return self._length
 
     def __repr__(self):
-        return (f"WatermanWeights(form={self.form!r}, n={len(self.values)}, "
+        return (f"WatermanWeights(form={self.form!r}, n={self._length}, "
                 f"divergent={self.declared_divergent})")
 
     @property
     def horizon(self) -> Optional[int]:
         """Largest usable index: None (unbounded) for closed forms."""
-        return len(self.values) if self.form == "table" else None
+        return self._length if self.form == "table" else None
 
     @property
     def exponent(self) -> Optional[float]:
@@ -193,38 +230,48 @@ class WatermanWeights:
             return float(self.param)
         return None
 
+    def is_exact(self) -> bool:
+        """Whether every weight is an int or a Fraction: always for the
+        exact closed forms, else read off the prefix."""
+        return self.form in _EXACT_FORMS or all_exact(self._values)
+
     def value_at(self, n: int):
-        """Weight a_n, exact where the form allows, at any index for closed forms."""
+        """Weight a_n, exact where the form allows, at any index for closed
+        forms.  Inside the length it is read off ``values``."""
         if n < 1:
             raise ValueError("indices are 1-based")
-        if n <= len(self.values):
+        if n <= self._length:
             return self.values[n - 1]
+        return self._formula(n)
+
+    def _formula(self, n: int):
         if self.form == "harmonic":
             return Fraction(1, n)
         if self.form == "ones":
             return 1
         if self.form == "log":
-            return Fraction(1, _ceil_log2(n + 1))
+            return Fraction(1, n.bit_length())       # 1/ceil(log2(n+1))
         if self.form == "power":
             return float(n) ** (-float(self.param))
-        raise HorizonExceeded(f"tabulated weights end at {len(self.values)}, asked for {n}")
+        raise HorizonExceeded(f"tabulated weights end at {self._length}, asked for {n}")
 
     def float_values(self, length: int) -> np.ndarray:
-        """First ``length`` weights as a float array (cached)."""
+        """First ``length`` weights as a float array (cached).  The exact
+        closed forms are one numpy expression, each entry the correctly
+        rounded float of the exact weight; a prefix converts entry by entry."""
         if self._float_values is None or len(self._float_values) < length:
-            k = len(self.values)
-            if length <= k:
-                arr = np.array([float(v) for v in self.values[:length]], dtype=float)
-            elif self.form == "harmonic":
+            k = self._length
+            if self.form == "harmonic":
                 arr = 1.0 / np.arange(1, length + 1, dtype=float)
             elif self.form == "ones":
                 arr = np.ones(length)
+            elif self.form == "log":
+                # the frexp exponent of n is its bit length, exact while n < 2**53
+                arr = 1.0 / np.frexp(np.arange(1, length + 1, dtype=float))[1]
+            elif length <= k:
+                arr = np.array([float(v) for v in self._values[:length]], dtype=float)
             elif self.form == "power":
                 arr = np.arange(1, length + 1, dtype=float) ** (-float(self.param))
-            elif self.form == "log":
-                idx = np.arange(2, length + 2)
-                arr = 1.0 / np.maximum(1, np.ceil(np.log2(idx)))
-                arr[:k] = [float(v) for v in self.values[:k]]  # exact near the front
             else:
                 raise HorizonExceeded(
                     f"tabulated weights end at {k}, asked for {length}")
@@ -236,14 +283,14 @@ class WatermanWeights:
         if n <= 0:
             return 0.0
         limit = min(_FLOAT_CACHE_LIMIT,
-                    len(self.values) if self.form == "table" else _FLOAT_CACHE_LIMIT)
+                    self._length if self.form == "table" else _FLOAT_CACHE_LIMIT)
         if n <= limit:
             if self._float_cumsum is None or len(self._float_cumsum) < n:
                 grow = min(limit, max(n, 1024))
                 self._float_cumsum = np.cumsum(self.float_values(grow))
             return float(self._float_cumsum[n - 1])
         if self.form == "table":
-            raise HorizonExceeded(f"tabulated weights end at {len(self.values)}, asked for {n}")
+            raise HorizonExceeded(f"tabulated weights end at {self._length}, asked for {n}")
         if self.form == "log":
             return float(self._log_partial_exact(n))
         return self._asymptotic_sum(n)
@@ -282,17 +329,12 @@ def _power_main_terms(n: int, p: float) -> float:
     return n ** (1.0 - p) / (1.0 - p) + 0.5 * n ** (-p) - p * n ** (-p - 1.0) / 12.0
 
 
-def _ceil_log2(m: int) -> int:
-    # smallest k with 2**k >= m, for m >= 1
-    return (m - 1).bit_length() if m > 1 else 0
-
-
 def harmonic_weights(length: int) -> WatermanWeights:
-    return WatermanWeights([Fraction(1, i) for i in range(1, length + 1)], form="harmonic")
+    return WatermanWeights.closed_form("harmonic", length)
 
 
 def ones_weights(length: int) -> WatermanWeights:
-    return WatermanWeights([1] * length, form="ones")
+    return WatermanWeights.closed_form("ones", length)
 
 
 def power_weights(p, length: int) -> WatermanWeights:
@@ -304,8 +346,7 @@ def power_weights(p, length: int) -> WatermanWeights:
 
 
 def log_weights(length: int) -> WatermanWeights:
-    return WatermanWeights([Fraction(1, max(1, _ceil_log2(i + 1))) for i in range(1, length + 1)],
-                           form="log")
+    return WatermanWeights.closed_form("log", length)
 
 
 def weights_from_values(values, declared_divergent: bool = False) -> WatermanWeights:
@@ -426,9 +467,10 @@ class DensityBound:
         while m < 2**53 is a float, the correctly rounded root is never
         below the integer root, and rounds up to it only next to a square.
         Log is the bit length of n, read off the exponent of ``np.frexp``
-        (exact while n < 2**53 is a float).  Other powers run
-        ``ceil_power`` per index.  A closed form's cache grows to at least
-        twice its old length.
+        (exact while n < 2**53 is a float).  Other powers take the ceiling
+        of the float root and run ``ceil_power`` only where that root lies
+        within a relative 1e-9 of an integer.  A closed form's cache grows
+        to at least twice its old length.
         """
         if self._g_ints is None or len(self._g_ints) < length:
             self._g_ints = self._g_profile(length, self._g_ints)
@@ -466,8 +508,12 @@ class DensityBound:
                 r[r * r > m] -= 1
                 g = r + 1
             else:
-                g = np.array([ceil_power(n, self.param) for n in range(1, size + 1)],
-                             dtype=np.int64)
+                # the float root is within a relative 1e-13 of n**(a/b), so
+                # its ceiling is exact unless it lies that close to an integer
+                r = np.arange(1, size + 1, dtype=float) ** float(self.param)
+                g = np.ceil(r).astype(np.int64)
+                near = np.flatnonzero(np.abs(r - np.rint(r)) <= 1e-9 * r)
+                g[near] = [ceil_power(n, self.param) for n in (near + 1).tolist()]
         g.flags.writeable = False
         return g
 
@@ -690,7 +736,7 @@ class SummableSubmeasure(Submeasure):
         return f"Summable({self.weights!r})"
 
     def is_exact(self):
-        return all_exact(self.weights.values)
+        return self.weights.is_exact()
 
     def _set_value(self, C):
         if self._fraction_parts is None:
@@ -698,7 +744,7 @@ class SummableSubmeasure(Submeasure):
             self._fraction_parts = (
                 ([v.numerator for v in values], [v.denominator for v in values])
                 if all(type(v) is Fraction for v in values) else ())
-        if C and self._fraction_parts and C[-1] <= len(self.weights.values):
+        if C and self._fraction_parts and C[-1] <= len(self.weights):
             # An all-Fraction table: one Fraction, from the numerators over
             # the common denominator of the set's weights.
             nums, dens = self._fraction_parts

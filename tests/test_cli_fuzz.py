@@ -265,9 +265,10 @@ def test_malformed_input_ends_in_a_named_error_never_a_traceback(files, capsys, 
 def test_float_variation_past_the_float_range_is_refused_without_a_numpy_warning(files, capsys):
     # every oscillation of HUGE is finite, their weighted sums are not: each
     # method that sums them names the overflow, and numpy prints nothing
-    # (--method upper scores the norm by the greedy, which overflows first)
+    # (--method upper runs the upper bound first, which names its increment)
     harmonic = files["valid"]["harmonic"]
-    message = "the variation overflows the float range (inf)"
+    variation = "the variation overflows the float range (inf)"
+    upper = "modulus increment 2 is not finite (inf): the modulus overflows the float range"
     for method in ("all", "brute", "greedy", "upper"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -275,5 +276,6 @@ def test_float_variation_past_the_float_range_is_refused_without_a_numpy_warning
                        "--method", method])
         out, err = capsys.readouterr()
         assert rc == 1 and out == "", method
+        message = upper if method == "upper" else variation
         assert err.startswith(f"error: {message}"), (method, err)
         assert [str(w.message) for w in caught] == [], method

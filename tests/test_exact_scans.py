@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import SHORT_SCAN, exact_div, first_max_ratio
+from gbv._util import SHORT_SCAN, ceil_power, exact_div, first_max_ratio
 from gbv.constructions import density_witness_monotone
 from gbv.orders import preceq_density, preceq_m_summable
 from gbv.submeasure import (
+    POWER_DENOMINATOR_CAP,
     DensityBound,
     density,
     harmonic_weights,
@@ -168,6 +169,22 @@ def test_g_ints_of_power_a_over_b_is_ceil_of_the_root():
         for n, v in enumerate(got, start=1):
             # v - 1 < n^p <= v, checked on integers
             assert (v - 1) ** p.denominator < n ** p.numerator <= v ** p.denominator, (p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, POWER_DENOMINATOR_CAP).flatmap(
+           lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+       st.lists(st.integers(1, 1 << 20), max_size=50))
+def test_g_ints_of_power_a_over_b_is_ceil_power_up_to_2_to_the_20(ab, picks):
+    # the float root's ceiling, with ceil_power where the root is near an
+    # integer: exact powers k^b (root k^a) and their neighbours among them
+    p = F(*ab)
+    top = 1 << 20
+    g = power_bound(p).g_ints(top)
+    assert g.tolist()[:2000] == [ceil_power(n, p) for n in range(1, 2001)]
+    near = [k ** p.denominator + d for k in range(1, 1025) for d in (-1, 0, 1)]
+    for n in picks + [n for n in near if 1 <= n <= top] + [top]:
+        assert g[n - 1] == ceil_power(n, p), (p, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -459,14 +459,14 @@ def test_cli_variation_past_the_float_range_is_a_named_error(workdir, capsys):
     ("brute", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
     ("all", "the oscillation from breakpoint 1 to breakpoint 2 overflows a float"),
     ("greedy", "the monotone run from breakpoint 1 to breakpoint 2 overflows a float"),
-    ("upper", "the monotone run from breakpoint 1 to breakpoint 2 overflows a float"),
+    ("upper", "modulus increment 1 overflows a float"),
 ])
 def test_cli_exact_oscillation_past_the_float_range_under_float_weights(
         workdir, capsys, method, message):
     # exact values whose oscillation 2 * 10^308 has no float, scored under
     # float weights: the brute force names the oscillation, the greedy the
-    # run by its breakpoints (--method upper scores the norm by the greedy,
-    # which meets the run first)
+    # run by its breakpoints, the upper bound the modulus increment (it runs
+    # before the greedy that scores the norm)
     from gbv.cli import main
 
     big = 10 ** 308
@@ -482,7 +482,8 @@ def test_cli_exact_oscillation_past_the_float_range_under_float_weights(
 
 def test_cli_greedy_names_the_overflowing_run_by_its_breakpoints(workdir, capsys):
     # three runs; the second, from breakpoint 2 to breakpoint 5 over a flat
-    # segment, oscillates by 2 * 10^308 + 1 and has no float
+    # segment, oscillates by 2 * 10^308 + 1 and has no float; the upper
+    # bound names the first modulus increment, which spans that run
     from gbv.cli import main
 
     big = 10 ** 308
@@ -490,13 +491,13 @@ def test_cli_greedy_names_the_overflowing_run_by_its_breakpoints(workdir, capsys
     (workdir / "runs.csv").write_text("".join(f"{t},{y}\n" for t, y in rows))
     (workdir / "power.json").write_text(json.dumps(
         {"type": "summable", "form": "power", "param": 0.7, "horizon": 16}))
-    for method in ("greedy", "upper"):
+    for method, name in (("greedy", "the monotone run from breakpoint 2 to breakpoint 5"),
+                         ("upper", "modulus increment 1")):
         rc = main(["variation", "--function", str(workdir / "runs.csv"),
                    "--submeasure", str(workdir / "power.json"), "--method", method])
         out, err = capsys.readouterr()
         assert rc == 1 and out == "", method
-        assert err == ("error: the monotone run from breakpoint 2 to breakpoint 5 overflows "
-                       "a float (int too large to convert to float)\n"), method
+        assert err == f"error: {name} overflows a float (int too large to convert to float)\n"
 
 
 def test_cli_greedy_variation_past_the_float_range_is_a_named_error(workdir, capsys):

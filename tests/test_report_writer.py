@@ -9,13 +9,14 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gbv._util import NonFiniteValue, format_number, report_json
+from gbv._util import NonFiniteValue, _float12, _floats12, format_number, report_json
 from gbv.io import load_sequence, save_sequence
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,47 @@ def test_non_finite_floats_are_refused(result, bad, where, exact):
         report_json({}, shapes[where], exact=exact)
 
 
+# floats where ``.12g`` needs fixing: integer values and values that round to
+# one at 12 digits, exponents near the 1e-4 and 1e11..1e16 edges, subnormals
+near_edges = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-40, 40)).map(
+        lambda t: t[0] + t[1] * 1e-13),                         # 2.0000000000001 and kin
+    st.floats(0.9e-4, 1.1e-4), st.floats(-1.1e-4, -0.9e-4),
+    st.floats(0.9e11, 1.1e12), st.floats(1e12, 1e16),
+    st.floats(0, 1e-300), st.floats(1e-310, 1e-290),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.0001, 9.99999999999995e-05,
+                     99999999999.99998, 1e11, 999999999999.5, 1.7976931348623157e308]),
+)
+_list_floats = st.one_of(finite, near_edges, st.floats(-1e3, 1e3))
+float_lists = st.one_of(st.lists(_list_floats, max_size=63),
+                        st.lists(_list_floats, min_size=64, max_size=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_lists, st.sampled_from([",\n  ", ", "]))
+def test_bulk_float_writer_equals_the_per_item_writer(values, sep):
+    # short lists take the bulk check, long ones the numpy screen
+    assert _floats12(values, sep) == sep.join(map(_float12, values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_lists, st.integers(0, 200), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.integers(0, 200))
+def test_bulk_float_writer_refuses_non_finite_floats_without_a_warning(values, at, bad, at2):
+    values = list(values)
+    values.insert(at % (len(values) + 1), bad)
+    values.insert(at2 % (len(values) + 1), -bad)
+    first = next(v for v in values if not math.isfinite(v))
+    with pytest.raises(NonFiniteValue) as want:
+        _float12(first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue) as got:
+            _floats12(values, ", ")
+    assert str(got.value) == str(want.value)
+
+
 def test_config_is_echoed_unrounded_and_result_rounded():
     text = report_json({"config": {"cap": 0.1234567890123456}},
                        {"cap": 0.1234567890123456, "third": Fraction(1, 3)})
@@ -191,6 +233,19 @@ def test_sequence_round_trip(values, extra, positions):
         got = load_sequence(path).entries
     assert [type(v) for v in got] == [type(v) for v in values]
     assert [repr(v) for v in got] == [repr(v) for v in values]   # keeps -0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=200))
+def test_float_sequence_is_written_as_reprs(values):
+    # an all-float sequence is written by float.__repr__ in one pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/x.csv"
+        save_sequence(path, values)
+        with open(path) as fh:
+            assert fh.read() == "".join(f"{v!r}\n" for v in values)
+        got = load_sequence(path).entries
+    assert [repr(v) for v in got] == [repr(v) for v in values]
 
 
 @settings(max_examples=100, deadline=None)

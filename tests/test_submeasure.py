@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -570,6 +572,123 @@ def test_deep_weight_values():
     assert w.value_at(10 ** 9) == F(1, 10 ** 9)
     assert ones_weights(2).value_at(10 ** 12) == 1
     assert log_weights(2).value_at(7) == F(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# exact closed-form weights without a built prefix
+# ---------------------------------------------------------------------------
+
+def _prefix_values(form, length):
+    """The prefix the exact closed forms were built with, entry by entry."""
+    if form == "harmonic":
+        return tuple(F(1, i) for i in range(1, length + 1))
+    if form == "ones":
+        return (1,) * length
+    # 1/ceil(log2(i + 1)), with ceil(log2(m)) = (m - 1).bit_length() for m > 1
+    return tuple(F(1, max(1, i.bit_length())) for i in range(1, length + 1))
+
+
+def _prefix_float_values(form, values, length):
+    """float_values as read off a built prefix, with the closed form past it."""
+    k = len(values)
+    if length <= k:
+        return np.array([float(v) for v in values[:length]], dtype=float)
+    if form == "harmonic":
+        return 1.0 / np.arange(1, length + 1, dtype=float)
+    if form == "ones":
+        return np.ones(length)
+    arr = 1.0 / np.maximum(1, np.ceil(np.log2(np.arange(2, length + 2))))
+    arr[:k] = [float(v) for v in values[:k]]
+    return arr
+
+
+BUILDERS = {"harmonic": harmonic_weights, "ones": ones_weights, "log": log_weights}
+
+
+@pytest.mark.parametrize("form", sorted(BUILDERS))
+@pytest.mark.parametrize("length", [1, 2, 3, 16, 100, 4096])
+def test_exact_closed_forms_build_no_prefix_and_read_the_same(form, length):
+    w = BUILDERS[form](length)
+    values = _prefix_values(form, length)
+    assert len(w) == length and w.horizon is None and w.is_exact()
+    assert repr(w) == f"WatermanWeights(form={form!r}, n={length}, divergent=True)"
+    for m in (1, length // 2 or 1, length, length + 1, 3 * length + 7, 5000):
+        got, want = w.float_values(m), _prefix_float_values(form, values, m)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
+        assert w.partial_sum(m) == float(np.cumsum(want)[-1])
+    assert w._values is None                     # none of the above built it
+    for n in (length + 1, 2 * length + 3):
+        assert w.value_at(n) == _prefix_values(form, n)[-1]
+    assert w._values is None
+    # an exact read inside the length builds the prefix, once
+    for n in (1, length, length + 1, 10 ** 6, 10 ** 12):
+        want = values[n - 1] if n <= length else w._formula(n)
+        got = w.value_at(n)
+        assert got == want and type(got) is type(want)
+    assert w.values == values and tuple(map(type, w.values)) == tuple(map(type, values))
+    assert w.value_at(length) is w.values[-1]
+    assert w.values == BUILDERS[form](length).values
+    assert w.values != BUILDERS[form](length + 1).values
+
+
+def test_exact_closed_forms_keep_their_far_values_and_sums():
+    assert harmonic_weights(4).value_at(10 ** 9) == F(1, 10 ** 9)
+    assert [log_weights(2).value_at(n) for n in (1, 2, 3, 4, 7, 8, 2 ** 40)] == \
+        [1, F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 4), F(1, 41)]
+    for n in (2 ** 17 + 1, 10 ** 7):
+        assert log_weights(3).partial_sum(n) == float(log_weights(3)._log_partial_exact(n))
+        assert ones_weights(3).partial_sum(n) == float(n)
+    # a long float prefix agrees with the log formula entry by entry
+    n = 1 << 21
+    want = [float(F(1, m.bit_length())) for m in range(n - 5000, n + 5000)]
+    assert log_weights(1).float_values(n + 4999)[n - 5001:].tolist() == want
+
+
+@pytest.mark.parametrize("builder", [harmonic_weights, ones_weights, log_weights])
+def test_exact_closed_forms_refuse_as_before(builder):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^weight prefix must be nonempty$"):
+            builder(bad)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        builder(2.5)
+    with pytest.raises(ValueError, match="indices are 1-based"):
+        builder(4).value_at(0)
+
+
+@pytest.mark.parametrize("form", ["harmonic", "log"])
+def test_closed_form_descriptors_refuse_and_load_as_before(form):
+    from gbv._util import DescriptorError
+    from gbv.io import submeasure_from_descriptor
+
+    for bad in (0, -1, "16", 2.5, None):
+        with pytest.raises(DescriptorError,
+                           match=re.escape(f"field 'horizon': need a positive integer, got {bad!r}")):
+            submeasure_from_descriptor({"type": "summable", "form": form, "horizon": bad})
+    with pytest.raises(SizeRefusal, match="field 'horizon': 1048577 is past the cap 1048576"):
+        submeasure_from_descriptor({"type": "summable", "form": form, "horizon": 2 ** 20 + 1})
+    w = submeasure_from_descriptor({"type": "summable", "form": form, "horizon": 2 ** 20}).weights
+    assert len(w) == 2 ** 20 and w.form == form and w._values is None
+    assert len(submeasure_from_descriptor({"type": "summable", "form": form}).weights) == 4096
+
+
+def test_float_rail_reads_no_prefix_of_exact_closed_forms():
+    from gbv.orders import katetov_scan, preceq_m_summable, preceq_summable
+
+    for build in (harmonic_weights, log_weights, ones_weights):
+        A, B = build(4096), power_weights(0.7, 4096)
+        preceq_summable(A, B)
+        preceq_summable(B, A)
+        preceq_m_summable(A, B)
+        katetov_scan(A, B, 2.0)
+        katetov_scan(B, A, 0.5)
+        phi = summable(A)
+        assert phi.is_exact()
+        phi.truncation_norms(np.linspace(1.0, 0.0, 20000))
+        phi.tail_norms(np.linspace(1.0, 0.0, 20000))
+        assert A._values is None
+        # an exact scan builds it
+        preceq_summable(A, build(4096))
+        assert A._values is not None
 
 
 @given(small_seqs)

@@ -286,17 +286,10 @@ def _float12(v: float) -> str:
 
 def _floats12(values, sep: str) -> str:
     """``sep.join`` of ``_float12`` over a list of floats, formatted by one
-    ``%``.  A short list is checked in bulk and, when it holds an integer
-    value, an exponent or a non-finite value, written number by number.  A
-    long one is screened in numpy: ``.12g`` already writes the report float
+    ``%`` after a screen in numpy: ``.12g`` already writes the report float
     of a magnitude past 1e-300 unless the float lies within a relative 1e-11
     of an integer (every one past 5e10 does), and only the floats outside
     that screen go through ``_float12``."""
-    if len(values) < SHORT_SCAN:
-        body = sep.join(["%.12g"] * len(values)) % tuple(values)
-        if body.count(".") == len(values) and "e" not in body:
-            return body
-        return sep.join(map(_float12, values))
     a = np.abs(np.array(values))
     with np.errstate(invalid="ignore"):         # inf - inf; refused by _float12
         plain = (a >= 1e-300) & (np.abs(a - np.rint(a)) > 1e-11 * a)

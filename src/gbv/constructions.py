@@ -431,8 +431,7 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
     x = np.array([float(g.real_increment(n)) for n in range(1, H + 1)]) \
         if g.form == "table" else _real_increments(g, H)
     a = A.float_values(H)
-    ax = a * x
-    S = np.cumsum(ax)
+    S = np.cumsum(a * x)
     total = float(S[-1])
 
     mode, tail_bound = _tail_mode(A, g, H, S)
@@ -454,7 +453,8 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
         raise HorizonExceeded("horizon exhausted before n_1")
     n_list = [n1]
     # m_1: first N > n_1 with 2 x_N <= x_{n_1}
-    m_list = [_first_index_leq(x, n1 + 1, x[n1 - 1] / 2.0, H)]
+    nx = -x
+    m_list = [_first_index_leq(nx, n1 + 1, x[n1 - 1] / 2.0, H)]
 
     # the prefix sums of x, and g, only as far as the searches reach
     Sx = np.cumsum(x[:1])
@@ -477,7 +477,7 @@ def separating_sequence(A: WatermanWeights, g: DensityBound, i_max: int,
             k = len(Sx)
         n_list.append(n_next)
         if i < i_max:
-            m_list.append(_first_index_leq(x, n_next + 1,
+            m_list.append(_first_index_leq(nx, n_next + 1,
                                            (i + 1) * x[n_next - 1] / (i + 2), H))
 
     # assemble y up to n_{i_max + 1}
@@ -526,21 +526,10 @@ def _grown_cumsum(x: np.ndarray, Sx: np.ndarray, need: int) -> np.ndarray:
     return np.concatenate((Sx, more))
 
 
-def _first_index_leq(x: np.ndarray, start: int, bound: float, H: int) -> int:
-    """Smallest 1-based N >= start with x[N] <= bound (x nonincreasing).
-
-    A binary search over x[start - 1:] that probes what
-    ``np.searchsorted(-x[start - 1:], -bound)`` probes, and so returns what it
-    returns even where rounding leaves x not quite sorted, reading O(log H)
-    entries."""
-    lo, hi = start - 1, len(x)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if x[mid] > bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    n = lo + 1
+def _first_index_leq(nx: np.ndarray, start: int, bound: float, H: int) -> int:
+    """Smallest 1-based N >= start with x[N] <= bound (x nonincreasing),
+    given nx = -x."""
+    n = start + int(np.searchsorted(nx[start - 1:], -bound))
     if n > H:
         raise HorizonExceeded("horizon exhausted while locating a drop index")
     return n

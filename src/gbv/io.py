@@ -245,8 +245,7 @@ def _scan_sequence(path, lines) -> list:
 
 def save_sequence(path, x) -> None:
     entries = x.entries if isinstance(x, SequencePrefix) else tuple(x)
-    all_float = set(map(type, entries)) == {float}
-    _write_lines(path, map(float.__repr__ if all_float else _csv_token, entries))
+    _write_lines(path, map(_csv_token, entries))
 
 
 def _csv_token(v) -> str:

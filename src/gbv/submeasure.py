@@ -237,11 +237,12 @@ class WatermanWeights:
 
     def value_at(self, n: int):
         """Weight a_n, exact where the form allows, at any index for closed
-        forms.  Inside the length it is read off ``values``."""
+        forms.  The exact closed forms use the formula; tables and power
+        weights read their prefix inside the length."""
         if n < 1:
             raise ValueError("indices are 1-based")
-        if n <= self._length:
-            return self.values[n - 1]
+        if n <= self._length and self.form not in _EXACT_FORMS:
+            return self._values[n - 1]
         return self._formula(n)
 
     def _formula(self, n: int):

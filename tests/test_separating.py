@@ -21,7 +21,6 @@ from gbv._util import HorizonExceeded, HypothesisViolation
 from gbv.constructions import (
     _certify,
     _check,
-    _first_index_leq,
     _grown_cumsum,
     _real_increments,
     _tail_mode,
@@ -175,26 +174,6 @@ def test_grown_prefix_sums_have_the_bits_of_one_cumsum():
             Sx = _grown_cumsum(x, Sx, len(Sx) + int(rng.integers(1, 50)))
             assert Sx.tobytes() == np.cumsum(x[:len(Sx)]).tobytes()
         assert _grown_cumsum(x, Sx, len(x)) is Sx
-
-
-def test_the_drop_search_probes_as_searchsorted_does():
-    # x not quite sorted, as rounded increments can be: the binary search
-    # returns what searchsorted over the negated suffix returns
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        H = int(rng.integers(1, 400))
-        x = np.sort(rng.random(H))[::-1] + rng.normal(0, 1e-3, H) * (rng.random(H) < 0.3)
-        start = int(rng.integers(1, H + 2))
-        bound = float(rng.choice(np.concatenate((x, rng.random(3)))))
-        try:
-            want = _reference_first_index_leq(x, start, bound, H)
-        except HorizonExceeded as exc:
-            want = str(exc)
-        try:
-            got = _first_index_leq(x, start, bound, H)
-        except HorizonExceeded as exc:
-            got = str(exc)
-        assert got == want
 
 
 # sha256 of the report and the object file of

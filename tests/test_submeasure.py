@@ -578,14 +578,19 @@ def test_deep_weight_values():
 # exact closed-form weights without a built prefix
 # ---------------------------------------------------------------------------
 
+def _entry(form, i):
+    """The exact closed-form weight a_i, as the prefix was built with."""
+    if form == "harmonic":
+        return F(1, i)
+    if form == "ones":
+        return 1
+    # 1/ceil(log2(i + 1)), with ceil(log2(m)) = (m - 1).bit_length() for m > 1
+    return F(1, max(1, i.bit_length()))
+
+
 def _prefix_values(form, length):
     """The prefix the exact closed forms were built with, entry by entry."""
-    if form == "harmonic":
-        return tuple(F(1, i) for i in range(1, length + 1))
-    if form == "ones":
-        return (1,) * length
-    # 1/ceil(log2(i + 1)), with ceil(log2(m)) = (m - 1).bit_length() for m > 1
-    return tuple(F(1, max(1, i.bit_length())) for i in range(1, length + 1))
+    return tuple(_entry(form, i) for i in range(1, length + 1))
 
 
 def _prefix_float_values(form, values, length):
@@ -617,16 +622,15 @@ def test_exact_closed_forms_build_no_prefix_and_read_the_same(form, length):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
         assert w.partial_sum(m) == float(np.cumsum(want)[-1])
     assert w._values is None                     # none of the above built it
-    for n in (length + 1, 2 * length + 3):
-        assert w.value_at(n) == _prefix_values(form, n)[-1]
-    assert w._values is None
-    # an exact read inside the length builds the prefix, once
-    for n in (1, length, length + 1, 10 ** 6, 10 ** 12):
-        want = values[n - 1] if n <= length else w._formula(n)
+    # value_at reads the formula, inside the length and past it
+    for n in (1, length // 2 or 1, length, length + 1, 2 * length + 3, 10 ** 6, 10 ** 12):
+        want = values[n - 1] if n <= length else _entry(form, n)
         got = w.value_at(n)
         assert got == want and type(got) is type(want)
+    assert w._values is None
+    # reading values builds the prefix, once
     assert w.values == values and tuple(map(type, w.values)) == tuple(map(type, values))
-    assert w.value_at(length) is w.values[-1]
+    assert w.values is w.values
     assert w.values == BUILDERS[form](length).values
     assert w.values != BUILDERS[form](length + 1).values
 

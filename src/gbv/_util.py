@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import is_, is_not, sub
 
 import numpy as np
 
@@ -54,7 +56,18 @@ class NonFiniteValue(ValueError):
 
 
 def all_exact(values) -> bool:
-    return all(isinstance(v, EXACT_TYPES) for v in values)
+    """Whether every value is an int or a Fraction (subclasses included):
+    False at once when the first value is not, else read off the set of
+    the types of the rest."""
+    it = iter(values)
+    return (isinstance(next(it, 0), EXACT_TYPES)
+            and all(issubclass(t, EXACT_TYPES) for t in set(map(type, it))))
+
+
+def all_of_type(values, cls) -> bool:
+    """Whether every value is of type ``cls`` (subclasses excluded), read
+    in C up to the first that is not."""
+    return all(map(is_, map(type, values), repeat(cls)))
 
 
 def is_finite(value) -> bool:
@@ -102,9 +115,34 @@ def first_max_ratio(num: np.ndarray, den: np.ndarray) -> int:
 
 def over_common_denominator(values) -> tuple:
     """``(nums, den)``: exact values as integer numerators over den, the lcm
-    of their denominators."""
+    of their denominators, so that nums[i] / den == values[i].
+
+    Values that are all ``int`` (subclasses excluded) are their own
+    numerators over 1.  A list of ``SHORT_SCAN`` or more other values that
+    ``_identical_runs`` splits into runs is read once per run, each run's
+    numerator repeated over it, so a flat run of one Fraction costs one
+    read.  Any other list is read entry by entry.
+    """
+    if all_of_type(values, int):
+        return list(values), 1
+    if len(values) >= SHORT_SCAN and (runs := _identical_runs(values)):
+        heads, counts = runs
+        den = math.lcm(*(v.denominator for v in heads))
+        nums = [v.numerator * (den // v.denominator) for v in heads]
+        return list(chain.from_iterable(map(repeat, nums, counts))), den
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _identical_runs(values):
+    """``(heads, counts)``: the object of each run of identical objects in a
+    list and the run's length, or None when the runs are more than half as
+    many as the values.  The run starts are found by identity, in C."""
+    n = len(values)
+    starts = list(compress(range(n), chain((True,), map(is_not, values[1:], values))))
+    if 2 * len(starts) > n:
+        return None
+    return list(map(values.__getitem__, starts)), list(map(sub, chain(starts[1:], (n,)), starts))
 
 
 def subset_sums(items) -> list:
@@ -198,6 +236,9 @@ def report_json(head: dict, result, exact: bool = False) -> str:
     significant digits (the repr of the float those digits denote), a
     Fraction as a "p/q" string under ``exact`` and otherwise as the nearest
     float, at full precision.  NaN and infinities raise NonFiniteValue.
+    A list of floats under ``result`` is written in bulk (``_floats12``), and
+    so is a list of Fractions under ``exact`` (``_fractions_str``, one string
+    per run of identical objects).
     """
     fields = [(k, _write(v, "  ", _float_repr, _no_fraction)) for k, v in head.items()]
     fields.append(("result", _write(result, "  ", _float12,
@@ -229,8 +270,11 @@ def _write(v, pad: str, fl, fr) -> str:
             return "[]"
         inner = pad + "  "
         sep = f",\n{inner}"
-        if fl is _float12 and set(map(type, v)) == {float}:
+        types = set(map(type, v))
+        if fl is _float12 and types == {float}:
             body = _floats12(v, sep)
+        elif fr is _fraction_str and types == {Fraction}:
+            body = _fractions_str(v, sep)
         else:
             body = sep.join([_write(x, inner, fl, fr) for x in v])
         return f"[\n{inner}{body}\n{pad}]"
@@ -313,6 +357,16 @@ def _fix12(s: str) -> str:
 
 def _fraction_str(v: Fraction) -> str:
     return f'"{v.numerator}/{v.denominator}"'
+
+
+def _fractions_str(values, sep: str) -> str:
+    """``sep.join`` of ``_fraction_str`` over a list of Fractions, each run
+    of identical objects (``_identical_runs``) formatted once."""
+    runs = _identical_runs(values)
+    if runs is None:
+        return sep.join(map(_fraction_str, values))
+    heads, counts = runs
+    return sep.join(chain.from_iterable(map(repeat, map(_fraction_str, heads), counts)))
 
 
 def _fraction_repr(v: Fraction) -> str:

@@ -192,8 +192,7 @@ def _cmd_variation(args) -> int:
         "norm_method": detail.method,
         "norm_exact": detail.exact,
     }
-    _emit(args, "variation", result,
-          series=("modulus_vector", list(enumerate(result["modulus_vector"]))))
+    _emit(args, "variation", result, series=("modulus_vector", result["modulus_vector"], 0))
     return OK
 
 
@@ -243,13 +242,8 @@ def _cmd_certify(args) -> int:
         payload["fin"] = fin_certificate(phi, x).to_payload()
     if args.kind in ("exh", "both"):
         payload["exh"] = exh_certificate(phi, x).to_payload()
-    series = None
-    if "fin" in payload:
-        series = ("truncation_norms",
-                  list(enumerate(payload["fin"]["truncation_norms"], start=1)))
-    elif "exh" in payload:
-        series = ("tail_norms", list(enumerate(payload["exh"]["tail_norms"], start=1)))
-    _emit(args, "certify", payload, series=series)
+    key, name = ("fin", "truncation_norms") if "fin" in payload else ("exh", "tail_norms")
+    _emit(args, "certify", payload, series=(name, payload[key][name], 1))
     return OK
 
 
@@ -348,10 +342,13 @@ def _cmd_selftest(args) -> int:
 
 
 def _emit(args, command: str, result: dict, series=None) -> None:
+    """Write the report: under ``--format csv`` the ``series`` (name,
+    values, index of the first value) as "index,value" lines, else JSON."""
     if args.format == "csv" and series is not None:
-        name, rows = series
+        name, values, first = series
         lines = [f"# gbv {__version__} {command} series={name}"]
-        lines += [f"{i},{format_number(v, args.exact)}" for i, v in rows]
+        lines += [f"{i},{format_number(v, args.exact)}"
+                  for i, v in enumerate(values, start=first)]
         text = "\n".join(lines) + "\n"
     else:
         head = {

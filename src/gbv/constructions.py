@@ -28,8 +28,10 @@ from ._util import (
     SHORT_SCAN,
     HorizonExceeded,
     HypothesisViolation,
+    all_exact,
     exact_div,
     first_max_ratio,
+    over_common_denominator,
     rail_slack,
 )
 from .sequence_spaces import fin_certificate, is_monotone
@@ -211,6 +213,12 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
     certificate's notes name the entries no larger than it, whose checks
     would pass against any oscillation near 0.
 
+    On the exact rail each canonical oscillation is read off the values at
+    its two breakpoint indices, once the integer keys of f (``f._keys``)
+    show that those breakpoints are the member's endpoints; it is the
+    Fraction that |f(t) - f(s)| would be.  Other rails evaluate f at the
+    endpoints.
+
     Returns (function, certificate).
     """
     entries = as_entries(x)
@@ -230,14 +238,20 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
     vals = [partial[-1]] + [partial[k - 1] for k in range(K, 0, -1)] + [0]
     f = PiecewiseLinearFunction(tuple(bps), tuple(vals))
 
-    family = [(exact_div(1, 2), 1)]
-    family += [(exact_div(1, 2 ** (k + 1)), exact_div(1, 2 ** k)) for k in range(1, K)]
     # float partial sums round, so the float rail compares within a slack
     exact = f.is_exact()
     tol = rail_slack(exact, magnitudes[0])
+    # member k0 of the family, [1/2^(k0+1), 1/2^k0] (k0 = 0 is [1/2, 1]),
+    # spans breakpoints i = K - k0 and i + 1, whose integer keys bp * D are
+    # D / 2^(k0+1) and D / 2^k0
+    D, keys = f._keys
     checks = []
-    for k0, (s_, t_) in enumerate(family):
-        osc = abs(f(t_) - f(s_))
+    for k0 in range(K):
+        i = K - k0
+        if exact and keys[i] << (k0 + 1) == D and keys[i + 1] << k0 == D:
+            osc = Fraction(abs(vals[i + 1] - vals[i]))
+        else:
+            osc = abs(f(exact_div(1, 2 ** k0) if k0 else 1) - f(exact_div(1, 2 ** (k0 + 1))))
         checks.append(_check(f"canonical oscillation {k0 + 1} equals |x_{k0 + 1}|",
                              osc, "==", magnitudes[k0], tol))
     # an entry within the slack passes against any oscillation near 0
@@ -315,6 +329,12 @@ def _block_witness(phi1: Submeasure, phi2: Submeasure, start: int, length_cap: i
     return best
 
 
+def _exact_parts(values) -> tuple:
+    """``over_common_denominator`` of values read as Fractions (a float
+    exactly, as ``Fraction`` reads it)."""
+    return over_common_denominator(values if all_exact(values) else list(map(Fraction, values)))
+
+
 def exh_minus_fin_sequence(phi1: Submeasure, phi2: Submeasure, depth: int,
                            witness_search_len: int,
                            monotone: bool = False) -> ConstructionCertificate:
@@ -366,8 +386,10 @@ def exh_minus_fin_sequence(phi1: Submeasure, phi2: Submeasure, depth: int,
         blocks.append({"k": k, "n_k": n_k, "start": m_prev + 1, "end": t,
                        "shape": shape_name})
         block = range(m_prev + 1, t + 1)
-        sing2 += sum(Fraction(phi2.singleton(i)) for i in block)
-        low = min(Fraction(phi1.singleton(i)) for i in block)
+        nums, den = _exact_parts([phi2.singleton(i) for i in block])
+        sing2 += Fraction(sum(nums), den)
+        nums, den = _exact_parts([phi1.singleton(i) for i in block])
+        low = Fraction(min(nums), den)
         sing1 = low if sing1 is None or low < sing1 else sing1
         m_prev = t
         n_prev = n_k

@@ -54,7 +54,7 @@ def submeasure_from_descriptor(desc: dict) -> Submeasure:
         raise DescriptorError("submeasure descriptor must be a JSON object")
     kind = desc.get("type")
     horizon = desc.get("horizon", DEFAULT_DESCRIPTOR_HORIZON)
-    if not isinstance(horizon, int) or horizon < 1:
+    if type(horizon) is not int or horizon < 1:
         raise DescriptorError(f"field 'horizon': need a positive integer, got {horizon!r}")
     if horizon > MAX_HORIZON:
         raise SizeRefusal(f"field 'horizon': {horizon} is past the cap {MAX_HORIZON}")
@@ -93,7 +93,7 @@ def _weights_from_descriptor(desc: dict, horizon: int) -> WatermanWeights:
         return harmonic_weights(horizon)
     if form == "power":
         p = desc.get("param")
-        if not isinstance(p, (int, float)) or p <= 0:
+        if not _is_number(p) or p <= 0:
             raise DescriptorError(f"field 'param': need a positive number, got {p!r}")
         try:
             p = float(p)
@@ -106,7 +106,7 @@ def _weights_from_descriptor(desc: dict, horizon: int) -> WatermanWeights:
         table = desc.get("table")
         if not isinstance(table, list) or not table:
             raise DescriptorError("field 'table': need a nonempty list of values")
-        values = [_parse_entry(v, f"table[{i}]") for i, v in enumerate(table)]
+        values = [_parse_entry(v, "table", i) for i, v in enumerate(table)]
         return WatermanWeights(values, form="table",
                                declared_divergent=bool(desc.get("declared_divergent", False)))
     raise DescriptorError(f"field 'form': expected harmonic/power/log/table, got {form!r}")
@@ -118,6 +118,8 @@ def _bound_from_descriptor(desc: dict) -> DensityBound:
         p = desc.get("param")
         if p is None:
             raise DescriptorError("field 'param': required for the power density form")
+        if not (_is_number(p) or isinstance(p, str)):
+            raise DescriptorError(f"field 'param': need a number or 'p/q' string, got {p!r}")
         try:
             return DensityBound("power", p)
         except ZeroDivisionError:
@@ -128,23 +130,51 @@ def _bound_from_descriptor(desc: dict) -> DensityBound:
         table = desc.get("table")
         if not isinstance(table, list) or not table:
             raise DescriptorError("field 'table': need a nonempty list of integers")
+        for i, v in enumerate(table):
+            if isinstance(v, bool):
+                raise DescriptorError(f"field 'table[{i}]': need an integer, got {v!r}")
         return DensityBound("table", table=table)
     raise DescriptorError(f"field 'form': expected power/log/table for density, got {form!r}")
 
 
-def _parse_entry(v, where: str):
+def _is_number(v) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a boolean."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _parse_entry(v, field: str, index=None):
+    """A number field (``field[index]`` of a table): an int, a finite float
+    or a number string, read by ``_parse_token``."""
+    if type(v) is int:
+        return v
     if isinstance(v, str):
         try:
-            v = parse_number(v)
+            v = _parse_token(v)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DescriptorError(f"field '{where}': {exc}") from exc
-    elif isinstance(v, int):
-        return v
-    elif not isinstance(v, float):
-        raise DescriptorError(f"field '{where}': expected a number or 'p/q' string, got {v!r}")
+            raise DescriptorError(f"field '{_name(field, index)}': {exc}") from exc
+    elif not _is_number(v):
+        raise DescriptorError(f"field '{_name(field, index)}': expected a number or "
+                              f"'p/q' string, got {v!r}")
     if not is_finite(v):
-        raise NonFiniteValue(f"field '{where}' is not finite ({v!r})")
+        raise NonFiniteValue(f"field '{_name(field, index)}' is not finite ({v!r})")
     return v
+
+
+def _name(field: str, index) -> str:
+    return field if index is None else f"{field}[{index}]"
+
+
+def _parse_token(text: str):
+    """``parse_number(text)``: a plain "p/q" token (ASCII digits on both
+    sides of one slash, a sign only before p) is read by ``int`` on both
+    halves, as ``Fraction`` reads it; any other token goes to
+    ``parse_number``."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():
+        p = int(digits)
+        return Fraction(-p if num[0] == "-" else p, int(den))
+    return parse_number(text)
 
 
 def load_submeasure(path) -> Submeasure:
@@ -178,13 +208,13 @@ def sequence_from_descriptor(desc: dict) -> SequencePrefix:
         table = desc.get("table")
         if not isinstance(table, list):
             raise DescriptorError("field 'table': need a list of values")
-        entries = [scale * _parse_entry(v, f"table[{i}]") for i, v in enumerate(table)]
+        entries = [scale * _parse_entry(v, "table", i) for i, v in enumerate(table)]
     else:
         length = desc.get("length")
-        if not isinstance(length, int) or length < 1:
+        if type(length) is not int or length < 1:
             raise DescriptorError(f"field 'length': need a positive integer, got {length!r}")
         p = desc.get("param", 1)
-        if not isinstance(p, (int, float, str)):
+        if not (_is_number(p) or isinstance(p, str)):
             raise DescriptorError(f"field 'param': need a number, got {p!r}")
         try:
             if form == "power":

@@ -45,12 +45,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._util import (
+    EXACT_TYPES,
     INT64_BOUND,
     SHORT_SCAN,
     HorizonExceeded,
     NonFiniteValue,
     SizeRefusal,
     all_exact,
+    all_of_type,
     ceil_power,
     exact_div,
     first_max_ratio,
@@ -161,6 +163,14 @@ class WatermanWeights:
         values = tuple(values)
         if not values:
             raise ValueError("weight prefix must be nonempty")
+        if not (all_of_type(values, Fraction) and _positive_nonincreasing(values)):
+            self._check_weights(values)
+        self._setup(values, len(values), form, param, declared_divergent)
+
+    @staticmethod
+    def _check_weights(values):
+        """Refuse the first weight that is not finite, not positive or above
+        the one before it, naming its index."""
         if not is_finite(values[0]):
             raise NonFiniteValue(f"weight at index 1 is not finite ({values[0]!r})")
         for i, v in enumerate(values):
@@ -172,7 +182,6 @@ class WatermanWeights:
                 if not v > 0:
                     raise ValueError(f"weights must be strictly positive (index {i + 1})")
                 raise ValueError(f"weights must be nonincreasing (index {i + 1})")
-        self._setup(values, len(values), form, param, declared_divergent)
 
     @classmethod
     def closed_form(cls, form: str, length: int) -> "WatermanWeights":
@@ -323,6 +332,16 @@ class WatermanWeights:
             exactish = self.partial_sum(k)
             self._tail_constant = exactish - _power_main_terms(k, p)
         return self._tail_constant + _power_main_terms(n, p)
+
+
+def _positive_nonincreasing(values) -> bool:
+    """Whether Fractions v_1, ..., v_n are positive and nonincreasing, read
+    on their integer parts: p_{i+1} q_i <= p_i q_{i+1} for every i and then
+    p_n > 0, with v_i = p_i/q_i and q_i > 0."""
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    return nums[-1] > 0 and not any(map(operator.gt, map(operator.mul, nums[1:], dens),
+                                       map(operator.mul, nums, dens[1:])))
 
 
 def _power_main_terms(n: int, p: float) -> float:
@@ -864,19 +883,22 @@ class DensitySubmeasure(Submeasure):
         """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
 
         On the exact rail (every entry an int or a Fraction) the prefix sums
-        are integer numerators over D, the lcm of the entry denominators, and
-        one Fraction is built for the maximum.  Where the last prefix times
-        the largest g fits int64 the exact first-max kernel finds it, else
-        the ratios are compared by cross-multiplication.  Entries that
-        include a float take the plain loop.
+        are integer numerators over D, the lcm of the entry denominators,
+        from ``over_common_denominator`` (which reads a run of one object
+        once), and one Fraction is built for the maximum.  Where the last
+        prefix times the largest g fits int64 the exact first-max kernel
+        finds it, else the ratios are compared by cross-multiplication.
+        Entries that include a float take the plain loop.
         """
-        entries = finite_entries(x)
+        entries = as_entries(x)
+        exact = all_exact(entries)
+        if not exact:
+            entries = finite_entries(entries)
         self._check_length(len(entries))
         g = self.bound.g
-        if all_exact(entries):
-            dens = [v.denominator for v in entries]
-            D = math.lcm(*dens)
-            nums = [abs(v.numerator) * (D // d) for v, d in zip(entries, dens)]
+        if exact:
+            nums, D = over_common_denominator(entries)
+            nums = list(map(abs, nums))
             if len(nums) >= SHORT_SCAN:
                 gs = self.bound.g_ints(len(nums))
                 if gs.dtype == np.int64 and sum(nums) * int(gs[-1]) < INT64_BOUND:
@@ -1009,9 +1031,18 @@ class CountingSubmeasure(Submeasure):
         return subset_sums([1] * len(support)), 1
 
     def hat(self, x):
-        entries = finite_entries(x)
+        """|x_1| + |x_2| + ...: an int for int entries, a Fraction once a
+        Fraction is among them, summed as integer numerators over their
+        common denominator (``over_common_denominator``); entries that
+        include a float are added one by one."""
+        entries = as_entries(x)
+        types = set(map(type, entries))
+        if all(issubclass(t, EXACT_TYPES) for t in types):
+            nums, den = over_common_denominator(entries)
+            total = sum(map(abs, nums))
+            return Fraction(total, den) if any(issubclass(t, Fraction) for t in types) else total
         total = 0
-        for v in entries:
+        for v in finite_entries(entries):
             total += abs(v)
         return total
 

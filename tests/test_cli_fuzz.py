@@ -7,6 +7,7 @@ with ``error:``; any other run exits 0 or 2.
 
 import itertools
 import json
+import re
 import warnings
 
 import pytest
@@ -64,6 +65,19 @@ BAD_DESCRIPTORS = [
     {"type": "unit", "wrap": [{"permuted": [3]}]},
     {"type": "counting", "wrap": [{}]},
 ]
+# a JSON boolean in each numeric field, and the field the refusal names
+BOOLEAN_DESCRIPTORS = [
+    (desc, field) for b in (True, False) for desc, field in [
+        ({"type": "summable", "form": "harmonic", "horizon": b}, "horizon"),
+        ({"type": "summable", "form": "power", "param": b}, "param"),
+        ({"type": "summable", "form": "table", "table": [b, "1/2", "1/3"]}, "table[0]"),
+        ({"type": "summable", "form": "table", "table": [1, b]}, "table[1]"),
+        ({"type": "density", "form": "power", "param": b}, "param"),
+        ({"type": "density", "form": "table", "table": [b, 2, 3]}, "table[0]"),
+        ({"type": "density", "form": "table", "table": [1, 2, b]}, "table[2]"),
+        ({"type": "unit", "wrap": [{"permuted": [b]}]}, "wrap[0].permuted"),
+    ]]
+BAD_DESCRIPTORS += [desc for desc, _ in BOOLEAN_DESCRIPTORS]
 BAD_DESCRIPTOR_TEXTS = ["{", "", "[1, 2"]
 
 BAD_FUNCTIONS = [
@@ -85,6 +99,14 @@ BAD_SEQUENCE_DESCRIPTORS = [
     {"form": "power", "length": 3, "param": None},
     {"form": "table", "table": [None]},
 ]
+BOOLEAN_SEQUENCE_DESCRIPTORS = [
+    (desc, field) for b in (True, False) for desc, field in [
+        ({"form": "power", "length": b}, "length"),
+        ({"form": "alt", "length": 3, "param": b}, "param"),
+        ({"form": "table", "table": [1, b]}, "table[1]"),
+        ({"form": "table", "table": [1], "scale": b}, "scale"),
+    ]]
+BAD_SEQUENCE_DESCRIPTORS += [desc for desc, _ in BOOLEAN_SEQUENCE_DESCRIPTORS]
 
 TENT = "0,0\n1/2,1\n1,0\n"
 # finite values whose oscillations sum past the float range
@@ -279,3 +301,22 @@ def test_float_variation_past_the_float_range_is_refused_without_a_numpy_warning
         message = upper if method == "upper" else variation
         assert err.startswith(f"error: {message}"), (method, err)
         assert [str(w.message) for w in caught] == [], method
+
+
+@pytest.mark.parametrize("desc,field", BOOLEAN_DESCRIPTORS + BOOLEAN_SEQUENCE_DESCRIPTORS)
+def test_a_boolean_in_a_numeric_field_is_refused_naming_the_field(tmp_path, capsys, desc, field):
+    from gbv.io import sequence_from_descriptor, submeasure_from_descriptor
+    from gbv._util import DescriptorError
+
+    is_sequence = (desc, field) in BOOLEAN_SEQUENCE_DESCRIPTORS
+    build = sequence_from_descriptor if is_sequence else submeasure_from_descriptor
+    with pytest.raises(DescriptorError, match=re.escape(f"field '{field}'")):
+        build(desc)
+    (tmp_path / "desc.json").write_text(json.dumps(desc))
+    (tmp_path / "x.csv").write_text("1\n1/2\n")
+    (tmp_path / "counting.json").write_text(json.dumps({"type": "counting"}))
+    phi, x = (("counting.json", "desc.json") if is_sequence else ("desc.json", "x.csv"))
+    rc = main(["certify", "--submeasure", str(tmp_path / phi), "--sequence", str(tmp_path / x)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: field '{field}'"), err

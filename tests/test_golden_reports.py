@@ -5,12 +5,14 @@ A case runs ``gbv.cli.main`` in a directory holding the ``INPUTS`` below,
 with relative paths, so the ``config`` echoed in a report does not depend on
 where the tests run.  A case writing ``--object-out`` also compares that file.
 
-To rewrite the goldens after an intended change of the report format:
+To rewrite the goldens after an intended change of the report format (the
+script prints the new digests of ``DIGEST_CASES``, to be pasted in):
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -74,6 +76,9 @@ CASES = {
                                            "40", "--cap", "5", "--exact"], 2),
     "compare-preceq_m-long-cap": (["compare", "--relation", "preceq_m", "--a", "table.json",
                                    "--b", "harmonic16.json", "--cap", "0.1234567890123456"], 2),
+    # an all-Fraction table against exact closed-form weights
+    "compare-preceq_m-table-exact": (["compare", "--relation", "preceq_m", "--a", "table.json",
+                                      "--b", "harmonic16.json", "--exact"], 0),
     "compare-katetov": (["compare", "--relation", "katetov", "--a", "harmonic.json",
                          "--b", "ones.json", "--cap", "2", "--horizon", "64"], 2),
     "compare-criterion_c-exact": (["compare", "--relation", "criterion_c", "--a", "identity.json",
@@ -97,11 +102,25 @@ CASES = {
     "construct-exh-not-fin-exact": (["construct", "--kind", "exh-not-fin", "--phi1",
                                      "identity.json", "--phi2", "counting.json", "--depth", "1",
                                      "--search-len", "16", "--exact"], 0),
+    # a flat run of equal Fractions
+    "construct-density-witness-200-exact": (["construct", "--kind", "density-witness", "--g",
+                                             "sqrt.json", "--h", "log.json", "--index", "200",
+                                             "--exact"], 0),
     "construct-separating": (["construct", "--kind", "separating", "--weights",
                               "power2.json", "--g", "sqrt.json", "--depth", "2",
                               "--horizon", "1000", "--object-out", "object.csv"], 0),
     "construct-permuted-demo": (["construct", "--kind", "permuted-demo", "--submeasure",
                                  "harmonic.json", "--perm", "2,3,1", "--function", "tent.csv"], 0),
+}
+
+# name -> (argv, exit code, sha256 of the report): cases whose report is too
+# long to keep as a golden file
+DIGEST_CASES = {
+    # hats of blocks of 64 and more entries take the vector path
+    "construct-exh-not-fin-depth2-exact": (
+        ["construct", "--kind", "exh-not-fin", "--phi1", "identity.json", "--phi2",
+         "counting.json", "--depth", "2", "--search-len", "1024", "--exact"], 0,
+        "be94c0f7859f9594229f0b49bdaf0f6bdb48b2ecb9a5d4c569520d4755cc6fef"),
 }
 
 
@@ -142,6 +161,16 @@ def test_golden_report(name, tmp_path, monkeypatch):
         assert obj.encode() == object_golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_golden_report_digest(name, tmp_path, monkeypatch):
+    argv, rc, digest = DIGEST_CASES[name]
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got_rc, text, obj = _run(argv)
+    assert (got_rc, obj) == (rc, None)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _golden_files():
     # the report goldens; demos/ holds the demo outputs (tests/test_demos.py)
     return [p for p in GOLDEN.iterdir() if p.is_file()]
@@ -170,6 +199,9 @@ def _rewrite_goldens():
                 (GOLDEN / f"{name}.txt").write_bytes(text.encode())
                 if obj is not None:
                     (GOLDEN / f"{name}.object.csv").write_bytes(obj.encode())
+            for name, (argv, rc, _) in sorted(DIGEST_CASES.items()):
+                got_rc, text, _ = _run(argv)
+                print(name, got_rc, hashlib.sha256(text.encode()).hexdigest())
         finally:
             os.chdir(cwd)
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gbv._util import NonFiniteValue, _float12, _floats12, format_number, report_json
+from gbv._util import (NonFiniteValue, _float12, _floats12, _fraction_str, _fractions_str, _write,
+                       format_number, report_json)
 from gbv.io import load_sequence, save_sequence
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,32 @@ def test_bulk_float_writer_refuses_non_finite_floats_without_a_warning(values, a
         with pytest.raises(NonFiniteValue) as got:
             _floats12(values, ", ")
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def fraction_lists(draw):
+    """Fractions in runs of one object and runs of equal but distinct ones."""
+    runs = draw(st.lists(st.tuples(st.fractions(-10 ** 9, 10 ** 9, max_denominator=10 ** 15),
+                                   st.integers(1, 60), st.booleans()), max_size=10))
+    out = []
+    for v, count, shared in runs:
+        out += [v] * count if shared else [Fraction(v.numerator, v.denominator)
+                                           for _ in range(count)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_lists(), st.sampled_from([",\n  ", ", "]))
+def test_bulk_fraction_writer_equals_the_per_item_writer(values, sep):
+    assert _fractions_str(values, sep) == sep.join(
+        _write(v, "", _float12, _fraction_str) for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_lists())
+def test_exact_report_of_a_fraction_list_is_the_reference(values):
+    result = {"sequence": values, "mixed": values + [1, 0.5]}
+    assert report_json({}, result, exact=True) == reference_report({}, result, exact=True)
 
 
 def test_config_is_echoed_unrounded_and_result_rounded():

@@ -21,8 +21,8 @@ import numpy as np
 EXACT_TYPES = (int, Fraction)
 
 # The integer numpy kernels (the oracle's certification scan, the scoring of
-# the exact brute force) run on int64 while every number they form stays
-# below this bound, and on object arrays of Python ints otherwise.
+# the exact brute force, the first-max kernel) run on int64 while every number
+# they form stays below this bound, and on Python ints otherwise.
 INT64_BOUND = 1 << 62
 
 #: exact scans of fewer ratios than this take the scalar loop, where numpy's
@@ -93,24 +93,54 @@ def exact_div(num, den):
     return num / den
 
 
-def first_max_ratio(num: np.ndarray, den: np.ndarray) -> int:
+def first_max_ratio(num, den) -> int:
     """Index of the first maximum of num[i] / den[i], exactly, for nonempty
-    int64 arrays with num >= 0, den > 0 and max(num) * max(den) < INT64_BOUND.
+    integer sequences of one length (lists, ranges, int64 or object arrays)
+    with num >= 0 and den > 0.  This is the one place that chooses how.
 
-    The float ratios only pick where to start: their argmax i gives
-    p/q = num[i]/den[i].  Then, while some j has num[j] * q > p * den[j],
-    p/q moves to the one of those with the largest float ratio; each move
-    raises p/q strictly, so the loop ends, and it ends at the maximum.  The
-    first j with num[j] * q == p * den[j] is returned.  Every product is at
-    most max(num) * max(den), so each int64 comparison is exact and the
-    index is the one a scalar loop with a strict ``>`` would keep.
+    ``SHORT_SCAN`` or more ratios with max(num) * max(den) below
+    ``INT64_BOUND`` run on int64.  The float ratios only pick where to
+    start: their argmax i gives p/q = num[i]/den[i].  Then, while some j has
+    num[j] * q > p * den[j], p/q moves to the one of those with the largest
+    float ratio; each move raises p/q strictly, so the loop ends, and it
+    ends at the maximum.  The first j with num[j] * q == p * den[j] is
+    returned.  Every product is at most max(num) * max(den), so each int64
+    comparison is exact.  Any other input runs the scalar loop on Python
+    ints, which cross-multiplies with a strict ``>``; the two paths return
+    the same index.
     """
-    i = int(np.argmax(num / den))
-    p, q = int(num[i]), int(den[i])
-    while len(above := np.flatnonzero(num * q > p * den)):
-        i = int(above[np.argmax(num[above] / den[above])])
-        p, q = int(num[i]), int(den[i])
-    return int(np.flatnonzero(num * q == p * den)[0])
+    if len(num) >= SHORT_SCAN:
+        a, b = _int64_array(num), _int64_array(den)
+        if a is not None and b is not None and int(a.max()) * int(b.max()) < INT64_BOUND:
+            i = int(np.argmax(a / b))
+            p, q = int(a[i]), int(b[i])
+            while len(above := np.flatnonzero(a * q > p * b)):
+                i = int(above[np.argmax(a[above] / b[above])])
+                p, q = int(a[i]), int(b[i])
+            return int(np.flatnonzero(a * q == p * b)[0])
+    if isinstance(num, np.ndarray):
+        num = num.tolist()
+    if isinstance(den, np.ndarray):
+        den = den.tolist()
+    i, p, q = 0, num[0], den[0]
+    for j, (n, d) in enumerate(zip(num, den)):
+        if n * q > p * d:
+            i, p, q = j, n, d
+    return i
+
+
+def _int64_array(values):
+    """Integer values as an int64 array (a range without a walk in Python, a
+    list by ``np.fromiter``, faster than ``np.asarray`` on Python ints), or
+    None when one of them does not fit."""
+    try:
+        if type(values) is range:
+            return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+        if isinstance(values, np.ndarray):
+            return values.astype(np.int64, copy=False)
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return None
 
 
 def over_common_denominator(values) -> tuple:

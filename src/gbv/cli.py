@@ -252,11 +252,11 @@ def _cmd_construct(args) -> int:
     if kind == "density-witness":
         _need(args, "g", "h", "index")
         cert = density_witness_monotone(_density_bound(args.g), _density_bound(args.h),
-                                        args.index)
+                                        _check_horizon(args.index, "--index"))
     elif kind == "density-set":
         _need(args, "g", "h", "level")
         cert = density_witness_set(_density_bound(args.g), _density_bound(args.h),
-                                   args.level, args.search_bound)
+                                   args.level, _check_horizon(args.search_bound, "--search-bound"))
     elif kind == "zigzag":
         _need(args, "sequence")
         phi = load_submeasure(args.submeasure) if args.submeasure else None

@@ -24,13 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import (
-    INT64_BOUND,
-    SHORT_SCAN,
     HorizonExceeded,
     HypothesisViolation,
     all_exact,
     exact_div,
-    first_max_ratio,
     over_common_denominator,
     rail_slack,
 )
@@ -111,29 +108,15 @@ def density_witness_monotone(g: DensityBound, h: DensityBound, n: int) -> Constr
     g-norm is 1.  When n/g(n) is exactly nondecreasing s = n/g(n) and the
     object is the classical witness of height g(n)/n; for ceiling-rounded
     profiles s absorbs the rounding, keeping the first check exact.
-    s = s_num/s_den is the first maximum: found by the exact first-max kernel
-    on ``g.g_ints(n)`` where n * g(n) fits int64, else by cross-multiplying
-    in a loop (short n, a table past int64 or too short for n).
+    s is phi_g({1..n}), the density set value of the prefix.
     """
     if n < 1:
         raise ValueError(f"witness index n must be at least 1, got {n}")
     phi_g, phi_h = density(g), density(h)
-    gs = None
-    if n >= SHORT_SCAN and (g.horizon is None or n <= g.horizon):
-        gs = g.g_ints(n)
-    if gs is not None and gs.dtype == np.int64 and n * int(gs[-1]) < INT64_BOUND:
-        i = first_max_ratio(np.arange(1, n + 1), gs)
-        s_num, s_den = i + 1, int(gs[i])
-    else:
-        s_num, s_den = 0, 1
-        for m in range(1, n + 1):
-            gm = g.g(m)
-            if m * s_den > s_num * gm:
-                s_num, s_den = m, gm
-    s = Fraction(s_num, s_den)
-    height = Fraction(s_den, s_num)
+    s = phi_g._set_value(range(1, n + 1))
+    height = 1 / s
     x = SequencePrefix((height,) * n)
-    claimed_ratio = Fraction(n * s_den, h.g(n) * s_num)
+    claimed_ratio = Fraction(n, h.g(n)) * height
     checks = [
         _check("g-norm of witness at most 1", hat_norm(phi_g, x), "<=", 1),
         _check("h-norm of witness at least n/(s*h(n))",

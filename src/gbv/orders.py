@@ -33,7 +33,6 @@ import numpy as np
 
 from ._util import (
     INT64_BOUND,
-    SHORT_SCAN,
     HorizonExceeded,
     NonFiniteValue,
     all_exact,
@@ -146,12 +145,11 @@ def preceq_density(g: DensityBound, h: DensityBound,
 
     Every ratio is compared exactly, by cross-multiplication, and
     Fraction(float) is exact, so the crossing test is exact for a float cap
-    too.  Where g(horizon) * h(horizon) fits int64 the scan runs on the
-    ``g_ints`` arrays: the exact first-max kernel finds the argmax, and the
-    first crossing, which exists exactly when the maximum reaches the cap,
-    is the first n with g(n) * cap_den >= cap_num * h(n), on int64 where
-    those products fit and on Python ints otherwise.  Short horizons and
-    tables past int64 take the scalar loop.
+    too.  The exact first-max kernel finds the argmax over g and h at
+    1..horizon (``g_at``).  The first crossing, which exists exactly when
+    the maximum reaches the cap, is the first n with g(n) * cap_den >=
+    cap_num * h(n), found by one numpy comparison, on int64 where those
+    products fit and on Python ints otherwise.
     """
     _check_positive_finite(cap)
     for bound in (g, h):
@@ -159,25 +157,17 @@ def preceq_density(g: DensityBound, h: DensityBound,
             raise ValueError(f"horizon mismatch: {bound!r} ends before {horizon}")
     exact_cap = Fraction(cap)
     cap_num, cap_den = exact_cap.numerator, exact_cap.denominator
-    G, H = _int64_profiles(g, h, horizon)
-    if G is not None:
+    num, den, best_n, first_crossing = 0, 1, 0, None
+    if horizon:
+        ns = range(1, horizon + 1)
+        G, H = g.g_at(ns), h.g_at(ns)
         i = first_max_ratio(G, H)
         num, den, best_n = int(G[i]), int(H[i]), i + 1
-        first_crossing = None
         if num * cap_den >= cap_num * den:
-            if int(G[-1]) * cap_den >= INT64_BOUND or cap_num * int(H[-1]) >= INT64_BOUND:
-                G, H = G.astype(object), H.astype(object)
+            # g and h are nondecreasing: their last entries bound the products
+            wide = max(int(G[-1]) * cap_den, cap_num * int(H[-1])) >= INT64_BOUND
+            G, H = (np.asarray(v, dtype=object if wide else np.int64) for v in (G, H))
             first_crossing = int(np.flatnonzero(G * cap_den >= cap_num * H)[0]) + 1
-    else:
-        num, den = 0, 1
-        best_n = 0
-        first_crossing = None
-        for n in range(1, horizon + 1):
-            gn, hn = g.g(n), h.g(n)
-            if gn * den > num * hn:
-                num, den, best_n = gn, hn, n
-            if first_crossing is None and gn * cap_den >= cap_num * hn:
-                first_crossing = n
     best = Fraction(num, den)
     details = {"argmax": best_n, "horizon": horizon, "cap": cap}
     if first_crossing is not None:
@@ -186,17 +176,6 @@ def preceq_density(g: DensityBound, h: DensityBound,
         return ComparisonReport("preceq", best, VIOLATED, cert.obj, details)
     verdict = HOLDS if _density_pair_provable(g, h) else CONSISTENT
     return ComparisonReport("preceq", best, verdict, None, details)
-
-
-def _int64_profiles(g: DensityBound, h: DensityBound, horizon: int) -> tuple:
-    """``(g_ints, h_ints)`` up to the horizon where the first-max kernel
-    applies to them (horizon at least ``SHORT_SCAN``, both int64, g(horizon)
-    * h(horizon) below ``INT64_BOUND``), else ``(None, None)``."""
-    if horizon >= SHORT_SCAN:
-        G, H = g.g_ints(horizon), h.g_ints(horizon)
-        if G.dtype == H.dtype == np.int64 and int(G[-1]) * int(H[-1]) < INT64_BOUND:
-            return G, H
-    return None, None
 
 
 def _check_positive_finite(value, name: str = "cap") -> None:
@@ -308,10 +287,10 @@ def _first_max_partial_ratio(A: WatermanWeights, B: WatermanWeights) -> tuple:
     division one more, so a float ratio is within a relative (2n + 1) 2^-53
     of the exact one: about 5e-13 at n = 2048.  The exact maximum's float
     ratio is therefore within a relative 1e-9 of the float maximum, and only
-    the indices that close are confirmed, in order, by cross-multiplying the
-    integer partial sums over the lcm of the denominators.  A weight whose
-    float overflows, is subnormal or is 0 voids the bound, and then every
-    ratio is formed exactly, as the weights are read.
+    the indices that close are candidates.  A weight whose float overflows,
+    is subnormal or is 0 voids the bound, and then every index is one.  The
+    exact first-max kernel picks among the candidates, on the integer
+    partial sums over the lcm of the denominators.
     """
     a, b = A.values, B.values
     a1, b1 = a[0], b[0]
@@ -324,6 +303,7 @@ def _first_max_partial_ratio(A: WatermanWeights, B: WatermanWeights) -> tuple:
         fa, fb = A.float_values(len(a)), B.float_values(len(b))
     except OverflowError:
         fa = fb = None
+    near = range(len(a))
     tiny = np.finfo(float).tiny
     if fa is not None and fa.min() >= tiny and fb.min() >= tiny:
         # a sum past the float range makes inf or NaN ratios, refused below
@@ -331,24 +311,12 @@ def _first_max_partial_ratio(A: WatermanWeights, B: WatermanWeights) -> tuple:
             ratios = np.cumsum(fb) / np.cumsum(fa)
         top = ratios.max()
         if np.isfinite(top) and ratios.min() >= tiny:
-            near = np.flatnonzero(ratios >= top * (1 - 1e-9))
-            anums, aden = over_common_denominator(a[:near[-1] + 1])
-            bnums, bden = over_common_denominator(b[:near[-1] + 1])
-            asums, bsums = list(accumulate(anums)), list(accumulate(bnums))
-            best_n = int(near[0])
-            for n in near[1:].tolist():
-                if bsums[n] * asums[best_n] > bsums[best_n] * asums[n]:
-                    best_n = n
-            return Fraction(bsums[best_n] * aden, asums[best_n] * bden), best_n + 1
-    asum = bsum = 0
-    best, best_n = 0, 0
-    for n in range(1, len(a) + 1):
-        asum += a[n - 1]
-        bsum += b[n - 1]
-        r = exact_div(bsum, asum)
-        if r > best:
-            best, best_n = r, n
-    return best, best_n
+            near = np.flatnonzero(ratios >= top * (1 - 1e-9)).tolist()
+    anums, aden = over_common_denominator(a[:near[-1] + 1])
+    bnums, bden = over_common_denominator(b[:near[-1] + 1])
+    asums, bsums = list(accumulate(anums)), list(accumulate(bnums))
+    j = near[first_max_ratio([bsums[n] for n in near], [asums[n] for n in near])]
+    return Fraction(bsums[j] * aden, asums[j] * bden), j + 1
 
 
 def _summable_pair_m_provable(A: WatermanWeights, B: WatermanWeights) -> bool:

@@ -40,6 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +48,7 @@ import numpy as np
 from ._util import (
     EXACT_TYPES,
     INT64_BOUND,
+    MAX_HORIZON,
     SHORT_SCAN,
     HorizonExceeded,
     NonFiniteValue,
@@ -506,6 +508,18 @@ class DensityBound:
             self._g_floats = ints.astype(float)
         return self._g_floats[:length]
 
+    def g_at(self, C):
+        """g at the indices of C (a sorted list or a step-1 range of indices
+        >= 1), in O(|C|) up to a constant: a slice or a gather of the cached
+        ``g_ints`` for ``SHORT_SCAN`` or more indices up to the horizon of a
+        table, or up to max(``MAX_HORIZON``, |C|) for a closed form; else a
+        list of g per index, which past a table names the first missing
+        index."""
+        if len(C) >= SHORT_SCAN and C[-1] <= (self.horizon or max(MAX_HORIZON, len(C))):
+            gs = self.g_ints(C[-1])
+            return gs[C.start - 1:C.stop - 1] if type(C) is range else gs[np.array(C) - 1]
+        return list(map(self._g, C))
+
     def _g_profile(self, length: int, cache) -> np.ndarray:
         """g(1..n) for the caches: the whole table, or a closed form up to
         n = max(length, 2 * len(cache))."""
@@ -852,21 +866,10 @@ class DensitySubmeasure(Submeasure):
     def _set_value(self, C):
         if not C:
             return 0
-        # max of rank / g(n): the exact first-max kernel over g at C where
-        # len(C) * g(max C) fits int64, else compared by cross-multiplication
-        if len(C) >= SHORT_SCAN:
-            gs = self.bound.g_ints(C[-1])
-            if gs.dtype == np.int64 and len(C) * int(gs[-1]) < INT64_BOUND:
-                gs = gs[C.start - 1:C.stop - 1] if type(C) is range else gs[np.array(C) - 1]
-                i = first_max_ratio(np.arange(1, len(C) + 1), gs)
-                return Fraction(i + 1, int(gs[i]))
-        g = self.bound.g
-        num, den = 0, 1
-        for rank, n in enumerate(C, start=1):
-            gn = g(n)
-            if rank * den > num * gn:
-                num, den = rank, gn
-        return Fraction(num, den)
+        # the first maximum of rank / g(n) over the members n of C
+        gs = self.bound.g_at(C)
+        i = first_max_ratio(range(1, len(C) + 1), gs)
+        return Fraction(i + 1, int(gs[i]))
 
     def _set_table(self, support):
         # the largest member of a mask has rank popcount(mask)
@@ -885,35 +888,24 @@ class DensitySubmeasure(Submeasure):
         On the exact rail (every entry an int or a Fraction) the prefix sums
         are integer numerators over D, the lcm of the entry denominators,
         from ``over_common_denominator`` (which reads a run of one object
-        once), and one Fraction is built for the maximum.  Where the last
-        prefix times the largest g fits int64 the exact first-max kernel
-        finds it, else the ratios are compared by cross-multiplication.
-        Entries that include a float take the plain loop.
+        once); the exact first-max kernel finds the maximum over g, and one
+        Fraction is built for it.  Entries that include a float take the
+        plain loop.
         """
         entries = as_entries(x)
         exact = all_exact(entries)
         if not exact:
             entries = finite_entries(entries)
         self._check_length(len(entries))
-        g = self.bound.g
         if exact:
             nums, D = over_common_denominator(entries)
-            nums = list(map(abs, nums))
-            if len(nums) >= SHORT_SCAN:
-                gs = self.bound.g_ints(len(nums))
-                if gs.dtype == np.int64 and sum(nums) * int(gs[-1]) < INT64_BOUND:
-                    prefix = np.cumsum(np.array(nums, dtype=np.int64))
-                    i = first_max_ratio(prefix, gs)
-                    num = int(prefix[i])
-                    return Fraction(num, D * int(gs[i])) if num else 0
-            num, den = 0, 1
-            prefix = 0
-            for n, v in enumerate(nums, start=1):
-                prefix += v
-                gn = g(n)
-                if prefix * den > num * gn:
-                    num, den = prefix, gn
-            return Fraction(num, D * den) if num else 0
+            prefix = list(accumulate(map(abs, nums)))
+            if not prefix or not prefix[-1]:
+                return 0
+            gs = self.bound.g_at(range(1, len(prefix) + 1))
+            i = first_max_ratio(prefix, gs)
+            return Fraction(prefix[i], D * int(gs[i]))
+        g = self.bound.g
         best = 0
         prefix = 0
         for n, v in enumerate(entries, start=1):

@@ -254,6 +254,10 @@ def _construct(f):
         ]
     cmds.append(["construct", "--kind", "exh-not-fin", "--phi1", v["harmonic"],
                  "--phi2", v["counting"], "--search-len", "1000000000000"])
+    cmds += [["construct", "--kind", "density-witness", "--g", v["sqrt"], "--h", v["log"],
+              "--index", "100000000000"],
+             ["construct", "--kind", "density-set", "--g", v["sqrt"], "--h", v["sqrt"],
+              "--level", "2", "--search-bound", str(10 ** 11)]]
     big = f["past_int64"]
     for g in (big["density_2e57"], big["density_2e50"]):
         cmds += [["construct", "--kind", "density-witness", "--g", a, "--h", b, "--index", n]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import SHORT_SCAN, ceil_power, exact_div, first_max_ratio
+from gbv._util import INT64_BOUND, SHORT_SCAN, ceil_power, exact_div, first_max_ratio
 from gbv.constructions import density_witness_monotone
 from gbv.orders import preceq_density, preceq_m_summable
 from gbv.submeasure import (
@@ -210,20 +210,38 @@ def test_g_ints_of_a_table_past_int64_holds_python_ints():
 # ---------------------------------------------------------------------------
 
 def _kernel_case(num, den):
-    num, den = np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
-    i = first_max_ratio(num, den)
-    want, p, q = loop_first_max(num.tolist(), den.tolist())
-    assert i == want, (num, den)
-    assert num[i] * q == p * den[i]
+    """The kernel on num/den as lists, as object arrays, as int64 arrays
+    where every entry fits, and with a ``range`` numerator where num is one."""
+    num, den = list(num), list(den)
+    want, p, q = loop_first_max(num, den)
+    forms = [(num, den), (np.array(num, dtype=object), np.array(den, dtype=object))]
+    if max(num + den) < 1 << 63:
+        forms.append((np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)))
+    step = max(num[1] - num[0], 1) if len(num) > 1 else 1
+    span = range(num[0], num[0] + step * len(num), step)
+    if num == list(span):
+        forms.append((span, den))
+    for a, b in forms:
+        i = first_max_ratio(a, b)
+        assert i == want, (type(a), num, den)
+        assert num[i] * q == p * den[i]
+
+
+lengths = st.one_of(st.integers(1, 80), st.sampled_from([SHORT_SCAN - 1, SHORT_SCAN]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kernel_is_the_first_max_of_the_loop(data):
-    n = data.draw(st.integers(1, 80))
-    scale = data.draw(st.sampled_from([10, 1000, 1 << 30]))
-    num = data.draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))
+    # scales 2^40 and 2^70: products past INT64_BOUND, entries past int64
+    n = data.draw(lengths)
+    scale = data.draw(st.sampled_from([10, 1000, 1 << 30, 1 << 40, 1 << 70]))
     den = data.draw(st.lists(st.integers(1, scale), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        start, step = data.draw(st.integers(0, scale)), data.draw(st.integers(1, 5))
+        num = list(range(start, start + n * step, step))
+    else:
+        num = data.draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))
     _kernel_case(num, den)
 
 
@@ -234,7 +252,7 @@ def test_kernel_on_ratios_the_floats_cannot_tell_apart(data):
     # the last bits of d, so the float ratios tie where the exact ones do not
     p = data.draw(st.integers(1 << 53, 1 << 54))
     q = data.draw(st.integers(4, 16))
-    n = data.draw(st.integers(1, 60))
+    n = data.draw(st.integers(1, 2 * SHORT_SCAN))
     num, den = [], []
     for _ in range(n):
         t = data.draw(st.integers(1, 3))
@@ -256,7 +274,13 @@ def test_kernel_on_all_ties_zeros_and_late_maxima():
     # where N does not, so the float argmax is index 1 and the answer 0
     N = next(N for N in range((1 << 54) + 1, (1 << 54) + 100)
              if float(3 * N) / 24 > float(N) / 8)
-    assert first_max_ratio(np.array([N, 3 * N]), np.array([8, 24])) == 0
+    pad = SHORT_SCAN - 2
+    assert first_max_ratio(np.array([N, 3 * N] + [0] * pad), np.array([8, 24] + [1] * pad)) == 0
+    # products at and past INT64_BOUND, on either side of SHORT_SCAN
+    for n in (SHORT_SCAN - 1, SHORT_SCAN, SHORT_SCAN + 1):
+        _kernel_case([1 << 31] * (n - 1) + [(1 << 31) + 1], [1 << 31] * n)
+        _kernel_case(range(1, n + 1), [INT64_BOUND // n + 1] * (n - 1) + [INT64_BOUND // n])
+        _kernel_case([(1 << 70) + k for k in range(n)], [(1 << 70) + 2 * k for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +379,11 @@ def test_density_set_value_on_long_sets_is_the_loop(bound, data):
         st.builds(lambda a, b: range(min(a, b), max(a, b) + 1),
                   st.integers(1, top), st.integers(1, top))))
     assert same(density(bound).set_value(C), loop_density_set_value(bound, C))
+    if bound.horizon is None:
+        # members far past MAX_HORIZON cost g per member, not a profile
+        for C in (list(range(1, 64)) + [10 ** 12], range(10 ** 12, 10 ** 12 + 64),
+                  list(range(1, 64)) + [10 ** 7], list(range(1, 65)) + [10 ** 18]):
+            assert same(density(bound).set_value(C), loop_density_set_value(bound, C))
 
 
 def test_density_set_value_past_int64_takes_the_loop():

@@ -440,6 +440,20 @@ def test_cli_search_len_past_the_cap_is_refused(workdir, capsys):
         assert err == f"error: --search-len {length} is past the cap 1048576\n"
 
 
+def test_cli_index_and_search_bound_past_the_cap_are_refused(workdir, capsys):
+    from gbv.cli import main
+
+    g = ["--g", str(workdir / "identity.json"), "--h", str(workdir / "identity.json")]
+    for length in (str(MAX_HORIZON + 1), "100000000000"):
+        for flag, argv in (("--index", ["--kind", "density-witness", *g, "--index", length]),
+                           ("--search-bound", ["--kind", "density-set", *g, "--level", "2",
+                                               "--search-bound", length])):
+            rc = main(["construct", *argv])
+            out, err = capsys.readouterr()
+            assert rc == 1 and out == ""
+            assert err == f"error: {flag} {length} is past the cap 1048576\n"
+
+
 def test_cli_variation_past_the_float_range_is_a_named_error(workdir, capsys):
     # a max-with-unit base searches left to right through the oracle, whose
     # float hat-norm of the family (1.7e308, 1e308) passes the float range

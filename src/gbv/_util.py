@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import is_, is_not, sub
@@ -162,6 +163,48 @@ def over_common_denominator(values) -> tuple:
         return list(chain.from_iterable(map(repeat, nums, counts))), den
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_keys(values):
+    """``(keys, den, to_values)`` for a nonempty sequence whose values are
+    all ``int``, all ``Fraction`` or all ``float`` (subclasses excluded),
+    else None.  Each key is an integer with keys[i] / den == values[i]
+    exactly, so sums and differences of keys are exact, and ``to_values``
+    maps a list of such integers k to the numbers k / den on the values'
+    rail: the ints themselves, ``Fraction(k, den)``, or floats rounded once,
+    an overflow giving a signed inf as IEEE addition does.
+
+    Ints are their own keys over 1.  Fractions and floats are read through
+    ``as_integer_ratio`` (a float's is exact and dyadic) and put over the
+    lcm of their denominators, so the keys of exact values are those of
+    ``over_common_denominator``.
+    """
+    kind = type(values[0])
+    if kind not in (int, Fraction, float) or not all_of_type(values, kind):
+        return None
+    if kind is int:
+        return list(values), 1, list
+    ratios = list(map(kind.as_integer_ratio, values))
+    den = math.lcm(*[d for _, d in ratios])
+    keys = [n * (den // d) for n, d in ratios]
+    return keys, den, partial(_key_fractions if kind is Fraction else _key_floats, den=den)
+
+
+def _key_fractions(keys, den: int) -> list:
+    return [Fraction(k, den) for k in keys]
+
+
+def _key_floats(keys, den: int) -> list:
+    try:
+        return [k / den for k in keys]
+    except OverflowError:
+        out = []
+        for k in keys:
+            try:
+                out.append(k / den)
+            except OverflowError:
+                out.append(math.inf if k > 0 else -math.inf)
+        return out
 
 
 def _identical_runs(values):

@@ -169,6 +169,9 @@ def _common_flags(p):
 def _cmd_variation(args) -> int:
     f = load_function_csv(args.function)
     phi = load_submeasure(args.submeasure)
+    if args.modulus is not None and not 0 <= args.modulus <= f.segments:
+        raise ValueError(f"--modulus {args.modulus} must lie in 0..{f.segments}, "
+                         "the segment count of the function")
     brute = args.method in ("brute", "all")
     variation = {}
     if args.method == "upper":

@@ -42,6 +42,7 @@ from .submeasure import (
 )
 from .variation import (
     PiecewiseLinearFunction,
+    _modulus_dp,
     abv_norm,
     bv_norm,
     jordan_variation,
@@ -249,16 +250,17 @@ def criterion_3_jordan_reduction(scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_4_modulus(scale: float = 1.0) -> CriterionResult:
-    """Modulus DP == exhaustive enumeration; nondecreasing + concave; v(B) = Jordan."""
+    """Modulus merge == DP == exhaustive enumeration; nondecreasing +
+    concave; v(B) = Jordan."""
     t0 = time.time()
     rng = random.Random(SEED + 4)
     for _ in range(int(150 * scale)):
         f = random_function(rng, max_b=8, exact=True)
         v = modulus_of_variation(f)        # construction validates shape invariants
-        w = modulus_by_enumeration(f)
-        if v.values != w.values:
-            return CriterionResult(4, "modulus of variation DP vs enumeration", False,
-                                   time.time() - t0, f"{v.values} != {w.values}")
+        for w in (_modulus_dp(f), modulus_by_enumeration(f)):
+            if v.values != w.values:
+                return CriterionResult(4, "modulus of variation DP vs enumeration", False,
+                                       time.time() - t0, f"{v.values} != {w.values}")
         if v.values[-1] != jordan_variation(f):
             return CriterionResult(4, "modulus of variation DP vs enumeration", False,
                                    time.time() - t0, "v(B) != Jordan variation")

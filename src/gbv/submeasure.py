@@ -512,12 +512,15 @@ class DensityBound:
         """g at the indices of C (a sorted list or a step-1 range of indices
         >= 1), in O(|C|) up to a constant: a slice or a gather of the cached
         ``g_ints`` for ``SHORT_SCAN`` or more indices up to the horizon of a
-        table, or up to max(``MAX_HORIZON``, |C|) for a closed form; else a
+        table, or up to max(``MAX_HORIZON``, |C|) for a closed form, when C
+        is dense (max C <= 8 |C|) or the cache already reaches max C; else a
         list of g per index, which past a table names the first missing
-        index."""
+        index.  A sparse set thus never grows the cache to its top member."""
         if len(C) >= SHORT_SCAN and C[-1] <= (self.horizon or max(MAX_HORIZON, len(C))):
-            gs = self.g_ints(C[-1])
-            return gs[C.start - 1:C.stop - 1] if type(C) is range else gs[np.array(C) - 1]
+            top = C[-1]
+            if top <= 8 * len(C) or (self._g_ints is not None and len(self._g_ints) >= top):
+                gs = self.g_ints(top)
+                return gs[C.start - 1:C.stop - 1] if type(C) is range else gs[np.array(C) - 1]
         return list(map(self._g, C))
 
     def _g_profile(self, length: int, cache) -> np.ndarray:

@@ -60,16 +60,23 @@ over the rows of M @ rows^T.  The scores are hat * den * D for the key
 scale D, so the first maximal score names the family the per-family loop
 would return; ``hat`` runs once, on that family's profile read from its row
 of cells, and gives the value its type.  The product runs on int64 while
-max key * max form entry * width < 2^62, on Python ints otherwise.  The
-modulus DP likewise runs on the integer numerators over D, with one flag
-per state recording whether a Fraction value took part, which is when
-Fraction arithmetic would have returned a Fraction.
+max key * max form entry * width < 2^62, on Python ints otherwise.
+
+The modulus of variation merges the smallest swing of the monotone runs, in
+O(B log B), on the integer keys of ``_util.integer_keys`` (all ints, all
+Fractions or all floats; see ``modulus_of_variation``, which proves the
+rule).  ``monotone_runs`` and ``_run_breakpoints`` read the turning points
+of exact values off the same kind of keys.  Values of mixed types run the
+DP (``_modulus_dp``), on integer numerators over D with one flag per state
+recording whether a Fraction value took part, which is when Fraction
+arithmetic would have returned a Fraction.
 
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
 * ``jordan_variation``        -- classical total variation,
 * ``modulus_of_variation``    -- v(n) = max total oscillation over n
-                                 nonoverlapping intervals (exact DP),
+                                 nonoverlapping intervals (merge of the
+                                 smallest swing; the DP for mixed types),
 * ``variation_bruteforce``    -- sup over all ordered interval families of
                                  hat(oscillation vector): the exact general
                                  variation for every variant with a known
@@ -90,6 +97,7 @@ decaying weights the merged family wins.  The brute-force oracle arbitrates.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -100,7 +108,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._util import (INT64_BOUND, NonFiniteValue, SizeRefusal, all_exact, exact_div,
-                    is_finite, over_common_denominator, rail_slack)
+                    integer_keys, is_finite, over_common_denominator, rail_slack)
 from .submeasure import Submeasure, WatermanWeights, as_float_array, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
@@ -190,19 +198,27 @@ class ModulusVector:
     def __post_init__(self):
         v = tuple(self.values)
         object.__setattr__(self, "values", v)
-        if not v or v[0] != 0:
-            raise ValueError("modulus vector must start at v[0] = 0")
-        if all_exact(v):
-            v, _ = over_common_denominator(v)
-            slack = 0
+        if v and all_exact(v):
+            _check_modulus(over_common_denominator(v)[0], 0)
         else:
-            slack = rail_slack(False, max(v))
-        for n in range(1, len(v)):
-            if v[n] < v[n - 1] - slack:
-                raise ValueError(f"modulus must be nondecreasing (n={n})")
-        for n in range(2, len(v)):
-            if v[n] - v[n - 1] > v[n - 1] - v[n - 2] + slack:
-                raise ValueError(f"modulus increments must be nonincreasing (n={n})")
+            _check_modulus(v, rail_slack(False, max(v)) if v else 0)
+
+    @classmethod
+    def _from_keys(cls, keys: list, to_values) -> "ModulusVector":
+        """The vector of integer keys of ``_util.integer_keys``, checked
+        exactly on the keys: v[n] is the ``to_values`` of keys[n], and the
+        int 0 where the key is 0 (v[0], or every entry of a constant
+        function)."""
+        _check_modulus(keys, 0)
+        values = [0] * len(keys)
+        if keys[-1]:
+            # the entries from the first n with v(n) = v(n_max) are one number
+            top = keys.index(keys[-1])
+            values[1:top + 1] = to_values(keys[1:top + 1])
+            values[top + 1:] = values[top:top + 1] * (len(keys) - top - 1)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", tuple(values))
+        return out
 
     def __len__(self):
         return len(self.values)
@@ -212,6 +228,18 @@ class ModulusVector:
 
     def increments(self) -> tuple:
         return tuple(self.values[n] - self.values[n - 1] for n in range(1, len(self.values)))
+
+
+def _check_modulus(v, slack) -> None:
+    """The three checks of ``ModulusVector``, each within ``slack``."""
+    if not v or v[0] != 0:
+        raise ValueError("modulus vector must start at v[0] = 0")
+    for n in range(1, len(v)):
+        if v[n] < v[n - 1] - slack:
+            raise ValueError(f"modulus must be nondecreasing (n={n})")
+    for n in range(2, len(v)):
+        if v[n] - v[n - 1] > v[n - 1] - v[n - 2] + slack:
+            raise ValueError(f"modulus increments must be nonincreasing (n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +260,32 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
 
     Zero-slope segments extend the current run.  The run total equals the
     Jordan variation.  A constant function has no runs.
+
+    Exact values (ints and Fractions, mixed or not) are read as integer
+    numerators over the lcm D of their denominators: each run is the key
+    difference across its span (``_spans``) over D, a Fraction exactly when
+    one of its sloped segments has a Fraction endpoint, which is when
+    summing the segment differences in Python would give a Fraction.
+    Otherwise the segment differences are summed in Python, left to right.
     """
+    y = f.values
+    if all_exact(y):
+        rail = integer_keys(y)
+        keys, den = rail[:2] if rail else over_common_denominator(y)
+        spans = _spans(keys)
+        amps = [abs(keys[j] - keys[i]) for i, j in spans]
+        if rail:
+            return tuple(rail[2](amps))
+        frac = [isinstance(v, Fraction) for v in y]
+        return tuple(
+            Fraction(a, den)
+            if any(keys[k] != keys[k + 1] and (frac[k] or frac[k + 1]) for k in range(i, j))
+            else a // den for a, (i, j) in zip(amps, spans))
     runs = []
     current = 0
     sign = 0
     for i in range(f.segments):
-        d = f.values[i + 1] - f.values[i]
+        d = y[i + 1] - y[i]
         if d == 0:
             continue
         s = 1 if d > 0 else -1
@@ -255,16 +303,25 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
 def _run_breakpoints(f: PiecewiseLinearFunction) -> list:
     """``[i, j]`` per run of ``monotone_runs``, in order: the run goes from
     breakpoint index i to breakpoint index j (0-based), over its first and
-    last segment of nonzero slope."""
-    spans, sign = [], 0
-    for i in range(f.segments):
-        a, b = f.values[i], f.values[i + 1]
-        s = (b > a) - (b < a)
-        if s and s == sign:
+    last segment of nonzero slope.  Exact values are compared by their
+    integer numerators over a common denominator."""
+    y = f.values
+    return _spans(over_common_denominator(y)[0] if all_exact(y) else y)
+
+
+def _spans(keys) -> list:
+    """``[i, j]`` per maximal monotone run of a sequence, in order: from
+    index i to index j over its first and last strict step, the equal steps
+    inside it included."""
+    spans, up = [], None
+    for i, (a, b) in enumerate(zip(keys, keys[1:])):
+        if a == b:
+            continue
+        if (a < b) is up:
             spans[-1][1] = i + 1
-        elif s:
+        else:
             spans.append([i, i + 1])
-            sign = s
+            up = a < b
     return spans
 
 
@@ -282,7 +339,143 @@ def jordan_variation(f: PiecewiseLinearFunction):
 
 
 def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
-    """Exact modulus vector by dynamic programming over breakpoint indices.
+    """Modulus vector v(0..n_max), by merging the smallest swing.
+
+    v(n) is the largest total oscillation of n nonoverlapping intervals.
+    When the values are all ints, all Fractions or all floats, they are read
+    as the integer keys of ``_util.integer_keys`` and v comes from the
+    monotone runs r_1..r_m of the keys (``_spans``), in O(B + m log m):
+
+    * v(n) = T = r_1 + ... + r_m for n >= m;
+    * while c >= 2 runs are left, of sum T, take the smallest run r_i, the
+      first on a tie.  An end run is dropped: v(c - 1) = T - r_i.  An
+      interior run is merged with its two neighbours into one run
+      r_{i-1} - r_i + r_{i+1}: v(c - 1) = T - r_i and v(c - 2) = T - 2 r_i.
+
+    The runs sit in a linked list, and a heap of (amplitude, position) skips
+    its stale entries.  ``ModulusVector`` checks the keys exactly; an entry
+    is its key mapped back by the helper (an int, a Fraction, or a float
+    rounded once) and the int 0 where the key is 0, the types the DP gives
+    on such values.  Other values (int with Fraction, exact with float,
+    subclasses) run ``_modulus_dp``: there an entry's type depends on which
+    optimal family the DP's strict ``>`` keeps on a tie, a rule the merge
+    does not reproduce.  A hand-written CSV with ``0,0`` on its first line
+    and a ``p/q`` value elsewhere (the golden reports' ``tent.csv``) is
+    such a mix.
+
+    Why the rule holds.  Let z_0..z_m be the turning values (the first
+    value, the local extrema, the last value) and r_k = |z_k - z_{k-1}|.
+
+    1. *Turning points suffice.*  Let an endpoint sit at an index p whose
+       value lies between its neighbours' (inside a run, or on a flat).
+       |x - t| and |x - t| + |t - y| are convex in t, so moving it, with the
+       end of an interval touching it there, to p - 1 or p + 1 lowers no
+       total; the moved intervals only shrink or take a step no other
+       interval holds, and an interval left empty is dropped.  So v is the
+       modulus of z, a zigzag with alternating steps r_1..r_m.
+    2. *Counting.*  An interval oscillates by at most the sum of the runs
+       it spans, and by at most that sum less twice the smallest run when it
+       spans two or more (one of them goes against its net direction).  So
+       v(m) = T, and v(m - 1) = T - min r: m - 1 intervals leave a run out
+       or span two.
+    3. *A spare interval gains the smallest run.*  A family of k < m
+       intervals takes one more interval and gains at least min r: add a run
+       no interval covers, or split an interval spanning two or more runs
+       around one that goes against its net direction.
+    4. *An interior merge.*  Let r_i be smallest, 1 < i < m, rising from
+       L = z_{i-1} to H = z_i (else reflect), so P = z_{i-2} >= H and
+       Q = z_{i+1} <= L.  Dropping z_{i-1}, z_i leaves a zigzag Z' of m - 2
+       runs, each >= r_i (the merged one is P - Q).  Its families are
+       families of z, so v' <= v.  Conversely, take an n-family of z with
+       n <= m - 2 and rewrite its intervals on the steps P-L, L-H, H-Q so
+       that none ends at L or H.  An interval with one end at L or H and
+       the other at x moves that end to P or Q, one of which does as well
+       since L, H lie in [Q, P] and |x - t| is convex; two intervals
+       touching at L or H move their shared end together; a lone [L, H]
+       becomes [P, Q], which is larger.  Three patterns may give up
+       intervals, losing at most r_i for each: (a) an interval from x
+       ending at L beside [L, H], with H-Q free, becomes [x, Q] when
+       x >= L, as x - Q = (x - L) + r_{i+1} - r_i, and else [x, P] and
+       [P, Q] lose nothing (mirrored, [L, H] beside an interval starting
+       at H);
+       (b) an interval from x ending at L and one to y starting at H, with
+       L-H free, become [x, y] when x >= L and y <= H, as
+       x - y = (x - L) + (H - y) - r_i, and else move their ends to P or Q
+       without loss; (c) [L, H] between two such intervals is dropped, and
+       (b) follows.  Step 3 on Z' (each run >= r_i) wins back r_i for each
+       interval given up.  So v(n) = v'(n) for n <= m - 2, and
+       v'(m - 2) = T - 2 r_i.
+    5. *An end run.*  Let r_1 be smallest, rising from L = z_0 to H = z_1
+       (else reflect or reverse), and Z' the zigzag without z_0.  In an
+       n-family of z with n <= m - 1, an interval from z_0 to z_b is
+       dropped when b = 1 (losing r_1), and otherwise becomes [z_2, z_b]
+       when z_b >= H (then b >= 3, and r_2 >= r_1 makes it larger), becomes
+       [z_1, z_b] when z_b <= (L + H) / 2, and is dropped in between
+       (losing less than r_1); step 3 on Z' wins the loss back.  So
+       v(n) = v'(n) for n <= m - 1, and v'(m - 1) = T - r_1.
+
+    In all of these an interval left empty is dropped.  So for n up to the
+    count c of runs left, v(n) is the modulus of the runs left, and by
+    steps 2, 4 and 5 each step of the rule records it.
+    """
+    B = f.segments
+    if n_max is None:
+        n_max = B
+    if not 0 <= n_max <= B:
+        raise ValueError(f"n_max must lie in 0..{B}")
+    rail = integer_keys(f.values)
+    if rail is None:
+        return _modulus_dp(f, n_max)
+    keys, _, to_values = rail
+    v = _merge_smallest_swing([abs(keys[j] - keys[i]) for i, j in _spans(keys)])
+    return ModulusVector._from_keys(v[:n_max + 1] + v[-1:] * (n_max + 1 - len(v)), to_values)
+
+
+def _merge_smallest_swing(runs: list) -> list:
+    """v(0..m) from the m run amplitudes, by the rule of
+    ``modulus_of_variation``."""
+    count = m = len(runs)
+    total = sum(runs)
+    v = [0] * m + [total]
+    amp = runs[:]
+    prev = list(range(-1, m - 1))               # -2 marks a run that is gone
+    nxt = list(range(1, m + 1))
+    # (amplitude, position) as the one integer amplitude * M + position,
+    # which orders alike and compares faster
+    M = m + 1
+    heap = [a * M + i for i, a in enumerate(runs)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while count > 1:
+        a, i = divmod(pop(heap), M)
+        if prev[i] == -2 or amp[i] != a:        # gone, or merged since
+            continue
+        p, q = prev[i], nxt[i]
+        prev[i] = -2
+        total -= a
+        count -= 1
+        v[count] = total
+        if p < 0:                               # the first run: drop it
+            prev[q] = -1
+        elif q == m:                            # the last run: drop it
+            nxt[p] = m
+        else:                                   # merge it with both neighbours
+            total -= a
+            count -= 1
+            v[count] = total
+            a = amp[p] = amp[p] - a + amp[q]
+            prev[q] = -2
+            q = nxt[p] = nxt[q]
+            if q < m:
+                prev[q] = p
+            push(heap, a * M + p)
+    return v
+
+
+def _modulus_dp(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
+    """Exact modulus vector by dynamic programming over breakpoint indices:
+    the reference for ``modulus_of_variation``, and its path for values of
+    mixed types, in O(B * n_max).
 
     State per breakpoint: best total with j complete intervals (A), and best
     total with j complete intervals plus one open interval maximizing a later

@@ -386,6 +386,24 @@ def test_density_set_value_on_long_sets_is_the_loop(bound, data):
             assert same(density(bound).set_value(C), loop_density_set_value(bound, C))
 
 
+@pytest.mark.parametrize("bound", CLOSED_FORMS + [power_bound(F(7, 9))], ids=repr)
+def test_sparse_sets_read_g_per_member_without_growing_the_profile(bound):
+    bound = DensityBound(bound.form, bound.param)            # an empty cache
+    phi = density(bound)
+    for C in (list(range(1, 64)) + [10 ** 6], list(range(1, 128)) + [10 ** 6 - 1, 10 ** 6]):
+        assert same(phi.set_value(C), loop_density_set_value(bound, C))
+        assert bound.g_at(C) == [bound.g(n) for n in C]
+        assert bound._g_ints is None
+    # a dense set gathers, and a sparse set within the cached profile reads it
+    dense = list(range(1, 64)) + [500]
+    assert same(phi.set_value(dense), loop_density_set_value(bound, dense))
+    cached = len(bound._g_ints)
+    assert 500 <= cached < 10 ** 6
+    sparse = list(range(1, 64)) + [cached]
+    assert bound.g_at(sparse).tolist() == [bound.g(n) for n in sparse]
+    assert same(phi.set_value(sparse), loop_density_set_value(bound, sparse))
+    assert len(bound._g_ints) == cached
+
 def test_density_set_value_past_int64_takes_the_loop():
     big = DensityBound("table", table=[m << 57 for m in range(1, 101)])
     for C in (range(1, 101), range(20, 90), list(range(1, 101, 1))):

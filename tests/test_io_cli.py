@@ -527,6 +527,25 @@ def test_cli_greedy_variation_past_the_float_range_is_a_named_error(workdir, cap
     assert err == "error: the variation overflows the float range (inf)\n"
 
 
+def test_cli_modulus_out_of_range_is_refused_before_any_variation(workdir, capsys):
+    from gbv.cli import main
+
+    # 13 segments: the brute force would refuse the size, so the refusal
+    # seen is the one made before any variation is computed
+    lines = [f"{k}/13,{k % 2}" for k in range(14)]
+    (workdir / "long.csv").write_text("\n".join(lines) + "\n")
+    for n in ("99", "-1", "14"):
+        rc = main(["variation", "--function", str(workdir / "long.csv"),
+                   "--submeasure", str(workdir / "harmonic.json"), "--method", "brute",
+                   "--modulus", n])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == f"error: --modulus {n} must lie in 0..13, the segment count of the function\n"
+    assert main(["variation", "--function", str(workdir / "long.csv"),
+                 "--submeasure", str(workdir / "harmonic.json"), "--method", "greedy",
+                 "--modulus", "13"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["modulus_vector"]) == 14
+
 def test_cli_usage_error_exits_one(capsys):
     from gbv.cli import main
 

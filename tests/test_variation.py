@@ -272,6 +272,218 @@ VALUE_KINDS = {"int": _ints, "fraction": _fractions, "mixed": st.one_of(_ints, _
                "float": _floats, "float-mixed": st.one_of(_floats, _ints, _fractions)}
 
 
+# ---------------------------------------------------------------------------
+# the merge of the smallest swing against the DP
+# ---------------------------------------------------------------------------
+
+U = 2.0 ** -53
+
+_big = st.integers(-(10 ** 30), 10 ** 30)
+# few distinct values make plateaus and equal swings likely
+_few = st.sampled_from([-2, 0, 1, 3])
+MERGE_KINDS = {
+    "int": _ints,
+    "int-few": _few,
+    "int-past-int64": _big,
+    "fraction": _fractions,
+    "fraction-integral": _ints.map(F),
+    "fraction-few": _few.map(lambda v: F(v, 3)),
+    "fraction-past-int64": st.builds(F, _big, st.integers(1, 7)),
+    "float-dyadic": st.integers(-6144, 6144).map(lambda k: k / 1024),
+    "float-few": _few.map(float),
+}
+# every mix the DP serves: int with Fraction, exact with float, subclasses
+MIXED_KINDS = {
+    "int-fraction": st.one_of(_ints, _fractions),
+    "int-integral-fraction": st.one_of(_few, _few.map(F)),
+    "exact-float": st.one_of(_ints, _fractions, _few.map(float)),
+    "bool-int": st.one_of(st.booleans(), st.integers(-2, 2)),
+}
+
+
+def _function_of(values):
+    B = len(values) - 1
+    return PiecewiseLinearFunction(tuple([0] + [F(k, B) for k in range(1, B)] + [1]),
+                                   tuple(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_equals_the_dp_in_value_and_type(data):
+    from gbv.variation import _modulus_dp
+
+    kind = data.draw(st.sampled_from(sorted(MERGE_KINDS)), label="kind")
+    B = data.draw(st.integers(1, 14), label="B")
+    f = _function_of(data.draw(st.lists(MERGE_KINDS[kind], min_size=B + 1, max_size=B + 1),
+                               label="values"))
+    for n_max in (B, data.draw(st.integers(0, B), label="n_max")):
+        got = typed(modulus_of_variation(f, n_max).values)
+        assert got == typed(_modulus_dp(f, n_max).values)
+        assert got == typed(fraction_modulus_dp(f, n_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mixed_values_run_the_dp(data):
+    from gbv.variation import _modulus_dp
+
+    kind = data.draw(st.sampled_from(sorted(MIXED_KINDS)), label="kind")
+    B = data.draw(st.integers(1, 10), label="B")
+    f = _function_of(data.draw(st.lists(MIXED_KINDS[kind], min_size=B + 1, max_size=B + 1),
+                               label="values"))
+    n_max = data.draw(st.integers(0, B), label="n_max")
+    assert typed(modulus_of_variation(f, n_max).values) == typed(_modulus_dp(f, n_max).values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=2, max_size=15),
+       st.data())
+def test_float_merge_is_within_the_rounding_of_the_dp(values, data):
+    """The DP's float v(n) is the largest, over the paths of at most n
+    intervals, of a float that a chain of 2n roundings computes: each
+    opening subtracts a value and each closing adds one, and
+    x -> fl(x + c) is monotone, so the DP's maximum is the largest rounded
+    path.  Every partial sum of a path lies within J + Y of 0 (J the exact
+    Jordan variation, Y = max |y|), and an addition or subtraction errs by
+    at most u = 2^-53 of its result (gradual underflow makes small results
+    exact), so each path is off its exact total by at most
+    2n u (J + Y) (1 + 2n u), and so is the DP off v(n).  The merge rounds
+    the exact v(n) once, within u J.  Hence
+    |merge - DP| <= (2n + 2) u (J + Y) for n <= 14."""
+    from gbv.variation import _modulus_dp
+
+    f = _function_of(values)
+    n_max = data.draw(st.integers(0, f.segments), label="n_max")
+    J = sum(abs(F(b) - F(a)) for a, b in zip(values, values[1:]))
+    Y = max(abs(F(v)) for v in values)
+    got, want = modulus_of_variation(f, n_max).values, _modulus_dp(f, n_max).values
+    assert [type(v) for v in got] == [type(v) for v in want]
+    for n, (a, b) in enumerate(zip(got, want)):
+        assert abs(F(a) - F(b)) <= (2 * n + 2) * F(U) * (J + Y), (n, a, b)
+
+
+def test_float_merge_overflows_to_inf_as_float_addition_does():
+    f = PiecewiseLinearFunction((0, F(1, 2), 1), (0.0, 1.7e308, 7e307))
+    assert typed(modulus_of_variation(f).values) == typed((0, 1.7e308, math.inf))
+    with pytest.raises(NonFiniteValue, match=r"^modulus increment 2 is not finite \(inf\)"):
+        variation_upper_bound(f, summable(harmonic_weights(8)))
+    # each entry is its exact value rounded once, whatever the total
+    top = 2.0 ** 1023
+    g = PiecewiseLinearFunction((0, F(1, 3), F(2, 3), 1), (0.0, top, top / 2, top))
+    assert modulus_of_variation(g).values == (0, top, 1.5 * top, math.inf)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_merge_equals_the_dp_at_300_segments(kind):
+    from gbv.variation import _modulus_dp
+
+    rng = random.Random(300)
+    draw = {"int": lambda: rng.randint(-50, 50),
+            "fraction": lambda: F(rng.randint(-50, 50), rng.randint(1, 9)),
+            "float": lambda: rng.randint(-4096, 4096) / 64}[kind]
+    f = _function_of([draw() for _ in range(301)])
+    assert typed(modulus_of_variation(f).values) == typed(_modulus_dp(f).values)
+
+
+def test_exact_merge_at_ten_thousand_segments():
+    # the DP takes about 25 s here: a return to O(B^2) shows as a slow test
+    rng = random.Random(10 ** 4)
+    f = _function_of([F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 12))
+                      for _ in range(10 ** 4 + 1)])
+    v = modulus_of_variation(f)
+    assert len(v) == 10 ** 4 + 1 and v[-1] == jordan_variation(f)
+    assert all(type(x) is F for x in v.values[1:])
+    assert ModulusVector(v.values) == v               # validated on the values too
+    assert v[1] == max(f.values) - min(f.values)
+
+
+def test_integer_keys_of_single_type_values():
+    from gbv._util import integer_keys, over_common_denominator
+
+    for values in ((3, -1, 0), (F(1, 2), F(-2, 3), F(5)), (0.5, -0.75, 3.0, 1e-300)):
+        keys, den, to_values = integer_keys(values)
+        assert all(F(k, den) == F(v) for k, v in zip(keys, values))
+        assert typed(tuple(to_values(keys))) == typed(values)
+        if not isinstance(values[0], float):
+            assert (keys, den) == over_common_denominator(values)
+    # mixes and subclasses have no single rail
+    for values in ((1, F(1, 2)), (1, 0.5), (True, 1), (F(1), 0.0)):
+        assert integer_keys(values) is None
+    # a float key past the float range maps to a signed inf
+    keys, den, to_values = integer_keys((1.7e308, -1.7e308))
+    assert to_values([2 * keys[0], 2 * keys[1], keys[0]]) == [math.inf, -math.inf, 1.7e308]
+
+def test_modulus_vector_from_keys_runs_the_same_checks():
+    with pytest.raises(ValueError, match=r"must start at v\[0\] = 0"):
+        ModulusVector._from_keys([1, 2], list)
+    with pytest.raises(ValueError, match=r"nondecreasing \(n=2\)"):
+        ModulusVector._from_keys([0, 2, 1], list)
+    with pytest.raises(ValueError, match=r"increments must be nonincreasing \(n=2\)"):
+        ModulusVector._from_keys([0, 1, 3], list)
+
+
+def loop_monotone_runs(f):
+    """The runs summed segment by segment, as ``monotone_runs`` summed
+    every rail before it read exact values as keys: the reference."""
+    runs, current, sign = [], 0, 0
+    for i in range(f.segments):
+        d = f.values[i + 1] - f.values[i]
+        if d == 0:
+            continue
+        s = 1 if d > 0 else -1
+        if s == sign:
+            current += d
+        else:
+            if sign != 0:
+                runs.append(abs(current))
+            current, sign = d, s
+    if sign != 0:
+        runs.append(abs(current))
+    return tuple(runs)
+
+
+def loop_run_breakpoints(f):
+    """The run spans compared value by value: the reference."""
+    spans, sign = [], 0
+    for i in range(f.segments):
+        a, b = f.values[i], f.values[i + 1]
+        s = (b > a) - (b < a)
+        if s and s == sign:
+            spans[-1][1] = i + 1
+        elif s:
+            spans.append([i, i + 1])
+            sign = s
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_runs_read_off_keys_equal_the_segment_loop(data):
+    from gbv.variation import _run_breakpoints
+
+    kinds = {**MERGE_KINDS, **MIXED_KINDS}
+    kind = data.draw(st.sampled_from(sorted(kinds)), label="kind")
+    B = data.draw(st.integers(1, 12), label="B")
+    f = _function_of(data.draw(st.lists(kinds[kind], min_size=B + 1, max_size=B + 1),
+                               label="values"))
+    assert typed(monotone_runs(f)) == typed(loop_monotone_runs(f))
+    assert _run_breakpoints(f) == loop_run_breakpoints(f)
+
+
+def test_runs_of_mixes_take_the_type_of_their_sloped_segments():
+    bps = (0, F(1, 4), F(1, 2), F(3, 4), 1)
+    # the flat F(1) -> 1 adds nothing, so the run 0 -> 2 stays an int
+    for values, types in (((0, F(1), 1, 2, 0), [F, int]),
+                          ((0, 1, F(1), 2, 0), [F, int]),
+                          ((F(0), 0, 1, 2, F(2)), [int]),
+                          ((True, False, 3, 3, F(3)), [int, int]),
+                          ((0, 1, 1, 1, 0), [int, int])):
+        f = PiecewiseLinearFunction(bps, values)
+        got = monotone_runs(f)
+        assert [type(v) for v in got] == types, values
+        assert typed(got) == typed(loop_monotone_runs(f))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_table_walk_and_profiles_match_the_per_family_sums(data):

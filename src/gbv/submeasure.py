@@ -1157,13 +1157,24 @@ class ShiftedSubmeasure(Submeasure):
         return [n * a + d * b for n, d in zip(nums, dyadic)], D
 
     def hat(self, x):
+        """The base's hat plus sum_i 2^-i |x_i|.  On exact entries the
+        dyadic part is one Fraction, sum_i |n_i| 2^(m-i) over D 2^m for the
+        numerators n_i over D of ``over_common_denominator`` and m entries,
+        and the int 0 when every entry is 0, as adding the terms one by one
+        types it; entries that include a float are added one by one."""
         # base.hat refuses a non-finite entry, under the same index
         entries = as_entries(x)
         self._check_length(len(entries))
-        extra = 0
-        for i, v in enumerate(entries, start=1):
-            if v:
-                extra += Fraction(1, 2 ** i) * abs(v)
+        if all_exact(entries):
+            nums, D = over_common_denominator(entries)
+            m = len(nums)
+            total = sum([abs(n) << (m - i) for i, n in enumerate(nums, start=1)])
+            extra = Fraction(total, D << m) if total else 0
+        else:
+            extra = 0
+            for i, v in enumerate(entries, start=1):
+                if v:
+                    extra += Fraction(1, 2 ** i) * abs(v)
         return self.base.hat(entries) + extra
 
     def sorted_forms(self, m):

@@ -57,19 +57,37 @@ past the float range.  The exact rail scores on integers.  A variant with
 linear forms (``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x /
 den), so all the rows of the key matrix M are scored with one product, max
 over the rows of M @ rows^T.  The scores are hat * den * D for the key
-scale D, so the first maximal score names the family the per-family loop
-would return; ``hat`` runs once, on that family's profile read from its row
-of cells, and gives the value its type.  The product runs on int64 while
-max key * max form entry * width < 2^62, on Python ints otherwise.
+scale D.  When every value is a Fraction the variation is the top score
+over den * D, one Fraction (the int 0 when nothing oscillates), which is
+the value and type the per-family loop returns: every oscillation is then a
+Fraction, and a hat of nonzero Fractions is a Fraction.  Other exact
+values (all ints, or ints mixed with Fractions) take the family of the
+first top score, as that loop would, and run ``hat`` once on its profile
+read from its row of cells, which gives the value its type.  The product
+runs on int64 while max key * max form entry * width < 2^62, on Python
+ints otherwise.
+
+The greedy variation and the upper bound finish on the same keys when every
+value is a Fraction and phi is exact: ``hat`` runs once on the sorted run
+keys or on the increments of the merged modulus keys, and its value is
+divided by D once.  This is exact because a hat-norm, a supremum of linear
+functionals sum mu_i |x_i|, is positively homogeneous: hat(D x) = D hat(x).
+``runs_saturate_modulus`` compares the prefix sums of the sorted run keys
+with the merged keys.  A phi whose rearrangement base lacks
+``sorted_hat_is_sup`` (max-with-unit, whose hat is the oracle's) and a
+float phi keep the values' own arithmetic, and so do values that are not all
+Fractions, where a hat's type depends on the types of its entries.
 
 The modulus of variation merges the smallest swing of the monotone runs, in
 O(B log B), on the integer keys of ``_util.integer_keys`` (all ints, all
 Fractions or all floats; see ``modulus_of_variation``, which proves the
 rule).  ``monotone_runs`` and ``_run_breakpoints`` read the turning points
-of exact values off the same kind of keys.  Values of mixed types run the
-DP (``_modulus_dp``), on integer numerators over D with one flag per state
-recording whether a Fraction value took part, which is when Fraction
-arithmetic would have returned a Fraction.
+of exact values off the same kind of keys.  A function reads its value keys
+once (``PiecewiseLinearFunction._value_keys``), and every functional above
+shares them.  Values of mixed types run the DP (``_modulus_dp``), on
+integer numerators over D with one flag per state recording whether a
+Fraction value took part, which is when Fraction arithmetic would have
+returned a Fraction.
 
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
@@ -103,6 +121,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -181,6 +200,12 @@ class PiecewiseLinearFunction:
             return None
         nums, D = over_common_denominator(self.breakpoints)
         return D, nums
+
+    @cached_property
+    def _value_keys(self):
+        """``_util.integer_keys`` of the values, ``(keys, den, to_values)``,
+        read once per function; None when the values mix types."""
+        return integer_keys(self.values)
 
 
 @dataclass(frozen=True)
@@ -270,7 +295,7 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
     """
     y = f.values
     if all_exact(y):
-        rail = integer_keys(y)
+        rail = f._value_keys
         keys, den = rail[:2] if rail else over_common_denominator(y)
         spans = _spans(keys)
         amps = [abs(keys[j] - keys[i]) for i, j in spans]
@@ -423,12 +448,22 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
         n_max = B
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
-    rail = integer_keys(f.values)
+    rail = f._value_keys
     if rail is None:
         return _modulus_dp(f, n_max)
-    keys, _, to_values = rail
-    v = _merge_smallest_swing([abs(keys[j] - keys[i]) for i, j in _spans(keys)])
-    return ModulusVector._from_keys(v[:n_max + 1] + v[-1:] * (n_max + 1 - len(v)), to_values)
+    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(rail[0]), n_max), rail[2])
+
+
+def _run_amplitudes(keys) -> list:
+    """The amplitude of each monotone run of integer keys, in order."""
+    return [abs(keys[j] - keys[i]) for i, j in _spans(keys)]
+
+
+def _modulus_keys(runs: list, n_max: int) -> list:
+    """v(0..n_max) from the run amplitudes of integer keys, by
+    ``_merge_smallest_swing``, unchecked."""
+    v = _merge_smallest_swing(runs)
+    return v[:n_max + 1] + v[-1:] * (n_max + 1 - len(v))
 
 
 def _merge_smallest_swing(runs: list) -> list:
@@ -541,10 +576,13 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     float mixed), whose sums then have the values and types of Python
     arithmetic.  The first family to reach a size's maximum (the first
     argmax, if positive) names it, so an exact entry is a Fraction exactly
-    when that family, read back along its parent links, has an interval
-    with a Fraction endpoint value, which is when its oscillation
-    ``abs(y_j - y_i)`` is a Fraction.  Nothing is pruned and nothing is
-    shared with the DP, which this function checks.
+    when that family has an interval with a Fraction endpoint value, which
+    is when its oscillation ``abs(y_j - y_i)`` is a Fraction.  Values of
+    one type settle that without the family, as the merge types its
+    entries: all Fractions give a Fraction, all ints an int, and a 0 is the
+    int 0.  Mixed values read the family back along its parent links.
+    Nothing is pruned and nothing is shared with the DP, which this
+    function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -565,10 +603,12 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
             if total.item(at) > 0:
                 best[k], won[k] = total.item(at), at
     if scale is not None:
+        one_type = f._value_keys is not None
         for k in range(1, n_max + 1):
-            frac = won[k] is not None and any(
-                isinstance(y[i], Fraction) or isinstance(y[j], Fraction)
-                for i, j in _family_at(levels, k, won[k], B + 1))
+            frac = won[k] is not None and (
+                type(y[0]) is Fraction if one_type else any(
+                    isinstance(y[i], Fraction) or isinstance(y[j], Fraction)
+                    for i, j in _family_at(levels, k, won[k], B + 1)))
             best[k] = Fraction(best[k], scale) if frac else best[k] // scale
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
@@ -799,6 +839,26 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
 # ---------------------------------------------------------------------------
 
 
+def _fraction_keys(f: PiecewiseLinearFunction, phi: Submeasure):
+    """``(keys, D)``, the integer keys of f's values over D, when a hat of
+    f's oscillations may be taken on their keys and divided by D once:
+    every value a Fraction, phi exact, and phi's rearrangement base with
+    ``sorted_hat_is_sup`` (not max-with-unit, whose hat is the oracle's).
+    None otherwise, where the values' own arithmetic runs."""
+    rail = f._value_keys
+    if (rail is None or type(f.values[0]) is not Fraction or not phi.is_exact()
+            or not phi.rearrangement_base().sorted_hat_is_sup):
+        return None
+    return rail[:2]
+
+
+def _over(h, D):
+    """hat(x) from h = hat(D x) = D hat(x), for keys D x of nonzero
+    Fractions: one Fraction, and the int 0 when h is 0 (every entry 0), the
+    types a hat of the Fractions gives."""
+    return Fraction(h, D) if h else 0
+
+
 def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
                          max_count: int = None):
     """Exact supremum of hat(oscillation vector) over ordered interval families.
@@ -815,8 +875,12 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     and the larger of the left-to-right and sorted hats is used: a lower
     bound, consistent with that variant's no-closed-form stance.  Rational
     inputs with a sorted-optimal base are scored on integers (see the module
-    docstring), with the value and type of a loop over the families: the
-    first family of top score names it, the int 0 when none oscillates.
+    docstring), with the value and type of a loop over the families, the
+    int 0 when none oscillates.  On all-Fraction values the value is the top
+    score over den * D, one Fraction: the score is hat * den * D, and the
+    winner's hat, a hat of nonzero Fractions, is a Fraction.  On other exact
+    values the first family of top score is read back and its hat gives the
+    value its type.
     A float f or a float phi with a sorted-optimal base reads the same
     matrix of maximal families with the oscillations as floats: the value is
     the largest entry of the last column of the base's ``truncation_norms``,
@@ -859,9 +923,13 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     top = int(M[:, 0].max())
     if not top:
         return 0
-    forms, _ = psi.sorted_forms(max_count)
+    forms, den = psi.sorted_forms(max_count)
     dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
     scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
+    rail = _fraction_keys(f, phi)
+    if rail:
+        # the top score is hat * den * D (see the module docstring)
+        return Fraction(int(scores.max()), den * rail[1])
     # the winner's nonzero oscillations in a stable reverse sort, as
     # ``_profile`` sorts them: the exact values order like their keys
     y, n = f.values, len(f.values)
@@ -880,11 +948,17 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     that not even the lower-bound ordering argument is available.  A float
     hat past the float range raises ``NonFiniteValue``, as the brute force's
     does, and so does a run with no finite float, named by its breakpoints.
+    All-Fraction values under an exact phi take the hat of the sorted run
+    keys over D once (see the module docstring).
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
+    rail = _fraction_keys(f, phi)
+    if rail:
+        keys, D = rail
+        return _over(phi.hat(sorted(_run_amplitudes(keys), reverse=True)), D)
     runs = sorted(monotone_runs(f), reverse=True)
     try:
         value = hat_norm(phi, runs)
@@ -913,11 +987,19 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
     supremum.  For unit and counting it degenerates to v(1) and v(B), both
     exact.  A float modulus past the float range raises ``NonFiniteValue``
     naming the first increment that is not finite, and so does an exact
-    increment with no float under float weights.
+    increment with no float under float weights.  All-Fraction values under
+    an exact phi take the hat of the increments of the merged modulus keys
+    over D once (see the module docstring).
     """
     if not phi.sorted_hat_is_sup:
         warnings.warn(
             f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
+    rail = _fraction_keys(f, phi)
+    if rail:
+        keys, D = rail
+        v = _modulus_keys(_run_amplitudes(keys), f.segments)
+        _check_modulus(v, 0)
+        return _over(phi.hat([b - a for a, b in zip(v, v[1:])]), D)
     d = modulus_of_variation(f).increments()
     for n, v in enumerate(d, 1):
         if not is_finite(v):
@@ -937,8 +1019,16 @@ def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:
     On this class (which contains every alternating profile with
     nonincreasing amplitudes) greedy, brute force and the upper bound
     coincide for prefix-monotone hat-norms, since
-    greedy <= brute <= upper = hat(sorted runs) = greedy.
+    greedy <= brute <= upper = hat(sorted runs) = greedy.  Exact values of
+    one type compare the prefix sums of the sorted run keys with the merged
+    modulus keys; other values compare the values, floats within slack.
     """
+    rail = f._value_keys
+    if rail is not None and type(f.values[0]) is not float:
+        runs = _run_amplitudes(rail[0])
+        v = _modulus_keys(runs, f.segments)
+        _check_modulus(v, 0)
+        return list(accumulate(sorted(runs, reverse=True))) == v[1:len(runs) + 1]
     v = modulus_of_variation(f)
     runs = sorted(monotone_runs(f), reverse=True)
     slack = rail_slack(f.is_exact(), v.values[-1])

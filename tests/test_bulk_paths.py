@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from gbv._util import SHORT_SCAN, exact_div, over_common_denominator, parse_number
 from gbv.constructions import zigzag_from_sequence
 from gbv.io import _parse_token
-from gbv.submeasure import WatermanWeights, counting, density, identity_bound, sqrt_bound
+from gbv.submeasure import (WatermanWeights, counting, density, harmonic_weights,
+                            identity_bound, shift_normalize, sqrt_bound, summable, unit)
 
 # ---------------------------------------------------------------------------
 # references: the per-entry loops
@@ -46,6 +47,15 @@ def ref_density_hat(bound, x):
         if val > best:
             best = val
     return best
+
+
+def ref_shifted_hat(base, x):
+    """The shifted hat with its dyadic part added term by term."""
+    extra = 0
+    for i, v in enumerate(x, start=1):
+        if v:
+            extra += F(1, 2 ** i) * abs(v)
+    return base.hat(x) + extra
 
 
 def ref_weights_refusal(values):
@@ -131,6 +141,22 @@ def test_hats_of_bools_and_empty_vectors_keep_their_types():
     for x in ([], [True, False, 3], [F(4, 2)] * 70, [2] * 70):
         assert same(counting().hat(x), ref_counting_hat(x))
         assert same(density(identity_bound()).hat(x), ref_density_hat(identity_bound(), x))
+
+
+SHIFT_BASES = (counting(), unit(), summable(harmonic_weights(400)), density(sqrt_bound()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SHIFT_BASES), exact_lists(max_size=200))
+def test_shifted_hat_on_numerators_is_the_loop(base, x):
+    assert same(shift_normalize(base).hat(x), ref_shifted_hat(base, x))
+
+
+def test_shifted_hat_of_bools_zeros_floats_and_empty_vectors_keeps_its_types():
+    for x in ([], [0] * 5, [F(0)] * 3, [True, False, 3], [False] * 4, [F(4, 2)] * 70, [2] * 70,
+              [0, F(-3, 4), 0, 5], [0.5, F(1, 3), 2], [0.0, -0.0], [10 ** 40, F(1, 10 ** 30)]):
+        for base in SHIFT_BASES:
+            assert same(shift_normalize(base).hat(x), ref_shifted_hat(base, x)), (base, x)
 
 
 # ---------------------------------------------------------------------------

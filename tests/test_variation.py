@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import NonFiniteValue, SizeRefusal
+from gbv._util import HorizonExceeded, NonFiniteValue, SizeRefusal
 from gbv.submeasure import (
     WatermanWeights,
     counting,
@@ -1108,3 +1108,247 @@ def test_integer_scoring_matches_the_per_family_hat_in_value_and_type():
     assert type(variation_bruteforce(f, unit(), 1)) is int
     constant = PiecewiseLinearFunction((0, F(1, 2), 1), (F(3, 2),) * 3)
     assert all(type(variation_bruteforce(constant, phi)) is int for phi in phis)
+
+
+# ---------------------------------------------------------------------------
+# the exact finish on integer keys against the Fraction code it replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_bruteforce(f, phi, max_count=None):
+    """The brute force as it ran before the all-Fraction finish on the top
+    score: the winner's oscillations are read back and its ``hat`` gives
+    the value and type.  The reference."""
+    from gbv._util import INT64_BOUND, is_finite
+    from gbv.variation import _family_tree, _oscillation_profiles, _sorted_profile_matrix
+
+    B = f.segments
+    if max_count is None:
+        max_count = B
+    if phi.horizon is not None:
+        max_count = min(max_count, phi.horizon)
+    psi = phi.rearrangement_base()
+    types = tuple(map(type, f.values))
+    if not psi.sorted_hat_is_sup:
+        best = 0
+        for ltr, srt in _oscillation_profiles(f.values, max_count, types):
+            a, b = psi.hat(ltr), psi.hat(srt)
+            val = a if a > b else b
+            if val > best:
+                best = val
+        return best
+    exact = f.is_exact() and phi.is_exact()
+    M = _sorted_profile_matrix(f.values, max_count, types, exact)
+    if not exact:
+        with np.errstate(over="ignore"):
+            best = float(psi.truncation_norms(M)[:, -1].max())
+        if not is_finite(best):
+            raise NonFiniteValue(f"the variation overflows the float range ({best!r})")
+        return best
+    top = int(M[:, 0].max())
+    if not top:
+        return 0
+    forms, _ = psi.sorted_forms(max_count)
+    dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
+    scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
+    y, n = f.values, len(f.values)
+    row = _family_tree(n, max_count)[1][int(np.argmax(scores))]
+    osc = [abs(y[j] - y[i]) for i, j in (divmod(int(c), n) for c in row)]
+    return psi.hat(tuple(sorted([v for v in osc if v], reverse=True)))
+
+
+def fraction_greedy(f, phi):
+    """The greedy variation on the runs summed segment by segment: the
+    reference."""
+    from gbv._util import is_finite
+    from gbv.submeasure import as_float_array
+    from gbv.variation import _run_breakpoints
+
+    if not phi.sorted_hat_is_sup:
+        warnings.warn(f"greedy variation has no ordering guarantee for {phi!r}; "
+                      "value is a heuristic", stacklevel=2)
+    runs = sorted(loop_monotone_runs(f), reverse=True)
+    try:
+        value = phi.hat(runs)
+    except NonFiniteValue:
+        spans = sorted(zip(loop_monotone_runs(f), _run_breakpoints(f)),
+                       key=lambda p: p[0], reverse=True)
+        for run, (i, j) in spans:
+            name = f"the monotone run from breakpoint {i + 1} to breakpoint {j + 1}"
+            if not is_finite(run):
+                raise NonFiniteValue(f"{name} is not finite ({run!r})")
+            as_float_array([run], name)
+        raise
+    if not is_finite(value):
+        raise NonFiniteValue(f"the variation overflows the float range ({value!r})")
+    return value
+
+
+def fraction_upper_bound(f, phi):
+    """The upper bound on the increments of the modulus as values: the
+    reference."""
+    from gbv._util import is_finite
+    from gbv.submeasure import as_float_array
+
+    if not phi.sorted_hat_is_sup:
+        warnings.warn(f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
+    d = modulus_of_variation(f).increments()
+    for n, v in enumerate(d, 1):
+        if not is_finite(v):
+            raise NonFiniteValue(f"modulus increment {n} is not finite ({v!r}): the modulus "
+                                 "overflows the float range")
+    try:
+        return phi.hat(d)
+    except NonFiniteValue:
+        as_float_array(d, "modulus increment {}")
+        raise
+
+
+def fraction_runs_saturate_modulus(f):
+    """Saturation checked on the modulus as values and the summed runs: the
+    reference."""
+    from gbv._util import rail_slack
+
+    v = modulus_of_variation(f)
+    runs = sorted(loop_monotone_runs(f), reverse=True)
+    slack = rail_slack(f.is_exact(), v.values[-1])
+    total = 0
+    for k in range(1, len(v)):
+        if k <= len(runs):
+            total += runs[k - 1]
+        if abs(v[k] - total) > slack:
+            return False
+    return True
+
+
+def run_outcome(call, *args):
+    """``("ok", type, repr)`` or ``("error", type, message)`` of a call, and
+    the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            v = call(*args)
+            got = ("ok", type(v), v.hex() if isinstance(v, float) else repr(v))
+        except Exception as exc:  # noqa: BLE001 - the refusal is what is compared
+            got = ("error", type(exc), str(exc))
+    return got, [str(w.message) for w in caught]
+
+
+def key_finish_phis():
+    """Every variant of ``selftest._variant_pool``, summables over int,
+    Fraction and mixed weight tables, a table shorter than most run counts,
+    float weights and max-with-unit."""
+    from gbv.selftest import _variant_pool
+
+    phis = [phi for phi, _ in _variant_pool(random.Random(27))]
+    phis += [summable([5, 3, 3, 2, 1, 1, 1, 1, 1, 1]),
+             summable([F(1, k) for k in range(1, 11)]),
+             summable([2, F(3, 2), 1, F(1, 2), F(1, 2), F(1, 3), F(1, 4), F(1, 4), F(1, 5),
+                       F(1, 6)]),
+             summable([1, F(1, 2), F(1, 3)]),
+             summable(power_weights(0.7, 16)),
+             shift_normalize(counting()),
+             max_with_unit(summable(harmonic_weights(8)))]
+    return phis
+
+
+KEY_FINISH_PHIS = key_finish_phis()
+KEY_FINISH_KINDS = {**MERGE_KINDS, **MIXED_KINDS, "float": _floats,
+                    "constant": st.just(F(7, 3)), "constant-int": st.just(-2)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_key_finish_equals_the_fraction_code_in_value_and_type(data):
+    kind = data.draw(st.sampled_from(sorted(KEY_FINISH_KINDS)), label="kind")
+    phi = data.draw(st.sampled_from(KEY_FINISH_PHIS), label="phi")
+    # max-with-unit's hat is the oracle's: keep its enumeration small
+    top = 4 if phi.rearrangement_base() is phi and not phi.sorted_hat_is_sup else 7
+    B = data.draw(st.integers(1, top), label="B")
+    f = _function_of(data.draw(st.lists(KEY_FINISH_KINDS[kind], min_size=B + 1,
+                                        max_size=B + 1), label="values"))
+    for new, old in ((variation_bruteforce, fraction_bruteforce),
+                     (variation_greedy, fraction_greedy),
+                     (variation_upper_bound, fraction_upper_bound)):
+        assert run_outcome(new, f, phi) == run_outcome(old, f, phi), (new.__name__, f, phi)
+    assert runs_saturate_modulus(f) is fraction_runs_saturate_modulus(f)
+
+
+def test_key_finish_on_constants_huge_keys_horizons_and_max_with_unit():
+    bps = (0, F(1, 4), F(1, 2), F(3, 4), 1)
+    zig = (F(1, 3), F(13, 3), F(4, 3), F(10, 3), 0)
+    huge = tuple(F(v, 7) for v in (10 ** 30, -(10 ** 30), 3 * 10 ** 29, -(10 ** 29), 10 ** 30))
+    cases = {"constant": (F(7, 3),) * 5, "integral": tuple(map(F, (0, 4, 1, 3, 0))),
+             "zigzag": zig, "huge": huge}
+    for name, values in cases.items():
+        f = PiecewiseLinearFunction(bps, values)
+        for phi in KEY_FINISH_PHIS:
+            for new, old in ((variation_bruteforce, fraction_bruteforce),
+                             (variation_greedy, fraction_greedy),
+                             (variation_upper_bound, fraction_upper_bound)):
+                got = run_outcome(new, f, phi)
+                assert got == run_outcome(old, f, phi), (name, new.__name__, phi)
+                # the key finish gives one Fraction, or the int 0
+                if got[0][0] == "ok" and phi.is_exact() and \
+                        phi.rearrangement_base().sorted_hat_is_sup:
+                    want = ("ok", int) if name == "constant" else ("ok", F)
+                    assert got[0][:2] == want, (name, new.__name__, phi)
+        assert runs_saturate_modulus(f) is fraction_runs_saturate_modulus(f)
+    # three weights under four runs: the same refusal from greedy and upper
+    short = summable([1, F(1, 2), F(1, 3)])
+    f = PiecewiseLinearFunction(bps, zig)
+    for new, old in ((variation_greedy, fraction_greedy),
+                     (variation_upper_bound, fraction_upper_bound)):
+        got = run_outcome(new, f, short)
+        assert got[0][:2] == ("error", HorizonExceeded) and got == run_outcome(old, f, short)
+    # max-with-unit keeps the values' arithmetic, and warns
+    capped = max_with_unit(counting())
+    got = run_outcome(variation_greedy, f, capped)
+    assert got == run_outcome(fraction_greedy, f, capped)
+    assert "no ordering guarantee" in got[1][0] and got[0][:2] == ("ok", F)
+
+
+def family_typed_enumeration(f, n_max=None):
+    """The enumeration with every exact entry typed by its first winning
+    family, read back along the parent links, as it ran for every exact
+    function before values of one type were typed as the merge types
+    them: the reference."""
+    from gbv._util import all_exact
+    from gbv.variation import _family_at, _family_tree, _oscillation_grid
+
+    B = f.segments
+    if n_max is None:
+        n_max = B
+    y = f.values
+    grid, scale = _oscillation_grid(y, all_exact(y), max(n_max, 1))
+    best, won = [0] * (n_max + 1), [None] * (n_max + 1)
+    total = np.zeros(1, grid.dtype)
+    levels = _family_tree(B + 1, n_max)[0] if n_max > 0 else ()
+    with np.errstate(over="ignore"):
+        for k, (parent, cell) in enumerate(levels, 1):
+            total = total[parent] + grid[cell]
+            at = int(np.argmax(total))
+            if total.item(at) > 0:
+                best[k], won[k] = total.item(at), at
+    if scale is not None:
+        for k in range(1, n_max + 1):
+            frac = won[k] is not None and any(
+                isinstance(y[i], F) or isinstance(y[j], F)
+                for i, j in _family_at(levels, k, won[k], B + 1))
+            best[k] = F(best[k], scale) if frac else best[k] // scale
+    for k in range(1, n_max + 1):
+        if best[k] < best[k - 1]:
+            best[k] = best[k - 1]
+    return tuple(best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_enumeration_types_single_type_values_as_the_family_readback_does(data):
+    kind = data.draw(st.sampled_from(sorted(KEY_FINISH_KINDS)), label="kind")
+    B = data.draw(st.integers(1, 8), label="B")
+    f = _function_of(data.draw(st.lists(KEY_FINISH_KINDS[kind], min_size=B + 1,
+                                        max_size=B + 1), label="values"))
+    for n_max in (B, data.draw(st.integers(0, B), label="n_max")):
+        got = typed(modulus_by_enumeration(f, n_max).values)
+        assert got == typed(family_typed_enumeration(f, n_max)), (f, n_max)

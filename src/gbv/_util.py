@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import is_, is_not, sub
@@ -22,8 +21,9 @@ import numpy as np
 EXACT_TYPES = (int, Fraction)
 
 # The integer numpy kernels (the oracle's certification scan, the scoring of
-# the exact brute force, the first-max kernel) run on int64 while every number
-# they form stays below this bound, and on Python ints otherwise.
+# the exact brute force, the first-max kernel and others) run on int64 while
+# every number they form stays below this bound, and on Python ints
+# otherwise.  ``int_dtype`` alone reads it.
 INT64_BOUND = 1 << 62
 
 #: exact scans of fewer ratios than this take the scalar loop, where numpy's
@@ -99,8 +99,8 @@ def first_max_ratio(num, den) -> int:
     integer sequences of one length (lists, ranges, int64 or object arrays)
     with num >= 0 and den > 0.  This is the one place that chooses how.
 
-    ``SHORT_SCAN`` or more ratios with max(num) * max(den) below
-    ``INT64_BOUND`` run on int64.  The float ratios only pick where to
+    ``SHORT_SCAN`` or more ratios run on int64 when ``int_dtype`` puts
+    max(num) * max(den) there.  The float ratios only pick where to
     start: their argmax i gives p/q = num[i]/den[i].  Then, while some j has
     num[j] * q > p * den[j], p/q moves to the one of those with the largest
     float ratio; each move raises p/q strictly, so the loop ends, and it
@@ -112,7 +112,8 @@ def first_max_ratio(num, den) -> int:
     """
     if len(num) >= SHORT_SCAN:
         a, b = _int64_array(num), _int64_array(den)
-        if a is not None and b is not None and int(a.max()) * int(b.max()) < INT64_BOUND:
+        if (a is not None and b is not None
+                and int_dtype(int(a.max()) * int(b.max())) is np.int64):
             i = int(np.argmax(a / b))
             p, q = int(a[i]), int(b[i])
             while len(above := np.flatnonzero(a * q > p * b)):
@@ -144,67 +145,59 @@ def _int64_array(values):
         return None
 
 
-def over_common_denominator(values) -> tuple:
-    """``(nums, den)``: exact values as integer numerators over den, the lcm
-    of their denominators, so that nums[i] / den == values[i].
-
-    Values that are all ``int`` (subclasses excluded) are their own
-    numerators over 1.  A list of ``SHORT_SCAN`` or more other values that
-    ``_identical_runs`` splits into runs is read once per run, each run's
-    numerator repeated over it, so a flat run of one Fraction costs one
-    read.  Any other list is read entry by entry.
-    """
-    if all_of_type(values, int):
-        return list(values), 1
-    if len(values) >= SHORT_SCAN and (runs := _identical_runs(values)):
-        heads, counts = runs
-        den = math.lcm(*(v.denominator for v in heads))
-        nums = [v.numerator * (den // v.denominator) for v in heads]
-        return list(chain.from_iterable(map(repeat, nums, counts))), den
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def integer_keys(values):
-    """``(keys, den, to_values)`` for a nonempty sequence whose values are
-    all ``int``, all ``Fraction`` or all ``float`` (subclasses excluded),
-    else None.  Each key is an integer with keys[i] / den == values[i]
-    exactly, so sums and differences of keys are exact, and ``to_values``
-    maps a list of such integers k to the numbers k / den on the values'
-    rail: the ints themselves, ``Fraction(k, den)``, or floats rounded once,
-    an overflow giving a signed inf as IEEE addition does.
+    """``(keys, den, fractions)`` for exact values (ints and Fractions, mixed
+    or not, subclasses included) or floats (of type ``float``), else None:
+    the one reader of the exact rail's integer keys.  keys[i] / den ==
+    values[i] exactly, den the lcm of the denominators (``as_integer_ratio``;
+    a float's is dyadic), so sums and differences of keys are exact.
+    ``fractions[i]`` says whether values[i] is a Fraction, which is what
+    ``key_value`` types a result by; floats have None there.
 
-    Ints are their own keys over 1.  Fractions and floats are read through
-    ``as_integer_ratio`` (a float's is exact and dyadic) and put over the
-    lcm of their denominators, so the keys of exact values are those of
-    ``over_common_denominator``.
+    All-``int`` values (subclasses excluded) are their own keys over 1.  A
+    list of ``SHORT_SCAN`` or more other values that ``_identical_runs``
+    splits into runs is read once per run, types included, each run's key
+    repeated over it; any other list is read entry by entry.  The run reads
+    pay: with this one and the run path of ``_fractions_str`` both turned
+    off, ``horizon`` ``exact_ops_per_s`` fell from a median of 119.3 to
+    103.5 ops/s (x0.87, 10 of 10 alternating pairs; ``BENCH_28.json``).
     """
-    kind = type(values[0])
-    if kind not in (int, Fraction, float) or not all_of_type(values, kind):
+    n = len(values)
+    if all_of_type(values, int):
+        return list(values), 1, [False] * n
+    runs = _identical_runs(values) if n >= SHORT_SCAN else None
+    heads = runs[0] if runs else values
+    types = set(map(type, heads))
+    if types == {float}:
+        fractions = None
+    elif types == {Fraction}:
+        fractions = [True] * n
+    elif all(issubclass(t, EXACT_TYPES) for t in types):
+        fractions = list(map(isinstance, values, repeat(Fraction)))
+    else:
         return None
-    if kind is int:
-        return list(values), 1, list
-    ratios = list(map(kind.as_integer_ratio, values))
+    ratios = [v.as_integer_ratio() for v in heads]
     den = math.lcm(*[d for _, d in ratios])
-    keys = [n * (den // d) for n, d in ratios]
-    return keys, den, partial(_key_fractions if kind is Fraction else _key_floats, den=den)
+    keys = [k * (den // d) for k, d in ratios]
+    if runs:
+        keys = list(chain.from_iterable(map(repeat, keys, runs[1])))
+    return keys, den, fractions
 
 
-def _key_fractions(keys, den: int) -> list:
-    return [Fraction(k, den) for k in keys]
+def key_value(key: int, den: int, fraction: bool):
+    """The number key / den typed as Fraction arithmetic types it:
+    ``Fraction(key, den)`` when a Fraction took part in it, which the caller
+    says, and otherwise the int key // den (den, the lcm of the value
+    denominators, then divides key)."""
+    return Fraction(key, den) if fraction else key // den
 
 
-def _key_floats(keys, den: int) -> list:
-    try:
-        return [k / den for k in keys]
-    except OverflowError:
-        out = []
-        for k in keys:
-            try:
-                out.append(k / den)
-            except OverflowError:
-                out.append(math.inf if k > 0 else -math.inf)
-        return out
+def int_dtype(largest: int):
+    """The dtype of an integer numpy kernel whose every number stays below
+    ``largest`` in absolute value: int64 while ``largest`` is below
+    ``INT64_BOUND``, else the object dtype, on which numpy runs Python's
+    ints."""
+    return np.int64 if largest < INT64_BOUND else object
 
 
 def _identical_runs(values):

@@ -28,7 +28,7 @@ from ._util import (
     HypothesisViolation,
     all_exact,
     exact_div,
-    over_common_denominator,
+    integer_keys,
     rail_slack,
 )
 from .sequence_spaces import fin_certificate, is_monotone
@@ -313,9 +313,9 @@ def _block_witness(phi1: Submeasure, phi2: Submeasure, start: int, length_cap: i
 
 
 def _exact_parts(values) -> tuple:
-    """``over_common_denominator`` of values read as Fractions (a float
-    exactly, as ``Fraction`` reads it)."""
-    return over_common_denominator(values if all_exact(values) else list(map(Fraction, values)))
+    """``(keys, den)`` of ``integer_keys`` of values read as Fractions (a
+    float exactly, as ``Fraction`` reads it)."""
+    return integer_keys(values if all_exact(values) else list(map(Fraction, values)))[:2]
 
 
 def exh_minus_fin_sequence(phi1: Submeasure, phi2: Submeasure, depth: int,

@@ -53,8 +53,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from ._util import INT64_BOUND as _INT64_SCAN_BOUND
-from ._util import NonFiniteValue, SizeRefusal, all_exact
+from ._util import NonFiniteValue, SizeRefusal, all_exact, int_dtype
 from .submeasure import Submeasure, finite_entries
 
 ORACLE_MAX_LEN = 12
@@ -85,7 +84,7 @@ def hat_norm_oracle(phi: Submeasure, x):
     # numerators over one denominator; float set values come in exactly.
     phi_num, phi_den = phi.set_table(support)
     phi_max = max(phi_num)
-    phi_arr = np.array(phi_num, np.int64 if phi_max < _INT64_SCAN_BOUND else object)
+    phi_arr = np.array(phi_num, int_dtype(phi_max))
 
     tableau = _Tableau(cost, phi_num, phi_den)
     while True:
@@ -98,7 +97,7 @@ def hat_norm_oracle(phi: Submeasure, x):
         den = lcm(phi_den, *(v.denominator for v in mu))
         phi_scale = den // phi_den
         nums = [v.numerator * (den // v.denominator) for v in mu]
-        dtype = np.int64 if sum(nums) + phi_max * phi_scale < _INT64_SCAN_BOUND else object
+        dtype = int_dtype(sum(nums) + phi_max * phi_scale)
         sums = np.zeros(1, dtype)
         for v in nums:
             sums = np.concatenate((sums, sums + v))

@@ -32,14 +32,14 @@ from itertools import accumulate
 import numpy as np
 
 from ._util import (
-    INT64_BOUND,
     HorizonExceeded,
     NonFiniteValue,
     all_exact,
     exact_div,
     first_max_ratio,
+    int_dtype,
+    integer_keys,
     is_finite,
-    over_common_denominator,
 )
 from .constructions import density_witness_monotone
 from .sequence_spaces import SequencePrefix
@@ -165,8 +165,8 @@ def preceq_density(g: DensityBound, h: DensityBound,
         num, den, best_n = int(G[i]), int(H[i]), i + 1
         if num * cap_den >= cap_num * den:
             # g and h are nondecreasing: their last entries bound the products
-            wide = max(int(G[-1]) * cap_den, cap_num * int(H[-1])) >= INT64_BOUND
-            G, H = (np.asarray(v, dtype=object if wide else np.int64) for v in (G, H))
+            dtype = int_dtype(max(int(G[-1]) * cap_den, cap_num * int(H[-1])))
+            G, H = (np.asarray(v, dtype=dtype) for v in (G, H))
             first_crossing = int(np.flatnonzero(G * cap_den >= cap_num * H)[0]) + 1
     best = Fraction(num, den)
     details = {"argmax": best_n, "horizon": horizon, "cap": cap}
@@ -312,8 +312,8 @@ def _first_max_partial_ratio(A: WatermanWeights, B: WatermanWeights) -> tuple:
         top = ratios.max()
         if np.isfinite(top) and ratios.min() >= tiny:
             near = np.flatnonzero(ratios >= top * (1 - 1e-9)).tolist()
-    anums, aden = over_common_denominator(a[:near[-1] + 1])
-    bnums, bden = over_common_denominator(b[:near[-1] + 1])
+    anums, aden, _ = integer_keys(a[:near[-1] + 1])
+    bnums, bden, _ = integer_keys(b[:near[-1] + 1])
     asums, bsums = list(accumulate(anums)), list(accumulate(bnums))
     j = near[first_max_ratio([bsums[n] for n in near], [asums[n] for n in near])]
     return Fraction(bsums[j] * aden, asums[j] * bden), j + 1

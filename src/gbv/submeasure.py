@@ -46,8 +46,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._util import (
-    EXACT_TYPES,
-    INT64_BOUND,
     MAX_HORIZON,
     SHORT_SCAN,
     HorizonExceeded,
@@ -58,8 +56,10 @@ from ._util import (
     ceil_power,
     exact_div,
     first_max_ratio,
+    int_dtype,
+    integer_keys,
     is_finite,
-    over_common_denominator,
+    key_value,
     subset_sums,
 )
 
@@ -482,9 +482,9 @@ class DensityBound:
     def g_ints(self, length: int) -> np.ndarray:
         """g(1..length) as an exact integer array (cached, read-only).
 
-        int64 for every closed form and for a table whose last (largest)
-        entry is below ``INT64_BOUND``; an object array of Python ints for a
-        larger table.  Identity is an ``arange``.  The square root is the
+        int64 for every closed form, and for a table as ``int_dtype`` of its
+        last (largest) entry chooses: an object array of Python ints for a
+        large one.  Identity is an ``arange``.  The square root is the
         float root of m = n - 1, lowered by one where its square passes m:
         while m < 2**53 is a float, the correctly rounded root is never
         below the integer root, and rounds up to it only next to a square.
@@ -531,7 +531,7 @@ class DensityBound:
                 raise HorizonExceeded(
                     f"density table ends at {len(self.table)}, asked for {length}")
             top = self.table[-1]
-            g = np.array(self.table, dtype=np.int64 if top < INT64_BOUND else object)
+            g = np.array(self.table, dtype=int_dtype(top))
         else:
             size = max(length, 2 * len(cache) if cache is not None else 0)
             if self.param == 1:
@@ -697,7 +697,7 @@ class Submeasure:
             grown = [C + (i,) for C in members]
             values += [Fraction(self._set_value(C)) for C in grown]
             members += grown
-        return over_common_denominator(values)
+        return integer_keys(values)[:2]
 
     def hat(self, x) -> Number:
         raise NotImplementedError
@@ -798,7 +798,7 @@ class SummableSubmeasure(Submeasure):
         if not all_exact(w):
             # a float sum rounds in the order _set_value adds it up
             return super()._set_table(support)
-        nums, den = over_common_denominator(w)
+        nums, den, _ = integer_keys(w)
         return subset_sums(nums), den
 
     def hat(self, x):
@@ -817,7 +817,7 @@ class SummableSubmeasure(Submeasure):
 
     def sorted_forms(self, m):
         # the weights themselves, over their lcm
-        nums, den = over_common_denominator([self.weights.value_at(i) for i in range(1, m + 1)])
+        nums, den, _ = integer_keys([self.weights.value_at(i) for i in range(1, m + 1)])
         return [nums], den
 
     def truncation_norms(self, x):
@@ -889,11 +889,10 @@ class DensitySubmeasure(Submeasure):
         """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
 
         On the exact rail (every entry an int or a Fraction) the prefix sums
-        are integer numerators over D, the lcm of the entry denominators,
-        from ``over_common_denominator`` (which reads a run of one object
-        once); the exact first-max kernel finds the maximum over g, and one
-        Fraction is built for it.  Entries that include a float take the
-        plain loop.
+        are integer keys over D, the lcm of the entry denominators, from
+        ``integer_keys`` (which reads a run of one object once); the exact
+        first-max kernel finds the maximum over g, and one Fraction is built
+        for it.  Entries that include a float take the plain loop.
         """
         entries = as_entries(x)
         exact = all_exact(entries)
@@ -901,7 +900,7 @@ class DensitySubmeasure(Submeasure):
             entries = finite_entries(entries)
         self._check_length(len(entries))
         if exact:
-            nums, D = over_common_denominator(entries)
+            nums, D, _ = integer_keys(entries)
             prefix = list(accumulate(map(abs, nums)))
             if not prefix or not prefix[-1]:
                 return 0
@@ -1027,15 +1026,13 @@ class CountingSubmeasure(Submeasure):
 
     def hat(self, x):
         """|x_1| + |x_2| + ...: an int for int entries, a Fraction once a
-        Fraction is among them, summed as integer numerators over their
-        common denominator (``over_common_denominator``); entries that
-        include a float are added one by one."""
+        Fraction is among them, summed as integer keys over their common
+        denominator (``integer_keys``); entries that include a float are
+        added one by one."""
         entries = as_entries(x)
-        types = set(map(type, entries))
-        if all(issubclass(t, EXACT_TYPES) for t in types):
-            nums, den = over_common_denominator(entries)
-            total = sum(map(abs, nums))
-            return Fraction(total, den) if any(issubclass(t, Fraction) for t in types) else total
+        if all_exact(entries):
+            nums, den, fractions = integer_keys(entries)
+            return key_value(sum(map(abs, nums)), den, any(fractions))
         total = 0
         for v in finite_entries(entries):
             total += abs(v)
@@ -1159,17 +1156,18 @@ class ShiftedSubmeasure(Submeasure):
     def hat(self, x):
         """The base's hat plus sum_i 2^-i |x_i|.  On exact entries the
         dyadic part is one Fraction, sum_i |n_i| 2^(m-i) over D 2^m for the
-        numerators n_i over D of ``over_common_denominator`` and m entries,
-        and the int 0 when every entry is 0, as adding the terms one by one
-        types it; entries that include a float are added one by one."""
+        keys n_i over D of ``integer_keys`` and m entries, and the int 0
+        when every entry is 0, as adding the terms one by one types it;
+        entries that include a float are added one by one."""
         # base.hat refuses a non-finite entry, under the same index
         entries = as_entries(x)
         self._check_length(len(entries))
         if all_exact(entries):
-            nums, D = over_common_denominator(entries)
+            nums, D, _ = integer_keys(entries)
             m = len(nums)
             total = sum([abs(n) << (m - i) for i, n in enumerate(nums, start=1)])
-            extra = Fraction(total, D << m) if total else 0
+            # a nonzero term has a Fraction weight 2^-i
+            extra = key_value(total, D << m, total > 0)
         else:
             extra = 0
             for i, v in enumerate(entries, start=1):

@@ -64,8 +64,8 @@ Fraction, and a hat of nonzero Fractions is a Fraction.  Other exact
 values (all ints, or ints mixed with Fractions) take the family of the
 first top score, as that loop would, and run ``hat`` once on its profile
 read from its row of cells, which gives the value its type.  The product
-runs on int64 while max key * max form entry * width < 2^62, on Python
-ints otherwise.
+runs on the dtype ``_util.int_dtype`` chooses for its bound, max key times
+max form entry times width.
 
 The greedy variation and the upper bound finish on the same keys when every
 value is a Fraction and phi is exact: ``hat`` runs once on the sorted run
@@ -78,16 +78,15 @@ with the merged keys.  A phi whose rearrangement base lacks
 float phi keep the values' own arithmetic, and so do values that are not all
 Fractions, where a hat's type depends on the types of its entries.
 
-The modulus of variation merges the smallest swing of the monotone runs, in
-O(B log B), on the integer keys of ``_util.integer_keys`` (all ints, all
-Fractions or all floats; see ``modulus_of_variation``, which proves the
-rule).  ``monotone_runs`` and ``_run_breakpoints`` read the turning points
-of exact values off the same kind of keys.  A function reads its value keys
-once (``PiecewiseLinearFunction._value_keys``), and every functional above
-shares them.  Values of mixed types run the DP (``_modulus_dp``), on
-integer numerators over D with one flag per state recording whether a
-Fraction value took part, which is when Fraction arithmetic would have
-returned a Fraction.
+A function reads the keys of its values once, with one Fraction flag per
+exact value (``PiecewiseLinearFunction._value_keys``, from
+``_util.integer_keys``), and every functional shares them; a result k / D
+gets its type from ``_util.key_value``.  The modulus of variation merges the
+smallest swing of the monotone runs of the keys, in O(B log B), when the
+values are of one type (all ints, all Fractions, or all floats as dyadic
+keys; ``modulus_of_variation`` proves the rule).  Values of mixed types run
+the DP (``_modulus_dp``), which flags each state a Fraction value took part
+in.
 
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
@@ -116,6 +115,7 @@ decaying weights the merged family wins.  The brute-force oracle arbitrates.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -126,8 +126,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._util import (INT64_BOUND, NonFiniteValue, SizeRefusal, all_exact, exact_div,
-                    integer_keys, is_finite, over_common_denominator, rail_slack)
+from ._util import (NonFiniteValue, SizeRefusal, all_exact, exact_div, int_dtype,
+                    integer_keys, is_finite, key_value, rail_slack)
 from .submeasure import Submeasure, WatermanWeights, as_float_array, hat_norm, summable
 
 BRUTE_FORCE_MAX_SEGMENTS = 12
@@ -198,14 +198,21 @@ class PiecewiseLinearFunction:
         the lcm of their denominators; None if one is a float."""
         if not all_exact(self.breakpoints):
             return None
-        nums, D = over_common_denominator(self.breakpoints)
+        nums, D, _ = integer_keys(self.breakpoints)
         return D, nums
 
     @cached_property
     def _value_keys(self):
-        """``_util.integer_keys`` of the values, ``(keys, den, to_values)``,
-        read once per function; None when the values mix types."""
+        """``_util.integer_keys`` of the values, ``(keys, den, fractions)``,
+        read once per function: one Fraction flag per value when every value
+        is exact, None there when every value is a float; None for a mix."""
         return integer_keys(self.values)
+
+    @property
+    def _exact_keys(self):
+        """``_value_keys`` when every value is exact, else None."""
+        rail = self._value_keys
+        return rail if rail is not None and rail[2] is not None else None
 
 
 @dataclass(frozen=True)
@@ -224,22 +231,24 @@ class ModulusVector:
         v = tuple(self.values)
         object.__setattr__(self, "values", v)
         if v and all_exact(v):
-            _check_modulus(over_common_denominator(v)[0], 0)
+            _check_modulus(integer_keys(v)[0], 0)
         else:
             _check_modulus(v, rail_slack(False, max(v)) if v else 0)
 
     @classmethod
-    def _from_keys(cls, keys: list, to_values) -> "ModulusVector":
-        """The vector of integer keys of ``_util.integer_keys``, checked
-        exactly on the keys: v[n] is the ``to_values`` of keys[n], and the
-        int 0 where the key is 0 (v[0], or every entry of a constant
-        function)."""
+    def _from_keys(cls, keys: list, den: int, fractions) -> "ModulusVector":
+        """The vector keys / den for the integer keys over den of values of
+        one type with the Fraction flags ``fractions`` of
+        ``_util.integer_keys``, checked exactly on the keys: v[n] is typed by
+        ``_util.key_value``, or for floats (no flags) rounded once, an
+        overflow giving a signed inf as IEEE addition does; and the int 0
+        where the key is 0 (v[0], or every entry of a constant function)."""
         _check_modulus(keys, 0)
         values = [0] * len(keys)
         if keys[-1]:
             # the entries from the first n with v(n) = v(n_max) are one number
             top = keys.index(keys[-1])
-            values[1:top + 1] = to_values(keys[1:top + 1])
+            values[1:top + 1] = [_key_number(k, den, fractions) for k in keys[1:top + 1]]
             values[top + 1:] = values[top:top + 1] * (len(keys) - top - 1)
         out = object.__new__(cls)
         object.__setattr__(out, "values", tuple(values))
@@ -286,26 +295,21 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
     Zero-slope segments extend the current run.  The run total equals the
     Jordan variation.  A constant function has no runs.
 
-    Exact values (ints and Fractions, mixed or not) are read as integer
-    numerators over the lcm D of their denominators: each run is the key
-    difference across its span (``_spans``) over D, a Fraction exactly when
-    one of its sloped segments has a Fraction endpoint, which is when
+    Exact values (ints and Fractions, mixed or not) are read as their value
+    keys over D (``PiecewiseLinearFunction._exact_keys``): each run is the
+    key difference across its span (``_spans``) over D, a Fraction exactly
+    when one of its sloped segments has a Fraction endpoint, which is when
     summing the segment differences in Python would give a Fraction.
     Otherwise the segment differences are summed in Python, left to right.
     """
-    y = f.values
-    if all_exact(y):
-        rail = f._value_keys
-        keys, den = rail[:2] if rail else over_common_denominator(y)
-        spans = _spans(keys)
-        amps = [abs(keys[j] - keys[i]) for i, j in spans]
-        if rail:
-            return tuple(rail[2](amps))
-        frac = [isinstance(v, Fraction) for v in y]
+    rail = f._exact_keys
+    if rail is not None:
+        keys, den, frac = rail
         return tuple(
-            Fraction(a, den)
-            if any(keys[k] != keys[k + 1] and (frac[k] or frac[k + 1]) for k in range(i, j))
-            else a // den for a, (i, j) in zip(amps, spans))
+            key_value(abs(keys[j] - keys[i]), den, True in frac[i:j + 1] and any(
+                keys[k] != keys[k + 1] and (frac[k] or frac[k + 1]) for k in range(i, j)))
+            for i, j in _spans(keys))
+    y = f.values
     runs = []
     current = 0
     sign = 0
@@ -328,10 +332,10 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
 def _run_breakpoints(f: PiecewiseLinearFunction) -> list:
     """``[i, j]`` per run of ``monotone_runs``, in order: the run goes from
     breakpoint index i to breakpoint index j (0-based), over its first and
-    last segment of nonzero slope.  Exact values are compared by their
-    integer numerators over a common denominator."""
-    y = f.values
-    return _spans(over_common_denominator(y)[0] if all_exact(y) else y)
+    last segment of nonzero slope.  Exact and float values are compared by
+    their value keys."""
+    rail = f._value_keys
+    return _spans(f.values if rail is None else rail[0])
 
 
 def _spans(keys) -> list:
@@ -367,9 +371,10 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     """Modulus vector v(0..n_max), by merging the smallest swing.
 
     v(n) is the largest total oscillation of n nonoverlapping intervals.
-    When the values are all ints, all Fractions or all floats, they are read
-    as the integer keys of ``_util.integer_keys`` and v comes from the
-    monotone runs r_1..r_m of the keys (``_spans``), in O(B + m log m):
+    When the values are of one type, by the Fraction flags of their keys
+    (``PiecewiseLinearFunction._value_keys``: no Fraction, all Fractions, or
+    all floats), v comes from the monotone runs r_1..r_m of the keys
+    (``_spans``), in O(B + m log m):
 
     * v(n) = T = r_1 + ... + r_m for n >= m;
     * while c >= 2 runs are left, of sum T, take the smallest run r_i, the
@@ -379,14 +384,14 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
 
     The runs sit in a linked list, and a heap of (amplitude, position) skips
     its stale entries.  ``ModulusVector`` checks the keys exactly; an entry
-    is its key mapped back by the helper (an int, a Fraction, or a float
-    rounded once) and the int 0 where the key is 0, the types the DP gives
-    on such values.  Other values (int with Fraction, exact with float,
-    subclasses) run ``_modulus_dp``: there an entry's type depends on which
-    optimal family the DP's strict ``>`` keeps on a tie, a rule the merge
-    does not reproduce.  A hand-written CSV with ``0,0`` on its first line
-    and a ``p/q`` value elsewhere (the golden reports' ``tent.csv``) is
-    such a mix.
+    is its key mapped back (an int or a Fraction by ``_util.key_value``, or
+    a float rounded once) and the int 0 where the key is 0, the types the DP
+    gives on such values.  Other values (int with Fraction, exact with
+    float, a float subclass) run ``_modulus_dp``: there an entry's type
+    depends on which optimal family the DP's strict ``>`` keeps on a tie, a
+    rule the merge does not reproduce.  A hand-written CSV with ``0,0`` on
+    its first line and a ``p/q`` value elsewhere (the golden reports'
+    ``tent.csv``) is such a mix.
 
     Why the rule holds.  Let z_0..z_m be the turning values (the first
     value, the local extrema, the last value) and r_k = |z_k - z_{k-1}|.
@@ -449,9 +454,26 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
     rail = f._value_keys
-    if rail is None:
+    if rail is None or not _one_type(rail[2]):
         return _modulus_dp(f, n_max)
-    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(rail[0]), n_max), rail[2])
+    keys, den, fractions = rail
+    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(keys), n_max), den, fractions)
+
+
+def _one_type(fractions) -> bool:
+    """Whether values with these Fraction flags (``_util.integer_keys``) are
+    of one type: all Fractions, no Fraction, or all floats (no flags)."""
+    return fractions is None or len(set(fractions)) == 1
+
+
+def _key_number(k: int, den: int, fractions):
+    """k / den as ``ModulusVector._from_keys`` types it."""
+    if fractions is not None:
+        return key_value(k, den, fractions[0])
+    try:
+        return k / den
+    except OverflowError:
+        return math.inf if k > 0 else -math.inf
 
 
 def _run_amplitudes(keys) -> list:
@@ -517,23 +539,19 @@ def _modulus_dp(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
     upward (U) or downward (D) close.  Intervals may share endpoints, so an
     interval may open at the index where the previous one closed.
 
-    On the exact rail the states are integer numerators over D, the lcm of
-    the value denominators, each flagged when a Fraction value took part in
-    it.  An entry comes back as Fraction(a, D) when flagged and as the int
-    a // D otherwise, the types Fraction arithmetic gives: A[0], and any
-    entry never raised, stay the int 0.  Float values run as they are.
+    On the exact rail the states are sums of the value keys over D
+    (``PiecewiseLinearFunction._exact_keys``), each flagged when a Fraction
+    value took part in it.  An entry comes back through ``_util.key_value``,
+    as Fraction(a, D) when flagged and as the int a // D otherwise, the
+    types Fraction arithmetic gives: A[0], and any entry never raised, stay
+    the int 0.  Values that are not all exact run as they are, unflagged.
     """
     B = f.segments
     if n_max is None:
         n_max = B
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
-    y = f.values
-    if all_exact(y):
-        ys, scale = over_common_denominator(y)
-        yf = [isinstance(v, Fraction) for v in y]
-    else:
-        scale, ys, yf = None, y, [False] * len(y)
+    ys, scale, yf = f._exact_keys or (f.values, None, [False] * len(f.values))
     size = n_max + 1
     A, Af = [0] * size, [False] * size
     # at the first breakpoint every interval opens and none closes
@@ -557,7 +575,7 @@ def _modulus_dp(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
             if open_ > D[j]:
                 D[j], Df[j] = open_, Af[j] or fi
     if scale is not None:
-        A = [Fraction(a, scale) if af else a // scale for a, af in zip(A, Af)]
+        A = [key_value(a, scale, af) for a, af in zip(A, Af)]
     return ModulusVector(tuple(A))
 
 
@@ -569,28 +587,28 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     their parents' totals plus the keys of their last intervals, one numpy
     gather and addition per level, so each family is summed left to right
     as a loop over it would.  The keys are the grid of ``_oscillation_grid``
-    on the values' own rail: integer keys on the exact rail (int64 while
-    n_max of them sum below ``INT64_BOUND``, Python ints otherwise), mapped
-    back to an int or a Fraction at the end; float64 when every value is a
-    float; and Python's own oscillation objects otherwise (int, Fraction and
-    float mixed), whose sums then have the values and types of Python
-    arithmetic.  The first family to reach a size's maximum (the first
-    argmax, if positive) names it, so an exact entry is a Fraction exactly
-    when that family has an interval with a Fraction endpoint value, which
-    is when its oscillation ``abs(y_j - y_i)`` is a Fraction.  Values of
-    one type settle that without the family, as the merge types its
-    entries: all Fractions give a Fraction, all ints an int, and a 0 is the
-    int 0.  Mixed values read the family back along its parent links.
-    Nothing is pruned and nothing is shared with the DP, which this
-    function checks.
+    on the values' own rail: integer keys on the exact rail (int64 while a
+    sum of n_max of them fits, Python ints otherwise), mapped back to an int
+    or a Fraction at the end by ``_util.key_value``; float64 when every
+    value is a float; and Python's own oscillation objects otherwise (int,
+    Fraction and float mixed), whose sums then have the values and types of
+    Python arithmetic.  The first family to reach a size's maximum (the
+    first argmax, if positive) names it, so an exact entry is a Fraction
+    exactly when that family has an interval with a Fraction endpoint value
+    (by the Fraction flags of the value keys), which is when its oscillation
+    ``abs(y_j - y_i)`` is a Fraction.  Values of one type settle that
+    without the family, as the merge types its entries: all Fractions give
+    a Fraction, all ints an int, and a 0 is the int 0.  Mixed values read
+    the family back along its parent links.  Nothing is pruned, and nothing
+    but the value keys is shared with the DP, which this function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
         raise SizeRefusal(f"enumeration limited to {BRUTE_FORCE_MAX_SEGMENTS} segments")
     if n_max is None:
         n_max = B
-    y = f.values
-    grid, scale = _oscillation_grid(y, all_exact(y), max(n_max, 1))
+    rail = f._exact_keys
+    grid, scale = _oscillation_grid(f.values, rail is not None, max(n_max, 1))
     best = [0] * (n_max + 1)
     won = [None] * (n_max + 1)
     total = np.zeros(1, grid.dtype)
@@ -602,14 +620,13 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
             at = int(np.argmax(total))
             if total.item(at) > 0:
                 best[k], won[k] = total.item(at), at
-    if scale is not None:
-        one_type = f._value_keys is not None
+    if rail is not None:
+        frac = rail[2]
+        one_type = _one_type(frac)
         for k in range(1, n_max + 1):
-            frac = won[k] is not None and (
-                type(y[0]) is Fraction if one_type else any(
-                    isinstance(y[i], Fraction) or isinstance(y[j], Fraction)
-                    for i, j in _family_at(levels, k, won[k], B + 1)))
-            best[k] = Fraction(best[k], scale) if frac else best[k] // scale
+            took = won[k] is not None and (frac[0] if one_type else any(
+                frac[i] or frac[j] for i, j in _family_at(levels, k, won[k], B + 1)))
+            best[k] = key_value(best[k], scale, took)
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
             best[k] = best[k - 1]
@@ -623,10 +640,10 @@ def _oscillation_grid(values: tuple, exact: bool, terms: int = 1) -> tuple:
 
     Returns ``(grid, scale)``.  With ``exact`` (every value an int or a
     Fraction) ``scale`` is the lcm D of the value denominators and the grid
-    holds the integer keys, the numerators of the oscillations over D: on
-    int64 while a sum of ``terms`` of them fits (top key * terms <
-    ``INT64_BOUND``; the numerators are shifted by their minimum first, so
-    a large common offset does not count) and on Python ints otherwise.
+    holds the integer keys, the numerators of the oscillations over D, on
+    the dtype ``_util.int_dtype`` chooses for a sum of ``terms`` of them
+    (top key * terms; the keys are shifted by their minimum first, so a
+    large common offset does not count).
     Without it ``scale`` is None and the grid holds the oscillations: in
     float64 when every value is a float, where IEEE subtraction gives
     Python's bits and overflows to inf without a word as Python does; as
@@ -635,10 +652,9 @@ def _oscillation_grid(values: tuple, exact: bool, terms: int = 1) -> tuple:
     round each exact oscillation once)."""
     scale = None
     if exact:
-        nums, scale = over_common_denominator(values)
+        nums, scale, _ = integer_keys(values)
         low = min(nums)
-        fits = (max(nums) - low) * terms < INT64_BOUND
-        a = np.array([v - low for v in nums], np.int64 if fits else object)
+        a = np.array([v - low for v in nums], int_dtype((max(nums) - low) * terms))
     elif all(type(v) is float for v in values):
         a = np.array(values, float)
     else:
@@ -663,7 +679,7 @@ def _oscillation_table(values: tuple) -> tuple:
            for i in range(n)]
     if not all_exact(values):
         return osc, osc
-    nums, _ = over_common_denominator(values)
+    nums = integer_keys(values)[0]
     keys = [[0] * (i + 1) + [abs(nums[j] - nums[i]) for j in range(i + 1, n)]
             for i in range(n)]
     return osc, keys
@@ -815,10 +831,10 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
     rows included, nonincreasing, C-contiguous: the grid of
     ``_oscillation_grid`` gathered through the ``maximal`` cells of
     ``_family_tree`` and sorted row by row.  With ``exact`` (exact values
-    only) the grid holds the integer keys, on int64 while the top key is
-    below ``INT64_BOUND`` and on Python ints otherwise; without it, the
-    oscillations as floats: float64 differences of float values, and
-    Python's exact or mixed oscillations each rounded to a float."""
+    only) the grid holds the integer keys, on int64 while the top key fits
+    and on Python ints otherwise; without it, the oscillations as floats:
+    float64 differences of float values, and Python's exact or mixed
+    oscillations each rounded to a float."""
     grid, _ = _oscillation_grid(values, exact)
     if not exact:
         try:
@@ -845,18 +861,11 @@ def _fraction_keys(f: PiecewiseLinearFunction, phi: Submeasure):
     every value a Fraction, phi exact, and phi's rearrangement base with
     ``sorted_hat_is_sup`` (not max-with-unit, whose hat is the oracle's).
     None otherwise, where the values' own arithmetic runs."""
-    rail = f._value_keys
-    if (rail is None or type(f.values[0]) is not Fraction or not phi.is_exact()
+    rail = f._exact_keys
+    if (rail is None or not all(rail[2]) or not phi.is_exact()
             or not phi.rearrangement_base().sorted_hat_is_sup):
         return None
     return rail[:2]
-
-
-def _over(h, D):
-    """hat(x) from h = hat(D x) = D hat(x), for keys D x of nonzero
-    Fractions: one Fraction, and the int 0 when h is 0 (every entry 0), the
-    types a hat of the Fractions gives."""
-    return Fraction(h, D) if h else 0
 
 
 def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
@@ -924,12 +933,12 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     if not top:
         return 0
     forms, den = psi.sorted_forms(max_count)
-    dtype = np.int64 if top * max(map(max, forms)) * max_count < INT64_BOUND else object
+    dtype = int_dtype(top * max(map(max, forms)) * max_count)
     scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
     rail = _fraction_keys(f, phi)
     if rail:
         # the top score is hat * den * D (see the module docstring)
-        return Fraction(int(scores.max()), den * rail[1])
+        return key_value(int(scores.max()), den * rail[1], True)
     # the winner's nonzero oscillations in a stable reverse sort, as
     # ``_profile`` sorts them: the exact values order like their keys
     y, n = f.values, len(f.values)
@@ -958,7 +967,7 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     rail = _fraction_keys(f, phi)
     if rail:
         keys, D = rail
-        return _over(phi.hat(sorted(_run_amplitudes(keys), reverse=True)), D)
+        return key_value(h := phi.hat(sorted(_run_amplitudes(keys), reverse=True)), D, h > 0)
     runs = sorted(monotone_runs(f), reverse=True)
     try:
         value = hat_norm(phi, runs)
@@ -999,7 +1008,7 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
         keys, D = rail
         v = _modulus_keys(_run_amplitudes(keys), f.segments)
         _check_modulus(v, 0)
-        return _over(phi.hat([b - a for a, b in zip(v, v[1:])]), D)
+        return key_value(h := phi.hat([b - a for a, b in zip(v, v[1:])]), D, h > 0)
     d = modulus_of_variation(f).increments()
     for n, v in enumerate(d, 1):
         if not is_finite(v):
@@ -1023,8 +1032,8 @@ def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:
     one type compare the prefix sums of the sorted run keys with the merged
     modulus keys; other values compare the values, floats within slack.
     """
-    rail = f._value_keys
-    if rail is not None and type(f.values[0]) is not float:
+    rail = f._exact_keys
+    if rail is not None and _one_type(rail[2]):
         runs = _run_amplitudes(rail[0])
         v = _modulus_keys(runs, f.segments)
         _check_modulus(v, 0)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv._util import SHORT_SCAN, exact_div, over_common_denominator, parse_number
+from gbv._util import SHORT_SCAN, exact_div, integer_keys, parse_number
 from gbv.constructions import zigzag_from_sequence
 from gbv.io import _parse_token
 from gbv.submeasure import (WatermanWeights, counting, density, harmonic_weights,
@@ -111,18 +111,23 @@ def exact_lists(draw, max_size=300):
 @settings(max_examples=300, deadline=None)
 @given(exact_lists())
 def test_kernel_is_the_per_entry_reference(x):
-    nums, den = over_common_denominator(x)
+    nums, den, fractions = integer_keys(x)
     want_nums, want_den = ref_over_common_denominator(x)
     assert (nums, den) == (want_nums, want_den)
     assert all(type(n) is int for n in nums) and type(den) is int
-    assert over_common_denominator(tuple(x)) == (want_nums, want_den)
+    assert fractions == [isinstance(v, F) for v in x]
+    assert integer_keys(tuple(x)) == (want_nums, want_den, fractions)
 
 
 def test_kernel_on_flat_runs_zeros_and_ints():
     h = F(7, 113)
     for x in ([h] * 5000, [0] * 100 + [h] * 100 + [0] * 50, [F(-3, 4)] * SHORT_SCAN,
-              list(range(-50, 50)), [True, 2, F(1, 2)] * 30, [], [F(1, 2)]):
-        assert over_common_denominator(x) == ref_over_common_denominator(x)
+              list(range(-50, 50)), [True, 2, F(1, 2)] * 30, [], [F(1, 2)],
+              [True] * 70 + [F(-1, 3)] * 70 + [False] * 64, [True, False] * 40):
+        nums, den, fractions = integer_keys(x)
+        assert (nums, den) == ref_over_common_denominator(x)
+        assert all(type(n) is int for n in nums)
+        assert fractions == [isinstance(v, F) for v in x]
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,12 +11,14 @@ take the loop where int64 would not hold the products.
 import math
 from bisect import bisect_right
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbv
 from gbv._util import INT64_BOUND, SHORT_SCAN, ceil_power, exact_div, first_max_ratio
 from gbv.constructions import density_witness_monotone
 from gbv.orders import preceq_density, preceq_m_summable
@@ -511,3 +513,11 @@ def test_call_out_of_range_names_the_argument(t):
     with pytest.raises(ValueError, match=rf"^argument {t} outside \[0, 1\]$"):
         FUNCTIONS[1](t)
 
+
+
+def test_only_util_names_the_int64_bound():
+    # one helper, _util.int_dtype, chooses int64 or Python ints for every
+    # integer kernel, so no other module of the library names its bound
+    src = Path(gbv.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if "INT64_BOUND" in p.read_text()) == \
+        ["_util.py"]

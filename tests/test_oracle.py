@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gbv import oracle
-from gbv._util import NonFiniteValue, SizeRefusal, subset_sums
+from gbv._util import INT64_BOUND, NonFiniteValue, SizeRefusal, subset_sums
 from gbv.oracle import hat_norm_oracle
 from gbv.submeasure import (
     DensityBound,
@@ -528,7 +528,7 @@ def test_scan_on_python_ints_beyond_int64(monkeypatch):
     monkeypatch.undo()
     rounds = 0
     for record in tableaux:
-        assert max(record["phi"][0]) >= oracle._INT64_SCAN_BOUND
+        assert max(record["phi"][0]) >= INT64_BOUND
         _assert_added_masks_are_first_worst(record)
         for masks, value, mu in record["rounds"]:
             _assert_round_matches_cold_reference(record, masks, value, mu)
@@ -552,8 +552,8 @@ def test_scan_bound_counts_phi_as_well_as_mu(monkeypatch):
     phi_past_mu = 0
     for masks, value, mu in record["rounds"]:
         den = math.lcm(phi_den, *(v.denominator for v in mu))
-        phi_past_mu += (sum(mu) * den < oracle._INT64_SCAN_BOUND
-                        and max(phi_num) * (den // phi_den) >= 2 * oracle._INT64_SCAN_BOUND)
+        phi_past_mu += (sum(mu) * den < INT64_BOUND
+                        and max(phi_num) * (den // phi_den) >= 2 * INT64_BOUND)
         _assert_round_matches_cold_reference(record, masks, value, mu)
     assert phi_past_mu > 0
     _assert_added_masks_are_first_worst(record)

@@ -398,28 +398,35 @@ def test_exact_merge_at_ten_thousand_segments():
 
 
 def test_integer_keys_of_single_type_values():
-    from gbv._util import integer_keys, over_common_denominator
+    from gbv._util import integer_keys
+    from gbv.variation import _key_number
 
     for values in ((3, -1, 0), (F(1, 2), F(-2, 3), F(5)), (0.5, -0.75, 3.0, 1e-300)):
-        keys, den, to_values = integer_keys(values)
+        keys, den, fractions = integer_keys(values)
         assert all(F(k, den) == F(v) for k, v in zip(keys, values))
-        assert typed(tuple(to_values(keys))) == typed(values)
-        if not isinstance(values[0], float):
-            assert (keys, den) == over_common_denominator(values)
-    # mixes and subclasses have no single rail
-    for values in ((1, F(1, 2)), (1, 0.5), (True, 1), (F(1), 0.0)):
+        assert typed(tuple(_key_number(k, den, fractions) for k in keys)) == typed(values)
+        floats = isinstance(values[0], float)
+        assert fractions == (None if floats else [isinstance(v, F) for v in values])
+    # exact mixes and subclasses: integer keys and a Fraction flag per value
+    for values in ((1, F(1, 2)), (True, 1), (F(1), True, -2), (False,) * 70 + (F(5, 6),) * 70):
+        keys, den, fractions = integer_keys(values)
+        assert all(type(k) is int and F(k, den) == v for k, v in zip(keys, values))
+        assert fractions == [isinstance(v, F) for v in values]
+    # exact with float has no rail
+    for values in ((1, 0.5), (F(1), 0.0)):
         assert integer_keys(values) is None
     # a float key past the float range maps to a signed inf
-    keys, den, to_values = integer_keys((1.7e308, -1.7e308))
-    assert to_values([2 * keys[0], 2 * keys[1], keys[0]]) == [math.inf, -math.inf, 1.7e308]
+    keys, den, fractions = integer_keys((1.7e308, -1.7e308))
+    assert [_key_number(k, den, fractions) for k in (2 * keys[0], 2 * keys[1], keys[0])] == \
+        [math.inf, -math.inf, 1.7e308]
 
 def test_modulus_vector_from_keys_runs_the_same_checks():
     with pytest.raises(ValueError, match=r"must start at v\[0\] = 0"):
-        ModulusVector._from_keys([1, 2], list)
+        ModulusVector._from_keys([1, 2], 1, [False] * 2)
     with pytest.raises(ValueError, match=r"nondecreasing \(n=2\)"):
-        ModulusVector._from_keys([0, 2, 1], list)
+        ModulusVector._from_keys([0, 2, 1], 1, [False] * 3)
     with pytest.raises(ValueError, match=r"increments must be nonincreasing \(n=2\)"):
-        ModulusVector._from_keys([0, 1, 3], list)
+        ModulusVector._from_keys([0, 1, 3], 1, [False] * 3)
 
 
 def loop_monotone_runs(f):
@@ -714,6 +721,47 @@ def test_estimates_name_the_run_or_increment_past_the_float_range():
         variation_greedy(g, phi)
     # the exact weights of the harmonic hat take the huge run as it is
     assert variation_greedy(f, summable(harmonic_weights(16))) == 2 * big + 1 + big + F(1, 3)
+
+
+# exact values at the scales where float twins sit near the ends of the range
+TWIN_SCALES = (1, F(2) ** 900, F(1, 2 ** 900), F(10) ** 300)
+
+
+def twin_functionals(rng):
+    """(name, functional) for the variation functionals under every variant
+    of ``selftest._variant_pool``, max-with-unit included."""
+    from gbv.selftest import _variant_pool
+
+    phis = [phi for phi, _ in _variant_pool(rng)]
+    phis.append(max_with_unit(phis[2]))
+    out = [("modulus", lambda f: modulus_of_variation(f).values),
+           ("runs", monotone_runs), ("jordan", jordan_variation)]
+    for phi in phis:
+        out += [(f"brute {phi!r}", lambda f, phi=phi: variation_bruteforce(f, phi)),
+                (f"greedy {phi!r}", lambda f, phi=phi: variation_greedy(f, phi)),
+                (f"upper {phi!r}", lambda f, phi=phi: variation_upper_bound(f, phi))]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=2, max_size=6),
+       st.sampled_from(TWIN_SCALES), st.integers(0, 2 ** 32))
+def test_float_twins_agree_with_the_exact_value_or_refuse(values, scale, seed):
+    f = _function_of([v * scale for v in values])
+    ff = float_twin(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # greedy and upper under no guarantee
+        for name, fn in twin_functionals(random.Random(seed)):
+            exact = fn(f)
+            try:
+                got = fn(ff)
+            except NonFiniteValue:
+                continue
+            pairs = list(zip(exact, got)) if isinstance(exact, tuple) else [(exact, got)]
+            assert len(pairs) == (len(exact) if isinstance(exact, tuple) else 1), name
+            for e, g in pairs:
+                assert math.isfinite(g), (name, g)
+                assert abs(F(g) - e) <= F(1, 10 ** 9) * abs(e), (name, e, g)
 
 
 def test_modulus_prefix_query():

@@ -157,10 +157,10 @@ def integer_keys(values):
     All-``int`` values (subclasses excluded) are their own keys over 1.  A
     list of ``SHORT_SCAN`` or more other values that ``_identical_runs``
     splits into runs is read once per run, types included, each run's key
-    repeated over it; any other list is read entry by entry.  The run reads
-    pay: with this one and the run path of ``_fractions_str`` both turned
-    off, ``horizon`` ``exact_ops_per_s`` fell from a median of 119.3 to
-    103.5 ops/s (x0.87, 10 of 10 alternating pairs; ``BENCH_28.json``).
+    and flag repeated over it; any other list is read entry by entry.  The
+    run reads pay: with this one and the run path of ``_fractions_str`` both
+    turned off, ``horizon`` ``exact_ops_per_s`` fell from a median of 119.3
+    to 103.5 ops/s (x0.87, 10 of 10 alternating pairs; ``BENCH_28.json``).
     """
     n = len(values)
     if all_of_type(values, int):
@@ -173,7 +173,9 @@ def integer_keys(values):
     elif types == {Fraction}:
         fractions = [True] * n
     elif all(issubclass(t, EXACT_TYPES) for t in types):
-        fractions = list(map(isinstance, values, repeat(Fraction)))
+        fractions = list(map(isinstance, heads, repeat(Fraction)))
+        if runs:
+            fractions = list(chain.from_iterable(map(repeat, fractions, runs[1])))
     else:
         return None
     ratios = [v.as_integer_ratio() for v in heads]
@@ -182,6 +184,15 @@ def integer_keys(values):
     if runs:
         keys = list(chain.from_iterable(map(repeat, keys, runs[1])))
     return keys, den, fractions
+
+
+def exact_keys(values):
+    """``integer_keys`` of exact values, else None.  A sequence whose first
+    value is not an int or a Fraction is refused on that type alone, so a
+    float sequence pays for no dyadic key."""
+    if values and not isinstance(values[0], EXACT_TYPES):
+        return None
+    return integer_keys(values)
 
 
 def key_value(key: int, den: int, fraction: bool):

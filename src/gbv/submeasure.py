@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -55,6 +55,7 @@ from ._util import (
     all_of_type,
     ceil_power,
     exact_div,
+    exact_keys,
     first_max_ratio,
     int_dtype,
     integer_keys,
@@ -158,7 +159,7 @@ class WatermanWeights:
     """
 
     __slots__ = ("_values", "_length", "form", "param", "declared_divergent",
-                 "_float_values", "_float_cumsum", "_tail_constant")
+                 "_float_values", "_float_cumsum", "_tail_constant", "_exact")
 
     def __init__(self, values, form: str = "table", param=None,
                  declared_divergent: Optional[bool] = None):
@@ -208,6 +209,7 @@ class WatermanWeights:
         self._float_values = None
         self._float_cumsum = None
         self._tail_constant = None
+        self._exact = None
 
     @property
     def values(self) -> tuple:
@@ -243,8 +245,10 @@ class WatermanWeights:
 
     def is_exact(self) -> bool:
         """Whether every weight is an int or a Fraction: always for the
-        exact closed forms, else read off the prefix."""
-        return self.form in _EXACT_FORMS or all_exact(self._values)
+        exact closed forms, else read off the prefix once."""
+        if self._exact is None:
+            self._exact = self.form in _EXACT_FORMS or all_exact(self._values)
+        return self._exact
 
     def value_at(self, n: int):
         """Weight a_n, exact where the form allows, at any index for closed
@@ -344,6 +348,12 @@ def _positive_nonincreasing(values) -> bool:
     dens = [v.denominator for v in values]
     return nums[-1] > 0 and not any(map(operator.gt, map(operator.mul, nums[1:], dens),
                                        map(operator.mul, nums, dens[1:])))
+
+
+def _add_over_lcm(a: int, b: int, c: int, d: int) -> tuple:
+    """a/b + c/d as a numerator over lcm(b, d), unreduced."""
+    g = math.gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
 
 
 def _power_main_terms(n: int, p: float) -> float:
@@ -621,19 +631,31 @@ def density_from_table(values) -> DensityBound:
 class Submeasure:
     """Abstract base: monotone subadditive set function with hat-norm.
 
-    A variant writes four methods: ``_set_value`` (phi of a checked set),
-    ``hat`` (the exact hat-norm), and the float passes ``truncation_norms``
-    and ``tail_norms``, which the base class supplies from ``hat`` where no
-    O(n) pass exists.  Everything else derives from these: ``set_value``
-    checks the set once, ``singleton(k)`` is ``set_value((k,))``, and
-    ``set_table`` (phi on every subset of a support, the oracle's only view
-    of phi) calls ``_set_value`` per subset.  A variant with exact set
-    values overrides ``_set_table`` with an integer recursion that reads its
-    set function alone, never ``hat``, so that the oracle stays an
-    independent check of the closed forms.
-    Besides these each variant states the ordering facts that the variation
+    A variant writes its set function ``_set_value``, its hat-norm, and the
+    float passes ``truncation_norms`` and ``tail_norms``, which the base
+    class supplies from ``hat`` where no O(n) pass exists.  Everything else
+    derives from these: ``set_value`` checks the set once, ``singleton(k)``
+    is ``set_value((k,))``, and ``set_table`` (phi on every subset of a
+    support, the oracle's only view of phi) calls ``_set_value`` per subset.
+    A variant with exact set values overrides ``_set_table`` with an integer
+    recursion that reads its set function alone, never the hat, so that the
+    oracle stays an independent check of the closed forms.
+
+    The hat-norm is stated once on keys where the closed form is exact
+    (``_keyed()``), and once for any other entries (``_loop_hat``, the
+    per-entry loop that floats take).  ``hat`` reads the entries' types
+    once: exact entries become integer keys over their scale D
+    (``_util.exact_keys``), their absolute values go through ``_key_hat``
+    and the value is typed by ``_key_fraction`` as the per-entry loop
+    would type it; other entries are checked finite and run the loop.
+    Besides these each variant states the facts that the variation
     functionals rely on, so that no caller has to recognise variants:
 
+    * ``_key_hat(keys)`` -- the hat of nonnegative integer keys as an
+      unreduced ``(num, den)``, in time linear in their number, after the
+      same length check as ``hat``.  The greedy variation and the upper
+      bound score run and increment keys with it.  The base class has none,
+      and max-with-unit, whose hat is the oracle's, keeps none.
     * ``sorted_hat_is_sup`` -- the hat of a nonincreasing vector is the
       largest hat over its rearrangements, and the hat is monotone under
       prefix-sum domination of nonincreasing vectors.  Where it holds,
@@ -646,7 +668,7 @@ class Submeasure:
     * ``sorted_forms(m)`` -- where ``sorted_hat_is_sup`` holds and the
       closed forms are exact: integer rows and a denominator whose largest
       row product is the hat of any nonincreasing vector, so that the exact
-      brute force scores families on integers.
+      brute force scores families on integers; cached per instance.
     * ``weights`` -- the Waterman weights of a weighted sum, and
       ``bound`` -- the divisor g of a density submeasure.  The order
       checkers read these; every other variant, wrappers included, keeps
@@ -700,13 +722,48 @@ class Submeasure:
         return integer_keys(values)[:2]
 
     def hat(self, x) -> Number:
+        """The hat-norm of x: for exact entries under a keyed variant,
+        ``_key_hat`` of the absolute keys over D, typed by ``_key_fraction``;
+        for any other entries, once they are checked finite and within the
+        horizon, ``_loop_hat``."""
+        entries = as_entries(x)
+        rail = exact_keys(entries) if self._keyed() else None
+        if rail is None:
+            entries = finite_entries(entries)
+            self._check_length(len(entries))
+            return self._loop_hat(entries)
+        keys, D, fractions = rail
+        keys = list(map(abs, keys))
+        num, den = self._key_hat(keys)
+        return key_value(num, den * D, self._key_fraction(keys, fractions))
+
+    def _keyed(self) -> bool:
+        """Whether this variant states its hat on keys (``_key_hat``)."""
+        return False
+
+    def _key_fraction(self, keys: list, fractions) -> bool:
+        """Whether the per-entry loop gives a Fraction on entries with these
+        absolute keys and the Fraction flags of ``_util.integer_keys``."""
+        raise NotImplementedError
+
+    def _loop_hat(self, entries: tuple) -> Number:
+        """The hat of finite entries within the horizon, one entry at a
+        time, in their own arithmetic."""
         raise NotImplementedError
 
     def sorted_forms(self, m: int) -> tuple:
         """``(rows, den)``: integer rows of length m and a positive
         denominator with hat(x) = max_r rows[r] . x / den for every
         nonincreasing nonnegative exact x of length m (a shorter x read with
-        trailing zeros)."""
+        trailing zeros).  Built once per instance and m by
+        ``_sorted_forms`` (a module cache would keep every phi alive), so
+        every caller reads the same lists and must not change them."""
+        forms = self.__dict__.setdefault("_forms", {})
+        if m not in forms:
+            forms[m] = self._sorted_forms(m)
+        return forms[m]
+
+    def _sorted_forms(self, m: int) -> tuple:
         raise NotImplementedError
 
     def rearrangement_base(self) -> "Submeasure":
@@ -763,7 +820,8 @@ class SummableSubmeasure(Submeasure):
 
     def __init__(self, weights: WatermanWeights):
         self.weights = weights
-        self._fraction_parts = None
+        self._parts = ([], [], [])
+        self._all_fractions = False
 
     @property
     def horizon(self):
@@ -775,19 +833,34 @@ class SummableSubmeasure(Submeasure):
     def is_exact(self):
         return self.weights.is_exact()
 
+    def _weight_parts(self, m: int) -> tuple:
+        """``(nums, dens, fractions)`` of the first m exact weights or more,
+        each weight's ``as_integer_ratio`` and whether it is a Fraction: the
+        one cache of them, read by ``_set_value`` and ``_key_hat``.  It grows
+        to twice its length at least (a table: at most to its end)."""
+        nums, dens, fractions = self._parts
+        if len(nums) < m:
+            top = max(m, 2 * len(nums))
+            if self.horizon is not None:
+                top = min(top, self.horizon)
+            ws = [self.weights.value_at(i) for i in range(len(nums) + 1, top + 1)]
+            for w in ws:
+                p, q = w.as_integer_ratio()
+                nums.append(p)
+                dens.append(q)
+            fractions += map(isinstance, ws, repeat(Fraction))
+            self._all_fractions = all(fractions)
+        return self._parts
+
     def _set_value(self, C):
-        if self._fraction_parts is None:
-            values = self.weights.values
-            self._fraction_parts = (
-                ([v.numerator for v in values], [v.denominator for v in values])
-                if all(type(v) is Fraction for v in values) else ())
-        if C and self._fraction_parts and C[-1] <= len(self.weights):
-            # An all-Fraction table: one Fraction, from the numerators over
-            # the common denominator of the set's weights.
-            nums, dens = self._fraction_parts
-            ds = [dens[i - 1] for i in C]
-            den = math.lcm(*ds)
-            return Fraction(sum(nums[i - 1] * (den // d) for i, d in zip(C, ds)), den)
+        if C and self.is_exact() and C[-1] <= len(self.weights):
+            nums, dens, _ = self._weight_parts(C[-1])
+            if self._all_fractions:
+                # Fraction weights: one Fraction, from the numerators over
+                # the common denominator of the set's weights.
+                ds = [dens[i - 1] for i in C]
+                den = math.lcm(*ds)
+                return Fraction(sum(nums[i - 1] * (den // d) for i, d in zip(C, ds)), den)
         total = 0
         for i in C:
             total += self.weights.value_at(i)
@@ -801,9 +874,29 @@ class SummableSubmeasure(Submeasure):
         nums, den, _ = integer_keys(w)
         return subset_sums(nums), den
 
-    def hat(self, x):
-        entries = finite_entries(x)
-        self._check_length(len(entries))
+    def _keyed(self):
+        return self.weights.is_exact()
+
+    def _key_hat(self, keys):
+        # sum_i keys[i] * a_i for a_i = p_i / q_i, by binary splitting:
+        # neighbours are added over the lcm of their denominators, level by
+        # level, so no lcm of all m weights is formed term by term, and a
+        # sum is never over more than the lcm of its own weights' q_i
+        self._check_length(len(keys))
+        nums, dens, _ = self._weight_parts(len(keys))
+        terms = [(k * p, q) for k, p, q in zip(keys, nums, dens) if k]
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) & 1 else []
+            terms = [(a + c, b) if b == d else _add_over_lcm(a, b, c, d)
+                     for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + odd
+        return terms[0] if terms else (0, 1)
+
+    def _key_fraction(self, keys, fractions):
+        # a nonzero term is a Fraction when its entry or its weight is one
+        return any(compress(fractions, keys)) or any(
+            compress(self._weight_parts(len(keys))[2], keys))
+
+    def _loop_hat(self, entries):
         total = 0
         try:
             for i, v in enumerate(entries, start=1):
@@ -815,7 +908,7 @@ class SummableSubmeasure(Submeasure):
             raise NonFiniteValue(f"the hat-norm overflows the float range ({exc})") from exc
         return total
 
-    def sorted_forms(self, m):
+    def _sorted_forms(self, m):
         # the weights themselves, over their lcm
         nums, den, _ = integer_keys([self.weights.value_at(i) for i in range(1, m + 1)])
         return [nums], den
@@ -885,28 +978,24 @@ class DensitySubmeasure(Submeasure):
             ranks += [r + 1 for r in ranks]
         return nums, den
 
-    def hat(self, x):
-        """max_n (|x_1| + ... + |x_n|)/g(n), or the int 0 when every entry is 0.
+    def _keyed(self):
+        return True
 
-        On the exact rail (every entry an int or a Fraction) the prefix sums
-        are integer keys over D, the lcm of the entry denominators, from
-        ``integer_keys`` (which reads a run of one object once); the exact
-        first-max kernel finds the maximum over g, and one Fraction is built
-        for it.  Entries that include a float take the plain loop.
-        """
-        entries = as_entries(x)
-        exact = all_exact(entries)
-        if not exact:
-            entries = finite_entries(entries)
-        self._check_length(len(entries))
-        if exact:
-            nums, D, _ = integer_keys(entries)
-            prefix = list(accumulate(map(abs, nums)))
-            if not prefix or not prefix[-1]:
-                return 0
-            gs = self.bound.g_at(range(1, len(prefix) + 1))
-            i = first_max_ratio(prefix, gs)
-            return Fraction(prefix[i], D * int(gs[i]))
+    def _key_hat(self, keys):
+        # the exact first-max kernel finds the largest prefix ratio
+        self._check_length(len(keys))
+        prefix = list(accumulate(keys))
+        if not prefix or not prefix[-1]:
+            return 0, 1
+        gs = self.bound.g_at(range(1, len(prefix) + 1))
+        i = first_max_ratio(prefix, gs)
+        return prefix[i], int(gs[i])
+
+    def _key_fraction(self, keys, fractions):
+        # every nonzero prefix ratio is a Fraction
+        return any(keys)
+
+    def _loop_hat(self, entries):
         g = self.bound.g
         best = 0
         prefix = 0
@@ -917,7 +1006,7 @@ class DensitySubmeasure(Submeasure):
                 best = val
         return best
 
-    def sorted_forms(self, m):
+    def _sorted_forms(self, m):
         # row n takes the prefix ratio (x_1 + ... + x_n) / g(n)
         gs = [self.bound.g(n) for n in range(1, m + 1)]
         den = math.lcm(*gs)
@@ -993,11 +1082,20 @@ class UnitSubmeasure(Submeasure):
     def _set_table(self, support):
         return [0] + [1] * ((1 << len(support)) - 1), 1
 
-    def hat(self, x):
-        entries = finite_entries(x)
+    def _keyed(self):
+        return True
+
+    def _key_hat(self, keys):
+        return max(keys, default=0), 1
+
+    def _key_fraction(self, keys, fractions):
+        # the loop returns the first largest entry
+        return bool(keys) and fractions[keys.index(max(keys))]
+
+    def _loop_hat(self, entries):
         return max((abs(v) for v in entries), default=0)
 
-    def sorted_forms(self, m):
+    def _sorted_forms(self, m):
         return [[1] + [0] * (m - 1)], 1
 
     def truncation_norms(self, x):
@@ -1024,21 +1122,23 @@ class CountingSubmeasure(Submeasure):
     def _set_table(self, support):
         return subset_sums([1] * len(support)), 1
 
-    def hat(self, x):
-        """|x_1| + |x_2| + ...: an int for int entries, a Fraction once a
-        Fraction is among them, summed as integer keys over their common
-        denominator (``integer_keys``); entries that include a float are
-        added one by one."""
-        entries = as_entries(x)
-        if all_exact(entries):
-            nums, den, fractions = integer_keys(entries)
-            return key_value(sum(map(abs, nums)), den, any(fractions))
+    def _keyed(self):
+        return True
+
+    def _key_hat(self, keys):
+        return sum(keys), 1
+
+    def _key_fraction(self, keys, fractions):
+        # the loop adds every entry, a zero Fraction too
+        return True in fractions
+
+    def _loop_hat(self, entries):
         total = 0
-        for v in finite_entries(entries):
+        for v in entries:
             total += abs(v)
         return total
 
-    def sorted_forms(self, m):
+    def _sorted_forms(self, m):
         return [[1] * m], 1
 
     def truncation_norms(self, x):
@@ -1092,16 +1192,28 @@ class PermutedSubmeasure(Submeasure):
         remap = subset_sums([1 << order.index(p) for p in images])
         return [nums[m] for m in remap], den
 
-    def hat(self, x):
-        entries = finite_entries(x)
-        self._check_length(len(entries))
+    def _placed(self, entries) -> list:
+        """y with y[pi(i)] = x_i and 0 elsewhere, up to the largest image."""
         if not entries:
-            return 0
-        top = max(self.perm[i] for i in range(len(entries)))
-        y = [0] * top
+            return []
+        y = [0] * max(self.perm[:len(entries)])
         for i, v in enumerate(entries):
             y[self.perm[i] - 1] = v
-        return self.base.hat(y)
+        return y
+
+    def _keyed(self):
+        return self.base._keyed()
+
+    def _key_hat(self, keys):
+        self._check_length(len(keys))
+        return self.base._key_hat(self._placed(keys))
+
+    def _key_fraction(self, keys, fractions):
+        return self.base._key_fraction(self._placed(keys), self._placed(fractions))
+
+    def _loop_hat(self, entries):
+        # placed entries are finite and within the base horizon, as checked here
+        return self.base._loop_hat(self._placed(entries)) if entries else 0
 
     def rearrangement_base(self):
         return self.base.rearrangement_base()
@@ -1154,28 +1266,34 @@ class ShiftedSubmeasure(Submeasure):
         return [n * a + d * b for n, d in zip(nums, dyadic)], D
 
     def hat(self, x):
-        """The base's hat plus sum_i 2^-i |x_i|.  On exact entries the
-        dyadic part is one Fraction, sum_i |n_i| 2^(m-i) over D 2^m for the
-        keys n_i over D of ``integer_keys`` and m entries, and the int 0
-        when every entry is 0, as adding the terms one by one types it;
-        entries that include a float are added one by one."""
-        # base.hat refuses a non-finite entry, under the same index
+        # a sequence past the horizon is refused before its entries are read
         entries = as_entries(x)
         self._check_length(len(entries))
-        if all_exact(entries):
-            nums, D, _ = integer_keys(entries)
-            m = len(nums)
-            total = sum([abs(n) << (m - i) for i, n in enumerate(nums, start=1)])
-            # a nonzero term has a Fraction weight 2^-i
-            extra = key_value(total, D << m, total > 0)
-        else:
-            extra = 0
-            for i, v in enumerate(entries, start=1):
-                if v:
-                    extra += Fraction(1, 2 ** i) * abs(v)
-        return self.base.hat(entries) + extra
+        return super().hat(entries)
 
-    def sorted_forms(self, m):
+    def _keyed(self):
+        return self.base._keyed()
+
+    def _key_hat(self, keys):
+        # the dyadic part is sum_i k_i 2^(m-i) over 2^m for m keys
+        self._check_length(len(keys))
+        num, den = self.base._key_hat(keys)
+        m = len(keys)
+        dyadic = sum([k << (m - i) for i, k in enumerate(keys, start=1)])
+        return (num << m) + dyadic * den, den << m
+
+    def _key_fraction(self, keys, fractions):
+        # a nonzero term has a Fraction weight 2^-i
+        return any(keys) or self.base._key_fraction(keys, fractions)
+
+    def _loop_hat(self, entries):
+        extra = 0
+        for i, v in enumerate(entries, start=1):
+            if v:
+                extra += Fraction(1, 2 ** i) * abs(v)
+        return self.base._loop_hat(entries) + extra
+
+    def _sorted_forms(self, m):
         # each base row plus the dyadic weights 2^-i, over lcm(den, 2^m)
         rows, den = self.base.sorted_forms(m)
         D = math.lcm(den, 1 << m)
@@ -1230,6 +1348,9 @@ class MaxWithUnitSubmeasure(Submeasure):
         from .oracle import hat_norm_oracle  # local import: oracle depends on this module
 
         return hat_norm_oracle(self, x)
+
+    # a wrapper's loop reaches the oracle here
+    _loop_hat = hat
 
 
 def as_float_array(x, name: str = "entry {} of the sequence") -> np.ndarray:

@@ -50,17 +50,18 @@ first family of ``_index_families`` to reach its maximum.
 Where the sorted hat is the supremum, the brute force reads one matrix on
 both rails (``_sorted_profile_matrix``): the grid gathered through the
 maximal families' cells, a row per family sorted nonincreasing, as integer
-keys on the exact rail and as floats otherwise.  The float rail takes the
-last column of the base's ``truncation_norms`` of it, and refuses a maximum
-past the float range.  The exact rail scores on integers.  A variant with
-``sorted_hat_is_sup`` states its hat on nonincreasing vectors as integer
-linear forms (``Submeasure.sorted_forms``: hat(x) = max_r rows[r] . x /
-den), so all the rows of the key matrix M are scored with one product, max
-over the rows of M @ rows^T.  The scores are hat * den * D for the key
-scale D.  When every value is a Fraction the variation is the top score
-over den * D, one Fraction (the int 0 when nothing oscillates), which is
-the value and type the per-family loop returns: every oscillation is then a
-Fraction, and a hat of nonzero Fractions is a Fraction.  Other exact
+keys on the exact rail (cached by the value keys) and as floats otherwise.
+The float rail takes the last column of the base's ``truncation_norms`` of
+it, and refuses a maximum past the float range.  The exact rail scores on
+integers.  A variant with ``sorted_hat_is_sup`` states its hat on
+nonincreasing vectors as integer linear forms (``Submeasure.sorted_forms``:
+hat(x) = max_r rows[r] . x / den), so all the rows of the key matrix M are
+scored with one product, max over the rows of M @ rows^T.  The scores are
+hat * den * D for the key scale D.  When every value is a Fraction the
+variation is the top score over den * D, one Fraction (the int 0 when
+nothing oscillates), which is the value and type the per-family loop
+returns: every oscillation is then a Fraction, and a hat of nonzero
+Fractions is a Fraction.  Other exact
 values (all ints, or ints mixed with Fractions) take the family of the
 first top score, as that loop would, and run ``hat`` once on its profile
 read from its row of cells, which gives the value its type.  The product
@@ -68,15 +69,18 @@ runs on the dtype ``_util.int_dtype`` chooses for its bound, max key times
 max form entry times width.
 
 The greedy variation and the upper bound finish on the same keys when every
-value is a Fraction and phi is exact: ``hat`` runs once on the sorted run
-keys or on the increments of the merged modulus keys, and its value is
-divided by D once.  This is exact because a hat-norm, a supremum of linear
-functionals sum mu_i |x_i|, is positively homogeneous: hat(D x) = D hat(x).
-``runs_saturate_modulus`` compares the prefix sums of the sorted run keys
-with the merged keys.  A phi whose rearrangement base lacks
-``sorted_hat_is_sup`` (max-with-unit, whose hat is the oracle's) and a
-float phi keep the values' own arithmetic, and so do values that are not all
-Fractions, where a hat's type depends on the types of its entries.
+value is a Fraction and phi states its hat on keys
+(``Submeasure._key_hat``): the key hat scores the sorted run keys, or the
+increments of the merged modulus keys, as one numerator and denominator,
+in time linear in their number, and one Fraction is built from them over D
+(the int 0 when nothing oscillates).  This is exact because a hat-norm, a
+supremum of linear functionals sum mu_i |x_i|, is positively homogeneous:
+hat(D x) = D hat(x).  ``runs_saturate_modulus`` compares the prefix sums of
+the sorted run keys with the merged keys.  A phi whose rearrangement base
+lacks ``sorted_hat_is_sup``, a phi with no key hat (max-with-unit, whose
+hat is the oracle's) and a float phi keep the values' own arithmetic, and
+so do values that are not all Fractions, where a hat's type depends on the
+types of its entries.
 
 A function reads the keys of its values once, with one Fraction flag per
 exact value (``PiecewiseLinearFunction._value_keys``, from
@@ -122,7 +126,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -163,7 +167,12 @@ class PiecewiseLinearFunction:
         return len(self.breakpoints) - 1
 
     def is_exact(self) -> bool:
-        return all_exact(self.breakpoints) and all_exact(self.values)
+        return self._is_exact
+
+    @cached_property
+    def _is_exact(self) -> bool:
+        """Whether every breakpoint and value is exact, read once."""
+        return all_exact(self.breakpoints) and self._exact_keys is not None
 
     def __call__(self, t):
         """f(t) by linear interpolation, exact for exact t and breakpoints.
@@ -250,6 +259,11 @@ class ModulusVector:
             top = keys.index(keys[-1])
             values[1:top + 1] = [_key_number(k, den, fractions) for k in keys[1:top + 1]]
             values[top + 1:] = values[top:top + 1] * (len(keys) - top - 1)
+        return cls._checked(values)
+
+    @classmethod
+    def _checked(cls, values) -> "ModulusVector":
+        """The vector of values whose keys were checked already."""
         out = object.__new__(cls)
         object.__setattr__(out, "values", tuple(values))
         return out
@@ -355,7 +369,16 @@ def _spans(keys) -> list:
 
 
 def jordan_variation(f: PiecewiseLinearFunction):
-    """Classical total variation: the sum of the monotone-run oscillations."""
+    """Classical total variation: the sum of the monotone-run oscillations.
+
+    Exact values sum their key differences once, over D: every value takes
+    part in a difference, so the sum of the differences in Python is a
+    Fraction exactly when a value is one.  Other values are summed as they
+    are, left to right."""
+    rail = f._exact_keys
+    if rail is not None:
+        keys, den, fractions = rail
+        return key_value(sum(map(abs, map(sub, keys[1:], keys))), den, True in fractions)
     total = 0
     for i in range(f.segments):
         total += abs(f.values[i + 1] - f.values[i])
@@ -599,8 +622,10 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     ``abs(y_j - y_i)`` is a Fraction.  Values of one type settle that
     without the family, as the merge types its entries: all Fractions give
     a Fraction, all ints an int, and a 0 is the int 0.  Mixed values read
-    the family back along its parent links.  Nothing is pruned, and nothing
-    but the value keys is shared with the DP, which this function checks.
+    the family back along its parent links.  The exact grid is built from
+    the function's value keys (``_value_keys``), and the vector is checked
+    on its keys, before they are typed.  Nothing is pruned, and nothing but
+    the value keys is shared with the DP, which this function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -608,7 +633,8 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     if n_max is None:
         n_max = B
     rail = f._exact_keys
-    grid, scale = _oscillation_grid(f.values, rail is not None, max(n_max, 1))
+    grid = _oscillation_grid(f.values if rail is None else rail[0], rail is not None,
+                             max(n_max, 1))[0]
     best = [0] * (n_max + 1)
     won = [None] * (n_max + 1)
     total = np.zeros(1, grid.dtype)
@@ -620,17 +646,21 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
             at = int(np.argmax(total))
             if total.item(at) > 0:
                 best[k], won[k] = total.item(at), at
+    # whether a Fraction value took part in the winner of each size
+    took = [False] * (n_max + 1)
     if rail is not None:
         frac = rail[2]
         one_type = _one_type(frac)
         for k in range(1, n_max + 1):
-            took = won[k] is not None and (frac[0] if one_type else any(
+            took[k] = won[k] is not None and (frac[0] if one_type else any(
                 frac[i] or frac[j] for i, j in _family_at(levels, k, won[k], B + 1)))
-            best[k] = key_value(best[k], scale, took)
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
-            best[k] = best[k - 1]
-    return ModulusVector(tuple(best))
+            best[k], took[k] = best[k - 1], took[k - 1]
+    if rail is None:
+        return ModulusVector(tuple(best))
+    _check_modulus(best, 0)
+    return ModulusVector._checked([key_value(b, rail[1], t) for b, t in zip(best, took)])
 
 
 def _oscillation_grid(values: tuple, exact: bool, terms: int = 1) -> tuple:
@@ -834,7 +864,10 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
     only) the grid holds the integer keys, on int64 while the top key fits
     and on Python ints otherwise; without it, the oscillations as floats:
     float64 differences of float values, and Python's exact or mixed
-    oscillations each rounded to a float."""
+    oscillations each rounded to a float.  The brute force passes a
+    function's value keys as the exact ``values`` (ints are their own keys,
+    and hash at once) with ``types`` None, and its values with their types
+    otherwise."""
     grid, _ = _oscillation_grid(values, exact)
     if not exact:
         try:
@@ -858,11 +891,12 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
 def _fraction_keys(f: PiecewiseLinearFunction, phi: Submeasure):
     """``(keys, D)``, the integer keys of f's values over D, when a hat of
     f's oscillations may be taken on their keys and divided by D once:
-    every value a Fraction, phi exact, and phi's rearrangement base with
-    ``sorted_hat_is_sup`` (not max-with-unit, whose hat is the oracle's).
-    None otherwise, where the values' own arithmetic runs."""
+    every value a Fraction, and phi with a key hat (``_keyed``: exact, and
+    not max-with-unit, whose hat is the oracle's) and a rearrangement base
+    with ``sorted_hat_is_sup``.  None otherwise, where the values' own
+    arithmetic runs."""
     rail = f._exact_keys
-    if (rail is None or not all(rail[2]) or not phi.is_exact()
+    if (rail is None or not all(rail[2]) or not phi._keyed()
             or not phi.rearrangement_base().sorted_hat_is_sup):
         return None
     return rail[:2]
@@ -911,17 +945,19 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     if phi.horizon is not None:
         max_count = min(max_count, phi.horizon)
     psi = phi.rearrangement_base()
-    types = tuple(map(type, f.values))
     if not psi.sorted_hat_is_sup:
         best = 0
-        for ltr, srt in _oscillation_profiles(f.values, max_count, types):
+        for ltr, srt in _oscillation_profiles(f.values, max_count,
+                                              tuple(map(type, f.values))):
             a, b = psi.hat(ltr), psi.hat(srt)
             val = a if a > b else b
             if val > best:
                 best = val
         return best
     exact = f.is_exact() and phi.is_exact()
-    M = _sorted_profile_matrix(f.values, max_count, types, exact)
+    # the exact matrix is keyed by the value keys, which hash as ints
+    M = (_sorted_profile_matrix(tuple(f._exact_keys[0]), max_count, None, True) if exact
+         else _sorted_profile_matrix(f.values, max_count, tuple(map(type, f.values)), False))
     if not exact:
         # a float hat past the float range is refused, not returned as inf
         with np.errstate(over="ignore"):
@@ -967,7 +1003,8 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     rail = _fraction_keys(f, phi)
     if rail:
         keys, D = rail
-        return key_value(h := phi.hat(sorted(_run_amplitudes(keys), reverse=True)), D, h > 0)
+        num, den = phi._key_hat(sorted(_run_amplitudes(keys), reverse=True))
+        return key_value(num, den * D, num > 0)
     runs = sorted(monotone_runs(f), reverse=True)
     try:
         value = hat_norm(phi, runs)
@@ -1008,7 +1045,8 @@ def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
         keys, D = rail
         v = _modulus_keys(_run_amplitudes(keys), f.segments)
         _check_modulus(v, 0)
-        return key_value(h := phi.hat([b - a for a, b in zip(v, v[1:])]), D, h > 0)
+        num, den = phi._key_hat([b - a for a, b in zip(v, v[1:])])
+        return key_value(num, den * D, num > 0)
     d = modulus_of_variation(f).increments()
     for n, v in enumerate(d, 1):
         if not is_finite(v):

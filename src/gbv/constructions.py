@@ -200,7 +200,9 @@ def zigzag_from_sequence(x, phi: Submeasure = None):
     its two breakpoint indices, once the integer keys of f (``f._keys``)
     show that those breakpoints are the member's endpoints; it is the
     Fraction that |f(t) - f(s)| would be.  Other rails evaluate f at the
-    endpoints.
+    endpoints.  The key reads pay: with every member evaluating f,
+    ``horizon`` ``exact_ops_per_s`` fell x0.796 (0 of 5 alternating pairs
+    faster) and ``construct.zigzag`` took x2.2 (``BENCH_30.json``).
 
     Returns (function, certificate).
     """
@@ -523,7 +525,10 @@ def _real_increments(g: DensityBound, H: int) -> np.ndarray:
 def _grown_cumsum(x: np.ndarray, Sx: np.ndarray, need: int) -> np.ndarray:
     """The prefix sums Sx of x, grown to at least ``need`` entries (at least
     doubled, at most len(x)).  The new sums continue from the carry Sx[-1],
-    in order, so they have the bits of one cumsum over x."""
+    in order, so they have the bits of one cumsum over x.  Growing pays:
+    with one full cumsum instead, ``horizon`` ``peak_rss_mb`` rose x1.106
+    (higher in 5 of 5 alternating pairs, past the bound of 10%;
+    ``BENCH_30.json``)."""
     if len(Sx) >= need:
         return Sx
     end = min(len(x), max(need, 2 * len(Sx)))

@@ -168,7 +168,10 @@ def _parse_token(text: str):
     """``parse_number(text)``: a plain "p/q" token (ASCII digits on both
     sides of one slash, a sign only before p) is read by ``int`` on both
     halves, as ``Fraction`` reads it; any other token goes to
-    ``parse_number``."""
+    ``parse_number``.  The p/q path pays: with every token sent to
+    ``parse_number``, ``horizon`` ``exact_ops_per_s`` fell from a median of
+    123.9 to 117.3 ops/s (x0.946, 1 of 10 alternating pairs faster), below
+    the lower quartile 120.4 of the runs with it (``BENCH_30.json``)."""
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if slash and digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit():

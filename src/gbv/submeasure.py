@@ -343,7 +343,11 @@ class WatermanWeights:
 def _positive_nonincreasing(values) -> bool:
     """Whether Fractions v_1, ..., v_n are positive and nonincreasing, read
     on their integer parts: p_{i+1} q_i <= p_i q_{i+1} for every i and then
-    p_n > 0, with v_i = p_i/q_i and q_i > 0."""
+    p_n > 0, with v_i = p_i/q_i and q_i > 0.  This check of Fraction tables
+    pays: with every table checked by ``_check_weights`` instead,
+    ``horizon`` ``exact_ops_per_s`` fell from a median of 121.3 to 116.6
+    ops/s (x0.961, 1 of 10 alternating pairs faster), below the lower
+    quartile 119.2 of the runs with it (``BENCH_30.json``)."""
     nums = [v.numerator for v in values]
     dens = [v.denominator for v in values]
     return nums[-1] > 0 and not any(map(operator.gt, map(operator.mul, nums[1:], dens),
@@ -525,7 +529,10 @@ class DensityBound:
         table, or up to max(``MAX_HORIZON``, |C|) for a closed form, when C
         is dense (max C <= 8 |C|) or the cache already reaches max C; else a
         list of g per index, which past a table names the first missing
-        index.  A sparse set thus never grows the cache to its top member."""
+        index.  A sparse set thus never grows the cache to its top member.
+        The gather pays: with every C taking the list, ``horizon``
+        ``exact_ops_per_s`` fell x0.701 (0 of 5 alternating pairs faster)
+        and ``compare.preceq.density`` took x6.0 (``BENCH_30.json``)."""
         if len(C) >= SHORT_SCAN and C[-1] <= (self.horizon or max(MAX_HORIZON, len(C))):
             top = C[-1]
             if top <= 8 * len(C) or (self._g_ints is not None and len(self._g_ints) >= top):
@@ -738,8 +745,9 @@ class Submeasure:
         return key_value(num, den * D, self._key_fraction(keys, fractions))
 
     def _keyed(self) -> bool:
-        """Whether this variant states its hat on keys (``_key_hat``)."""
-        return False
+        """Whether this variant states its hat on keys (``_key_hat``): every
+        exact variant does, but max-with-unit."""
+        return self.is_exact()
 
     def _key_fraction(self, keys: list, fractions) -> bool:
         """Whether the per-entry loop gives a Fraction on entries with these
@@ -874,9 +882,6 @@ class SummableSubmeasure(Submeasure):
         nums, den, _ = integer_keys(w)
         return subset_sums(nums), den
 
-    def _keyed(self):
-        return self.weights.is_exact()
-
     def _key_hat(self, keys):
         # sum_i keys[i] * a_i for a_i = p_i / q_i, by binary splitting:
         # neighbours are added over the lcm of their denominators, level by
@@ -977,9 +982,6 @@ class DensitySubmeasure(Submeasure):
             nums += [s if s > (r + 1) * q else (r + 1) * q for s, r in zip(nums, ranks)]
             ranks += [r + 1 for r in ranks]
         return nums, den
-
-    def _keyed(self):
-        return True
 
     def _key_hat(self, keys):
         # the exact first-max kernel finds the largest prefix ratio
@@ -1082,9 +1084,6 @@ class UnitSubmeasure(Submeasure):
     def _set_table(self, support):
         return [0] + [1] * ((1 << len(support)) - 1), 1
 
-    def _keyed(self):
-        return True
-
     def _key_hat(self, keys):
         return max(keys, default=0), 1
 
@@ -1121,9 +1120,6 @@ class CountingSubmeasure(Submeasure):
 
     def _set_table(self, support):
         return subset_sums([1] * len(support)), 1
-
-    def _keyed(self):
-        return True
 
     def _key_hat(self, keys):
         return sum(keys), 1
@@ -1351,6 +1347,9 @@ class MaxWithUnitSubmeasure(Submeasure):
 
     # a wrapper's loop reaches the oracle here
     _loop_hat = hat
+
+    def _keyed(self):
+        return False
 
 
 def as_float_array(x, name: str = "entry {} of the sequence") -> np.ndarray:

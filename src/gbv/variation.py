@@ -31,8 +31,8 @@ interval (i, j) at cell i * (B + 1) + j and 0 for j <= i
 values.  On the exact rail the grid holds integer keys, the numerators of
 the oscillations over the lcm D of the value denominators: int64 while the
 sums it feeds fit, Python ints otherwise.  When every value is a float it
-is float64, whose differences are Python's bits.  Otherwise (int, Fraction
-and float mixed, or exact values scored as floats) it holds the objects
+is float64, whose differences are Python's bits.  Otherwise (exact values
+mixed with floats, or exact values scored as floats) it holds the objects
 Python's subtraction makes, on which numpy runs Python's own arithmetic and
 comparisons.  Only the left-to-right profiles still read a table of Python
 objects with keys (``_oscillation_table``) and sort by its keys.
@@ -44,8 +44,7 @@ once its last interval is dropped) and the cell of that last interval; and
 the cells of each maximal family, zero-padded, cell 0 holding a 0, read off
 the same levels.  The enumeration of the modulus is one numpy gather and
 addition per size, total = total[parent] + grid[cell], so every family is
-still scored, summed left to right, and the first argmax of a size is the
-first family of ``_index_families`` to reach its maximum.
+still scored, summed left to right.
 
 Where the sorted hat is the supremum, the brute force reads one matrix on
 both rails (``_sorted_profile_matrix``): the grid gathered through the
@@ -57,19 +56,17 @@ integers.  A variant with ``sorted_hat_is_sup`` states its hat on
 nonincreasing vectors as integer linear forms (``Submeasure.sorted_forms``:
 hat(x) = max_r rows[r] . x / den), so all the rows of the key matrix M are
 scored with one product, max over the rows of M @ rows^T.  The scores are
-hat * den * D for the key scale D.  When every value is a Fraction the
-variation is the top score over den * D, one Fraction (the int 0 when
-nothing oscillates), which is the value and type the per-family loop
-returns: every oscillation is then a Fraction, and a hat of nonzero
-Fractions is a Fraction.  Other exact
-values (all ints, or ints mixed with Fractions) take the family of the
-first top score, as that loop would, and run ``hat`` once on its profile
-read from its row of cells, which gives the value its type.  The product
-runs on the dtype ``_util.int_dtype`` chooses for its bound, max key times
-max form entry times width.
+hat * den * D for the key scale D, and the variation is the top score over
+den * D (the int 0 when nothing oscillates), with the type the per-family
+loop returns.  When the values are read as Fractions it is one Fraction:
+every oscillation is then a Fraction, and a hat of nonzero Fractions is a
+Fraction.  On int values the base's ``Submeasure._key_fraction`` types it
+from the row of the first top score, as that loop's ``hat`` would.  The
+product runs on the dtype ``_util.int_dtype`` chooses for its bound, max key
+times max form entry times width.
 
-The greedy variation and the upper bound finish on the same keys when every
-value is a Fraction and phi states its hat on keys
+The greedy variation and the upper bound finish on the same keys when the
+values are read as Fractions and phi states its hat on keys
 (``Submeasure._key_hat``): the key hat scores the sorted run keys, or the
 increments of the merged modulus keys, as one numerator and denominator,
 in time linear in their number, and one Fraction is built from them over D
@@ -79,25 +76,30 @@ hat(D x) = D hat(x).  ``runs_saturate_modulus`` compares the prefix sums of
 the sorted run keys with the merged keys.  A phi whose rearrangement base
 lacks ``sorted_hat_is_sup``, a phi with no key hat (max-with-unit, whose
 hat is the oracle's) and a float phi keep the values' own arithmetic, and
-so do values that are not all Fractions, where a hat's type depends on the
-types of its entries.
+so do int values, where a hat's type depends on the weights its entries
+meet.
 
-A function reads the keys of its values once, with one Fraction flag per
-exact value (``PiecewiseLinearFunction._value_keys``, from
-``_util.integer_keys``), and every functional shares them; a result k / D
-gets its type from ``_util.key_value``.  The modulus of variation merges the
-smallest swing of the monotone runs of the keys, in O(B log B), when the
-values are of one type (all ints, all Fractions, or all floats as dyadic
-keys; ``modulus_of_variation`` proves the rule).  Values of mixed types run
-the DP (``_modulus_dp``), which flags each state a Fraction value took part
-in.
+One function has one type.  Exact values that include a Fraction are read
+as their Fraction twin (``PiecewiseLinearFunction._values``): every
+functional reads the twin, so an int/Fraction mix gives what its twin
+gives, in value and type.  All-int values stay ints, and floats and exact
+values mixed with floats are read as they are.  A function reads the keys
+of its values once, with one Fraction flag
+(``PiecewiseLinearFunction._value_keys``, from ``_util.integer_keys``), and
+every functional shares them; a result k / D gets its type from
+``_util.key_value``.  The modulus of variation merges the smallest swing of
+the monotone runs of the keys, in O(B log B), on exact values and on
+all-float values as dyadic keys (``modulus_of_variation`` proves the rule).
+Exact values mixed with floats, and float subclasses, run the DP
+(``_modulus_dp``).
 
 Provided functionals, for a submeasure phi with hat-norm ``hat``:
 
 * ``jordan_variation``        -- classical total variation,
 * ``modulus_of_variation``    -- v(n) = max total oscillation over n
                                  nonoverlapping intervals (merge of the
-                                 smallest swing; the DP for mixed types),
+                                 smallest swing; the DP for exact values
+                                 mixed with floats),
 * ``variation_bruteforce``    -- sup over all ordered interval families of
                                  hat(oscillation vector): the exact general
                                  variation for every variant with a known
@@ -139,7 +141,15 @@ BRUTE_FORCE_MAX_SEGMENTS = 12
 
 @dataclass(frozen=True)
 class PiecewiseLinearFunction:
-    """Breakpoints 0 = t_0 < t_1 < ... < t_B = 1 and values y_0 .. y_B."""
+    """Breakpoints 0 = t_0 < t_1 < ... < t_B = 1 and values y_0 .. y_B.
+
+    One function, one type: the variation functionals read exact values that
+    include a Fraction as their Fraction twin (``_values``), so an int/Fraction
+    mix gives what its twin gives, in value and type.  All-int values (bools
+    included) stay ints, and floats and mixes of exact values with floats are
+    read as they are.  ``values``, ``f(t)`` and ``oscillation`` keep the type
+    of each entry.
+    """
 
     breakpoints: tuple
     values: tuple
@@ -212,10 +222,26 @@ class PiecewiseLinearFunction:
 
     @cached_property
     def _value_keys(self):
-        """``_util.integer_keys`` of the values, ``(keys, den, fractions)``,
-        read once per function: one Fraction flag per value when every value
-        is exact, None there when every value is a float; None for a mix."""
-        return integer_keys(self.values)
+        """``(keys, den, fraction)`` from ``_util.integer_keys`` of the
+        values, read once per function: ``fraction`` says whether the exact
+        values include a Fraction (their twin ``_values`` is then all
+        Fractions), and is None when every value is a float; None for a mix
+        of exact and float values."""
+        rail = integer_keys(self.values)
+        if rail is None or rail[2] is None:
+            return rail
+        keys, den, fractions = rail
+        return keys, den, True in fractions
+
+    @cached_property
+    def _values(self) -> tuple:
+        """The values every variation functional reads: the Fraction twin of
+        exact values that include a Fraction (each int read as the Fraction
+        of its value), and the values themselves otherwise."""
+        rail = self._value_keys
+        if rail is None or not rail[2]:
+            return self.values
+        return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
 
     @property
     def _exact_keys(self):
@@ -245,19 +271,20 @@ class ModulusVector:
             _check_modulus(v, rail_slack(False, max(v)) if v else 0)
 
     @classmethod
-    def _from_keys(cls, keys: list, den: int, fractions) -> "ModulusVector":
-        """The vector keys / den for the integer keys over den of values of
-        one type with the Fraction flags ``fractions`` of
-        ``_util.integer_keys``, checked exactly on the keys: v[n] is typed by
-        ``_util.key_value``, or for floats (no flags) rounded once, an
-        overflow giving a signed inf as IEEE addition does; and the int 0
-        where the key is 0 (v[0], or every entry of a constant function)."""
+    def _from_keys(cls, keys: list, den: int, fraction) -> "ModulusVector":
+        """The vector keys / den for the integer keys over den of a
+        function's values with the Fraction flag ``fraction`` of
+        ``PiecewiseLinearFunction._value_keys``, checked exactly on the keys:
+        v[n] is typed by ``_util.key_value``, or for floats (flag None)
+        rounded once, an overflow giving a signed inf as IEEE addition does;
+        and the int 0 where the key is 0 (v[0], or every entry of a constant
+        function)."""
         _check_modulus(keys, 0)
         values = [0] * len(keys)
         if keys[-1]:
             # the entries from the first n with v(n) = v(n_max) are one number
             top = keys.index(keys[-1])
-            values[1:top + 1] = [_key_number(k, den, fractions) for k in keys[1:top + 1]]
+            values[1:top + 1] = [_key_number(k, den, fraction) for k in keys[1:top + 1]]
             values[top + 1:] = values[top:top + 1] * (len(keys) - top - 1)
         return cls._checked(values)
 
@@ -309,20 +336,16 @@ def monotone_runs(f: PiecewiseLinearFunction) -> tuple:
     Zero-slope segments extend the current run.  The run total equals the
     Jordan variation.  A constant function has no runs.
 
-    Exact values (ints and Fractions, mixed or not) are read as their value
-    keys over D (``PiecewiseLinearFunction._exact_keys``): each run is the
-    key difference across its span (``_spans``) over D, a Fraction exactly
-    when one of its sloped segments has a Fraction endpoint, which is when
-    summing the segment differences in Python would give a Fraction.
-    Otherwise the segment differences are summed in Python, left to right.
+    Exact values are read as their value keys over D
+    (``PiecewiseLinearFunction._exact_keys``): each run is the key
+    difference across its span (``_spans``) over D, a Fraction when the
+    function's values are read as Fractions.  Otherwise the segment
+    differences are summed in Python, left to right.
     """
     rail = f._exact_keys
     if rail is not None:
-        keys, den, frac = rail
-        return tuple(
-            key_value(abs(keys[j] - keys[i]), den, True in frac[i:j + 1] and any(
-                keys[k] != keys[k + 1] and (frac[k] or frac[k + 1]) for k in range(i, j)))
-            for i, j in _spans(keys))
+        keys, den, fraction = rail
+        return tuple(key_value(abs(keys[j] - keys[i]), den, fraction) for i, j in _spans(keys))
     y = f.values
     runs = []
     current = 0
@@ -371,14 +394,13 @@ def _spans(keys) -> list:
 def jordan_variation(f: PiecewiseLinearFunction):
     """Classical total variation: the sum of the monotone-run oscillations.
 
-    Exact values sum their key differences once, over D: every value takes
-    part in a difference, so the sum of the differences in Python is a
-    Fraction exactly when a value is one.  Other values are summed as they
-    are, left to right."""
+    Exact values sum their key differences once, over D, a Fraction when
+    the function's values are read as Fractions.  Other values are summed as
+    they are, left to right."""
     rail = f._exact_keys
     if rail is not None:
-        keys, den, fractions = rail
-        return key_value(sum(map(abs, map(sub, keys[1:], keys))), den, True in fractions)
+        keys, den, fraction = rail
+        return key_value(sum(map(abs, map(sub, keys[1:], keys))), den, fraction)
     total = 0
     for i in range(f.segments):
         total += abs(f.values[i + 1] - f.values[i])
@@ -394,10 +416,9 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     """Modulus vector v(0..n_max), by merging the smallest swing.
 
     v(n) is the largest total oscillation of n nonoverlapping intervals.
-    When the values are of one type, by the Fraction flags of their keys
-    (``PiecewiseLinearFunction._value_keys``: no Fraction, all Fractions, or
-    all floats), v comes from the monotone runs r_1..r_m of the keys
-    (``_spans``), in O(B + m log m):
+    When the values have integer keys (``PiecewiseLinearFunction._value_keys``:
+    exact values, or all floats), v comes from the monotone runs r_1..r_m of
+    the keys (``_spans``), in O(B + m log m):
 
     * v(n) = T = r_1 + ... + r_m for n >= m;
     * while c >= 2 runs are left, of sum T, take the smallest run r_i, the
@@ -409,12 +430,12 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     its stale entries.  ``ModulusVector`` checks the keys exactly; an entry
     is its key mapped back (an int or a Fraction by ``_util.key_value``, or
     a float rounded once) and the int 0 where the key is 0, the types the DP
-    gives on such values.  Other values (int with Fraction, exact with
-    float, a float subclass) run ``_modulus_dp``: there an entry's type
-    depends on which optimal family the DP's strict ``>`` keeps on a tie, a
-    rule the merge does not reproduce.  A hand-written CSV with ``0,0`` on
-    its first line and a ``p/q`` value elsewhere (the golden reports'
-    ``tent.csv``) is such a mix.
+    gives on the values the functionals read.  Ints mixed with Fractions
+    are read as their Fraction twin (``PiecewiseLinearFunction._values``), so
+    a hand-written CSV with ``0,0`` on its first line and a ``p/q`` value
+    elsewhere (the golden reports' ``tent.csv``) is merged and gets
+    Fractions.  Exact values mixed with floats, and float subclasses, have
+    no keys and run ``_modulus_dp``.
 
     Why the rule holds.  Let z_0..z_m be the turning values (the first
     value, the local extrema, the last value) and r_k = |z_k - z_{k-1}|.
@@ -477,22 +498,16 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
     rail = f._value_keys
-    if rail is None or not _one_type(rail[2]):
+    if rail is None:
         return _modulus_dp(f, n_max)
-    keys, den, fractions = rail
-    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(keys), n_max), den, fractions)
+    keys, den, fraction = rail
+    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(keys), n_max), den, fraction)
 
 
-def _one_type(fractions) -> bool:
-    """Whether values with these Fraction flags (``_util.integer_keys``) are
-    of one type: all Fractions, no Fraction, or all floats (no flags)."""
-    return fractions is None or len(set(fractions)) == 1
-
-
-def _key_number(k: int, den: int, fractions):
+def _key_number(k: int, den: int, fraction):
     """k / den as ``ModulusVector._from_keys`` types it."""
-    if fractions is not None:
-        return key_value(k, den, fractions[0])
+    if fraction is not None:
+        return key_value(k, den, fraction)
     try:
         return k / den
     except OverflowError:
@@ -553,52 +568,47 @@ def _merge_smallest_swing(runs: list) -> list:
 
 
 def _modulus_dp(f: PiecewiseLinearFunction, n_max: int = None) -> ModulusVector:
-    """Exact modulus vector by dynamic programming over breakpoint indices:
-    the reference for ``modulus_of_variation``, and its path for values of
-    mixed types, in O(B * n_max).
+    """Exact modulus vector by dynamic programming over breakpoint indices,
+    in O(B * n_max): the reference for ``modulus_of_variation``, and its
+    path for values with no integer keys (exact mixed with float, a float
+    subclass).
 
     State per breakpoint: best total with j complete intervals (A), and best
     total with j complete intervals plus one open interval maximizing a later
     upward (U) or downward (D) close.  Intervals may share endpoints, so an
     interval may open at the index where the previous one closed.
 
-    On the exact rail the states are sums of the value keys over D
-    (``PiecewiseLinearFunction._exact_keys``), each flagged when a Fraction
-    value took part in it.  An entry comes back through ``_util.key_value``,
-    as Fraction(a, D) when flagged and as the int a // D otherwise, the
-    types Fraction arithmetic gives: A[0], and any entry never raised, stay
-    the int 0.  Values that are not all exact run as they are, unflagged.
+    The states are sums of the values the functionals read
+    (``PiecewiseLinearFunction._values``) in their own arithmetic, so A[0],
+    and any entry never raised, stay the int 0.
     """
     B = f.segments
     if n_max is None:
         n_max = B
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
-    ys, scale, yf = f._exact_keys or (f.values, None, [False] * len(f.values))
+    ys = f._values
     size = n_max + 1
-    A, Af = [0] * size, [False] * size
+    A = [0] * size
     # at the first breakpoint every interval opens and none closes
-    U, Uf = [0 - ys[0]] * size, [yf[0]] * size
-    D, Df = [0 + ys[0]] * size, [yf[0]] * size
-    for i in range(1, B + 1):
-        yi, fi = ys[i], yf[i]
+    U = [0 - ys[0]] * size
+    D = [0 + ys[0]] * size
+    for yi in ys[1:]:
         for j in range(size):
             if j:
                 close = U[j - 1] + yi
                 if close > A[j]:
-                    A[j], Af[j] = close, Uf[j - 1] or fi
+                    A[j] = close
                 close = D[j - 1] - yi
                 if close > A[j]:
-                    A[j], Af[j] = close, Df[j - 1] or fi
+                    A[j] = close
             a = A[j]
             open_ = a - yi
             if open_ > U[j]:
-                U[j], Uf[j] = open_, Af[j] or fi
+                U[j] = open_
             open_ = a + yi
             if open_ > D[j]:
-                D[j], Df[j] = open_, Af[j] or fi
-    if scale is not None:
-        A = [key_value(a, scale, af) for a, af in zip(A, Af)]
+                D[j] = open_
     return ModulusVector(tuple(A))
 
 
@@ -611,21 +621,14 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     gather and addition per level, so each family is summed left to right
     as a loop over it would.  The keys are the grid of ``_oscillation_grid``
     on the values' own rail: integer keys on the exact rail (int64 while a
-    sum of n_max of them fits, Python ints otherwise), mapped back to an int
-    or a Fraction at the end by ``_util.key_value``; float64 when every
-    value is a float; and Python's own oscillation objects otherwise (int,
-    Fraction and float mixed), whose sums then have the values and types of
-    Python arithmetic.  The first family to reach a size's maximum (the
-    first argmax, if positive) names it, so an exact entry is a Fraction
-    exactly when that family has an interval with a Fraction endpoint value
-    (by the Fraction flags of the value keys), which is when its oscillation
-    ``abs(y_j - y_i)`` is a Fraction.  Values of one type settle that
-    without the family, as the merge types its entries: all Fractions give
-    a Fraction, all ints an int, and a 0 is the int 0.  Mixed values read
-    the family back along its parent links.  The exact grid is built from
-    the function's value keys (``_value_keys``), and the vector is checked
-    on its keys, before they are typed.  Nothing is pruned, and nothing but
-    the value keys is shared with the DP, which this function checks.
+    sum of n_max of them fits, Python ints otherwise), from the function's
+    value keys (``_value_keys``), checked and typed as the merge types them
+    (``ModulusVector._from_keys``): a Fraction when the values are read as
+    Fractions, an int otherwise, and the int 0 where no family oscillates;
+    float64 when every value is a float; and Python's own oscillation
+    objects otherwise (exact and float mixed), whose sums then have the
+    values and types of Python arithmetic.  Nothing is pruned, and nothing
+    but the value keys is shared with the DP, which this function checks.
     """
     B = f.segments
     if B > BRUTE_FORCE_MAX_SEGMENTS:
@@ -636,31 +639,21 @@ def modulus_by_enumeration(f: PiecewiseLinearFunction, n_max: int = None) -> Mod
     grid = _oscillation_grid(f.values if rail is None else rail[0], rail is not None,
                              max(n_max, 1))[0]
     best = [0] * (n_max + 1)
-    won = [None] * (n_max + 1)
     total = np.zeros(1, grid.dtype)
     levels = _family_tree(B + 1, n_max)[0] if n_max > 0 else ()
     # float sums overflow to inf without a word, as Python's do
     with np.errstate(over="ignore"):
         for k, (parent, cell) in enumerate(levels, 1):
             total = total[parent] + grid[cell]
-            at = int(np.argmax(total))
-            if total.item(at) > 0:
-                best[k], won[k] = total.item(at), at
-    # whether a Fraction value took part in the winner of each size
-    took = [False] * (n_max + 1)
-    if rail is not None:
-        frac = rail[2]
-        one_type = _one_type(frac)
-        for k in range(1, n_max + 1):
-            took[k] = won[k] is not None and (frac[0] if one_type else any(
-                frac[i] or frac[j] for i, j in _family_at(levels, k, won[k], B + 1)))
+            top = total.item(int(np.argmax(total)))
+            if top > 0:
+                best[k] = top
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
-            best[k], took[k] = best[k - 1], took[k - 1]
+            best[k] = best[k - 1]
     if rail is None:
         return ModulusVector(tuple(best))
-    _check_modulus(best, 0)
-    return ModulusVector._checked([key_value(b, rail[1], t) for b, t in zip(best, took)])
+    return ModulusVector._from_keys(best, rail[1], rail[2])
 
 
 def _oscillation_grid(values: tuple, exact: bool, terms: int = 1) -> tuple:
@@ -812,16 +805,6 @@ def _family_tree(num_points: int, max_count: int) -> tuple:
     return tuple(levels), _read_only(maximal)
 
 
-def _family_at(levels, k: int, at: int, num_points: int) -> list:
-    """Family ``at`` of size k in the ``levels`` of ``_family_tree`` as its
-    index intervals, last first, read back along its parent links."""
-    family = []
-    for parent, cell in reversed(levels[:k]):
-        family.append(divmod(int(cell[at]), num_points))
-        at = int(parent[at])
-    return family
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -845,7 +828,7 @@ def _oscillation_profiles(values: tuple, max_count: int, types: tuple) -> tuple:
 def _profile(osc, keys, fam) -> tuple:
     """The nonzero oscillations of one family, left to right and sorted.  A
     stable reverse sort by the keys of ``_oscillation_table`` orders like
-    the values and keeps equal ones (an int and a Fraction, say) in family
+    the values and keeps equal ones (an int and a float, say) in family
     order, which decides the type a hat returns."""
     pairs = [(keys[i][j], osc[i][j]) for i, j in fam if keys[i][j]]
     return (tuple([v for _, v in pairs]),
@@ -890,13 +873,13 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
 
 def _fraction_keys(f: PiecewiseLinearFunction, phi: Submeasure):
     """``(keys, D)``, the integer keys of f's values over D, when a hat of
-    f's oscillations may be taken on their keys and divided by D once:
-    every value a Fraction, and phi with a key hat (``_keyed``: exact, and
+    f's oscillations may be taken on their keys and divided by D once: the
+    values read as Fractions, and phi with a key hat (``_keyed``: exact, and
     not max-with-unit, whose hat is the oracle's) and a rearrangement base
     with ``sorted_hat_is_sup``.  None otherwise, where the values' own
     arithmetic runs."""
     rail = f._exact_keys
-    if (rail is None or not all(rail[2]) or not phi._keyed()
+    if (rail is None or not rail[2] or not phi._keyed()
             or not phi.rearrangement_base().sorted_hat_is_sup):
         return None
     return rail[:2]
@@ -919,11 +902,11 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     bound, consistent with that variant's no-closed-form stance.  Rational
     inputs with a sorted-optimal base are scored on integers (see the module
     docstring), with the value and type of a loop over the families, the
-    int 0 when none oscillates.  On all-Fraction values the value is the top
-    score over den * D, one Fraction: the score is hat * den * D, and the
-    winner's hat, a hat of nonzero Fractions, is a Fraction.  On other exact
-    values the first family of top score is read back and its hat gives the
-    value its type.
+    int 0 when none oscillates: the value is the top score over den * D,
+    for the score is hat * den * D.  It is one Fraction when the values are
+    read as Fractions (a hat of nonzero Fractions is a Fraction), and on
+    int values it is typed by the base's ``_key_fraction`` on the keys of
+    the first row of top score, as its hat would type it.
     A float f or a float phi with a sorted-optimal base reads the same
     matrix of maximal families with the oscillations as floats: the value is
     the largest entry of the last column of the base's ``truncation_norms``,
@@ -945,10 +928,10 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     if phi.horizon is not None:
         max_count = min(max_count, phi.horizon)
     psi = phi.rearrangement_base()
+    y = f._values
     if not psi.sorted_hat_is_sup:
         best = 0
-        for ltr, srt in _oscillation_profiles(f.values, max_count,
-                                              tuple(map(type, f.values))):
+        for ltr, srt in _oscillation_profiles(y, max_count, tuple(map(type, y))):
             a, b = psi.hat(ltr), psi.hat(srt)
             val = a if a > b else b
             if val > best:
@@ -957,7 +940,7 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     exact = f.is_exact() and phi.is_exact()
     # the exact matrix is keyed by the value keys, which hash as ints
     M = (_sorted_profile_matrix(tuple(f._exact_keys[0]), max_count, None, True) if exact
-         else _sorted_profile_matrix(f.values, max_count, tuple(map(type, f.values)), False))
+         else _sorted_profile_matrix(y, max_count, tuple(map(type, y)), False))
     if not exact:
         # a float hat past the float range is refused, not returned as inf
         with np.errstate(over="ignore"):
@@ -971,16 +954,13 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
     forms, den = psi.sorted_forms(max_count)
     dtype = int_dtype(top * max(map(max, forms)) * max_count)
     scores = (M.astype(dtype, copy=False) @ np.array(forms, dtype).T).max(axis=1)
-    rail = _fraction_keys(f, phi)
-    if rail:
-        # the top score is hat * den * D (see the module docstring)
-        return key_value(int(scores.max()), den * rail[1], True)
-    # the winner's nonzero oscillations in a stable reverse sort, as
-    # ``_profile`` sorts them: the exact values order like their keys
-    y, n = f.values, len(f.values)
-    row = _family_tree(n, max_count)[1][int(np.argmax(scores))]
-    osc = [abs(y[j] - y[i]) for i, j in (divmod(int(c), n) for c in row)]
-    return psi.hat(tuple(sorted([v for v in osc if v], reverse=True)))
+    # the top score is hat * den * D (see the module docstring)
+    _, D, fraction = f._exact_keys
+    if fraction:
+        return key_value(int(scores.max()), den * D, True)
+    at = int(np.argmax(scores))
+    return key_value(int(scores[at]), den * D,
+                     psi._key_fraction(M[at].tolist(), [False] * max_count))
 
 
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
@@ -1066,12 +1046,12 @@ def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:
     On this class (which contains every alternating profile with
     nonincreasing amplitudes) greedy, brute force and the upper bound
     coincide for prefix-monotone hat-norms, since
-    greedy <= brute <= upper = hat(sorted runs) = greedy.  Exact values of
-    one type compare the prefix sums of the sorted run keys with the merged
-    modulus keys; other values compare the values, floats within slack.
+    greedy <= brute <= upper = hat(sorted runs) = greedy.  Exact values
+    compare the prefix sums of the sorted run keys with the merged modulus
+    keys; other values compare the values, floats within slack.
     """
     rail = f._exact_keys
-    if rail is not None and _one_type(rail[2]):
+    if rail is not None:
         runs = _run_amplitudes(rail[0])
         v = _modulus_keys(runs, f.segments)
         _check_modulus(v, 0)
@@ -1113,7 +1093,7 @@ def bv_norm_detail(f: PiecewiseLinearFunction, phi: Submeasure,
         exact = phi.sorted_hat_is_sup and runs_saturate_modulus(f)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return BVNormResult(abs(f.values[0]) + var, var, method, exact)
+    return BVNormResult(abs(f._values[0]) + var, var, method, exact)
 
 
 def bv_norm(f: PiecewiseLinearFunction, phi: Submeasure, method: str = "auto"):

@@ -72,6 +72,15 @@ def float_twin(f):
                                    tuple(float(y) for y in f.values))
 
 
+def fraction_twin(f):
+    """f as the variation functionals read it: an int/Fraction mix (bools
+    counted as ints) with every value a Fraction, any other f as it is."""
+    y = f.values
+    if all(isinstance(v, (int, F)) for v in y) and any(isinstance(v, F) for v in y):
+        return PiecewiseLinearFunction(f.breakpoints, tuple(map(F, y)))
+    return f
+
+
 # ---------------------------------------------------------------------------
 # elementary pieces
 # ---------------------------------------------------------------------------
@@ -153,8 +162,8 @@ def test_modulus_dp_equals_enumeration_randomized():
 
 
 def fraction_modulus_dp(f, n_max):
-    """The modulus DP on the values themselves, as it ran before it moved to
-    integer numerators: the reference for values and entry types."""
+    """The modulus DP on the values themselves, written out as a loop: the
+    reference for values and entry types."""
     y = f.values
     A = [0] * (n_max + 1)
     U = [None] * (n_max + 1)
@@ -176,36 +185,6 @@ def fraction_modulus_dp(f, n_max):
             if D[j] is None or open_down > D[j]:
                 D[j] = open_down
     return tuple(A)
-
-
-def test_integer_modulus_dp_matches_the_fraction_dp_in_value_and_type():
-    bps = (0, F(1, 3), F(2, 3), 1)
-    # the int 0 stays where no Fraction takes part; a Fraction of any
-    # value where one does
-    f = PiecewiseLinearFunction(bps, (0, F(3, 2), -1, 2))
-    got = modulus_of_variation(f).values
-    assert got == (0, 3, F(11, 2), 7)
-    assert [type(v) for v in got] == [int, int, F, F]
-    assert typed(got) == typed(fraction_modulus_dp(f, 3))
-    for values in ((5, 5, 5, 5), (F(5, 2),) * 4, (0.5, 0.5, 0.5, 0.5)):
-        got = modulus_of_variation(PiecewiseLinearFunction(bps, values)).values
-        assert got == (0, 0, 0, 0) and all(type(v) is int for v in got), values
-    rng = random.Random(61)
-    kinds = (lambda: rng.randint(-9, 9),
-             lambda: F(rng.randint(-24, 24), rng.randint(1, 6)),
-             lambda: rng.choice((rng.randint(-4, 4), F(rng.randint(-8, 8), 2),
-                                 F(rng.randint(-4, 4)))),
-             lambda: F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 7)),
-             lambda: rng.randint(-6144, 6144) / 1024,
-             lambda: rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), 4), 0.25, -0.0)))
-    for _ in range(300):
-        B = rng.randint(1, 9)
-        kind = rng.choice(kinds)
-        f = PiecewiseLinearFunction(tuple(F(k, B) for k in range(B + 1)),
-                                    tuple(kind() for _ in range(B + 1)))
-        for n_max in (B, rng.randint(0, B)):
-            got = modulus_of_variation(f, n_max).values
-            assert typed(got) == typed(fraction_modulus_dp(f, n_max)), (f, n_max)
 
 
 def summed_per_family_modulus(f, n_max):
@@ -292,7 +271,8 @@ MERGE_KINDS = {
     "float-dyadic": st.integers(-6144, 6144).map(lambda k: k / 1024),
     "float-few": _few.map(float),
 }
-# every mix the DP serves: int with Fraction, exact with float, subclasses
+# mixes: int with Fraction (read as its Fraction twin), exact with float
+# (the DP's), bools with ints
 MIXED_KINDS = {
     "int-fraction": st.one_of(_ints, _fractions),
     "int-integral-fraction": st.one_of(_few, _few.map(F)),
@@ -324,15 +304,21 @@ def test_merge_equals_the_dp_in_value_and_type(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_mixed_values_run_the_dp(data):
+def test_int_float_mixes_run_the_dp(data):
     from gbv.variation import _modulus_dp
 
-    kind = data.draw(st.sampled_from(sorted(MIXED_KINDS)), label="kind")
     B = data.draw(st.integers(1, 10), label="B")
-    f = _function_of(data.draw(st.lists(MIXED_KINDS[kind], min_size=B + 1, max_size=B + 1),
-                               label="values"))
+    values = data.draw(st.lists(MIXED_KINDS["exact-float"], min_size=B + 1, max_size=B + 1),
+                       label="values")
+    # at least one float and one exact value
+    i = data.draw(st.integers(0, B), label="float at")
+    values[i] = data.draw(_few.map(float), label="float")
+    values[i - 1] = data.draw(st.one_of(_ints, _fractions), label="exact")
+    f = _function_of(values)
+    assert f._value_keys is None
     n_max = data.draw(st.integers(0, B), label="n_max")
     assert typed(modulus_of_variation(f, n_max).values) == typed(_modulus_dp(f, n_max).values)
+    assert typed(modulus_of_variation(f, n_max).values) == typed(fraction_modulus_dp(f, n_max))
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,6 +381,11 @@ def test_exact_merge_at_ten_thousand_segments():
     assert all(type(x) is F for x in v.values[1:])
     assert ModulusVector(v.values) == v               # validated on the values too
     assert v[1] == max(f.values) - min(f.values)
+    # an int/Fraction mix is merged too, as its Fraction twin
+    mixed = _function_of([0] + list(f.values[1:-1]) + [rng.randint(-10 ** 6, 10 ** 6)])
+    w = modulus_of_variation(mixed)
+    assert typed(w.values) == typed(modulus_of_variation(fraction_twin(mixed)).values)
+    assert w[-1] == jordan_variation(mixed) and type(w[-1]) is F
 
 
 def test_integer_keys_of_single_type_values():
@@ -404,9 +395,11 @@ def test_integer_keys_of_single_type_values():
     for values in ((3, -1, 0), (F(1, 2), F(-2, 3), F(5)), (0.5, -0.75, 3.0, 1e-300)):
         keys, den, fractions = integer_keys(values)
         assert all(F(k, den) == F(v) for k, v in zip(keys, values))
-        assert typed(tuple(_key_number(k, den, fractions) for k in keys)) == typed(values)
         floats = isinstance(values[0], float)
         assert fractions == (None if floats else [isinstance(v, F) for v in values])
+        fraction = _function_of(values)._value_keys[2]
+        assert fraction is (None if floats else isinstance(values[0], F))
+        assert typed(tuple(_key_number(k, den, fraction) for k in keys)) == typed(values)
     # exact mixes and subclasses: integer keys and a Fraction flag per value
     for values in ((1, F(1, 2)), (True, 1), (F(1), True, -2), (False,) * 70 + (F(5, 6),) * 70):
         keys, den, fractions = integer_keys(values)
@@ -416,17 +409,17 @@ def test_integer_keys_of_single_type_values():
     for values in ((1, 0.5), (F(1), 0.0)):
         assert integer_keys(values) is None
     # a float key past the float range maps to a signed inf
-    keys, den, fractions = integer_keys((1.7e308, -1.7e308))
-    assert [_key_number(k, den, fractions) for k in (2 * keys[0], 2 * keys[1], keys[0])] == \
+    keys, den, _ = integer_keys((1.7e308, -1.7e308))
+    assert [_key_number(k, den, None) for k in (2 * keys[0], 2 * keys[1], keys[0])] == \
         [math.inf, -math.inf, 1.7e308]
 
 def test_modulus_vector_from_keys_runs_the_same_checks():
     with pytest.raises(ValueError, match=r"must start at v\[0\] = 0"):
-        ModulusVector._from_keys([1, 2], 1, [False] * 2)
+        ModulusVector._from_keys([1, 2], 1, False)
     with pytest.raises(ValueError, match=r"nondecreasing \(n=2\)"):
-        ModulusVector._from_keys([0, 2, 1], 1, [False] * 3)
+        ModulusVector._from_keys([0, 2, 1], 1, False)
     with pytest.raises(ValueError, match=r"increments must be nonincreasing \(n=2\)"):
-        ModulusVector._from_keys([0, 1, 3], 1, [False] * 3)
+        ModulusVector._from_keys([0, 1, 3], 1, False)
 
 
 def loop_monotone_runs(f):
@@ -473,22 +466,23 @@ def test_runs_read_off_keys_equal_the_segment_loop(data):
     B = data.draw(st.integers(1, 12), label="B")
     f = _function_of(data.draw(st.lists(kinds[kind], min_size=B + 1, max_size=B + 1),
                                label="values"))
-    assert typed(monotone_runs(f)) == typed(loop_monotone_runs(f))
+    assert typed(monotone_runs(f)) == typed(loop_monotone_runs(fraction_twin(f)))
     assert _run_breakpoints(f) == loop_run_breakpoints(f)
 
 
-def test_runs_of_mixes_take_the_type_of_their_sloped_segments():
+def test_runs_of_mixes_are_the_runs_of_their_fraction_twin():
     bps = (0, F(1, 4), F(1, 2), F(3, 4), 1)
-    # the flat F(1) -> 1 adds nothing, so the run 0 -> 2 stays an int
-    for values, types in (((0, F(1), 1, 2, 0), [F, int]),
-                          ((0, 1, F(1), 2, 0), [F, int]),
-                          ((F(0), 0, 1, 2, F(2)), [int]),
-                          ((True, False, 3, 3, F(3)), [int, int]),
+    # one Fraction anywhere, on a flat too, makes every run a Fraction
+    for values, types in (((0, F(1), 1, 2, 0), [F, F]),
+                          ((0, 1, F(1), 2, 0), [F, F]),
+                          ((F(0), 0, 1, 2, F(2)), [F]),
+                          ((True, False, 3, 3, F(3)), [F, F]),
+                          ((True, False, 3, 3, 3), [int, int]),
                           ((0, 1, 1, 1, 0), [int, int])):
         f = PiecewiseLinearFunction(bps, values)
         got = monotone_runs(f)
         assert [type(v) for v in got] == types, values
-        assert typed(got) == typed(loop_monotone_runs(f))
+        assert typed(got) == typed(loop_monotone_runs(fraction_twin(f)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -503,7 +497,7 @@ def test_table_walk_and_profiles_match_the_per_family_sums(data):
     f = PiecewiseLinearFunction(tuple([0] + [F(k, B) for k in range(1, B)] + [1]), values)
     n_max = data.draw(st.integers(0, B), label="n_max")
     got = modulus_by_enumeration(f, n_max).values
-    assert typed(got) == typed(summed_per_family_modulus(f, n_max))
+    assert typed(got) == typed(summed_per_family_modulus(fraction_twin(f), n_max))
     max_count = data.draw(st.integers(1, B), label="max_count")
     types = tuple(map(type, values))
     got = _oscillation_profiles(values, max_count, types)
@@ -526,16 +520,14 @@ def test_table_walk_edge_cases():
         assert modulus_by_enumeration(f, 0).values == (0,)
         assert _oscillation_profiles(values, f.segments, tuple(map(type, values))) == ()
     assert modulus_by_enumeration(zigzag(), 0).values == (0,)
-    # mixed int/Fraction: an entry is a Fraction exactly when the first family
-    # to reach it has a Fraction oscillation, so equal values can differ in type
+    # mixed int/Fraction: every entry but v(0) is a Fraction, as on the twin,
+    # whichever family reaches it first
     bps = (0, F(1, 3), F(2, 3), 1)
-    for values, types in (((0, 2, 0, F(2)), [int, int, int, F]),
-                          ((F(2), 0, 2, 0), [int, F, F, F]),
-                          ((0, 3, F(5, 2), F(1, 2)), [int, int, F, F])):
+    for values in ((0, 2, 0, F(2)), (F(2), 0, 2, 0), (0, 3, F(5, 2), F(1, 2))):
         f = PiecewiseLinearFunction(bps, values)
         got = modulus_by_enumeration(f).values
-        assert [type(v) for v in got] == types, values
-        assert typed(got) == typed(summed_per_family_modulus(f, 3))
+        assert [type(v) for v in got] == [int, F, F, F], values
+        assert typed(got) == typed(summed_per_family_modulus(fraction_twin(f), 3))
     assert modulus_by_enumeration(PiecewiseLinearFunction(bps, (0, 2, 0, F(2)))).values \
         == (0, 2, 4, 6)
 
@@ -1144,16 +1136,15 @@ def test_integer_scoring_matches_the_per_family_hat_in_value_and_type():
             for phi in phis:
                 for max_count in sorted({B, rng.randint(1, B)}):
                     got = variation_bruteforce(f, phi, max_count)
-                    want = per_family_bruteforce(f, phi, max_count)
+                    want = per_family_bruteforce(fraction_twin(f), phi, max_count)
                     assert typed(got) == typed(want), (kind, f, phi, max_count)
             dtypes.add(_sorted_profile_matrix(f.values, B, tuple(map(type, f.values)),
                                               True).dtype)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
-    # the first family of top score, ((0, 1), (1, 2), (2, 3)), sorts to
-    # (2, 2, Fraction(2)), and the unit hat keeps the first of equal entries
+    # one Fraction value makes every oscillation a Fraction, as on the twin
     f = PiecewiseLinearFunction((0, F(1, 3), F(2, 3), 1), (0, 2, 0, F(2)))
-    assert type(variation_bruteforce(f, unit())) is int
-    assert type(variation_bruteforce(f, unit(), 1)) is int
+    assert type(variation_bruteforce(f, unit())) is F
+    assert type(variation_bruteforce(f, unit(), 1)) is F
     constant = PiecewiseLinearFunction((0, F(1, 2), 1), (F(3, 2),) * 3)
     assert all(type(variation_bruteforce(constant, phi)) is int for phi in phis)
 
@@ -1315,11 +1306,13 @@ def test_key_finish_equals_the_fraction_code_in_value_and_type(data):
     B = data.draw(st.integers(1, top), label="B")
     f = _function_of(data.draw(st.lists(KEY_FINISH_KINDS[kind], min_size=B + 1,
                                         max_size=B + 1), label="values"))
+    # an int/Fraction mix against the reference run on its Fraction twin
+    twin = fraction_twin(f)
     for new, old in ((variation_bruteforce, fraction_bruteforce),
                      (variation_greedy, fraction_greedy),
                      (variation_upper_bound, fraction_upper_bound)):
-        assert run_outcome(new, f, phi) == run_outcome(old, f, phi), (new.__name__, f, phi)
-    assert runs_saturate_modulus(f) is fraction_runs_saturate_modulus(f)
+        assert run_outcome(new, f, phi) == run_outcome(old, twin, phi), (new.__name__, f, phi)
+    assert runs_saturate_modulus(f) is fraction_runs_saturate_modulus(twin)
 
 
 def test_key_finish_on_constants_huge_keys_horizons_and_max_with_unit():
@@ -1358,11 +1351,9 @@ def test_key_finish_on_constants_huge_keys_horizons_and_max_with_unit():
 
 def family_typed_enumeration(f, n_max=None):
     """The enumeration with every exact entry typed by its first winning
-    family, read back along the parent links, as it ran for every exact
-    function before values of one type were typed as the merge types
-    them: the reference."""
+    family, read back along the parent links: the reference."""
     from gbv._util import all_exact
-    from gbv.variation import _family_at, _family_tree, _oscillation_grid
+    from gbv.variation import _family_tree, _oscillation_grid
 
     B = f.segments
     if n_max is None:
@@ -1380,9 +1371,11 @@ def family_typed_enumeration(f, n_max=None):
                 best[k], won[k] = total.item(at), at
     if scale is not None:
         for k in range(1, n_max + 1):
-            frac = won[k] is not None and any(
-                isinstance(y[i], F) or isinstance(y[j], F)
-                for i, j in _family_at(levels, k, won[k], B + 1))
+            family, at = [], won[k]
+            for parent, cell in reversed(levels[:k] if at is not None else ()):
+                family.append(divmod(int(cell[at]), B + 1))
+                at = int(parent[at])
+            frac = any(isinstance(y[i], F) or isinstance(y[j], F) for i, j in family)
             best[k] = F(best[k], scale) if frac else best[k] // scale
     for k in range(1, n_max + 1):
         if best[k] < best[k - 1]:
@@ -1397,6 +1390,64 @@ def test_enumeration_types_single_type_values_as_the_family_readback_does(data):
     B = data.draw(st.integers(1, 8), label="B")
     f = _function_of(data.draw(st.lists(KEY_FINISH_KINDS[kind], min_size=B + 1,
                                         max_size=B + 1), label="values"))
+    # an int/Fraction mix reads as its Fraction twin, a function of one type
+    twin = fraction_twin(f)
     for n_max in (B, data.draw(st.integers(0, B), label="n_max")):
         got = typed(modulus_by_enumeration(f, n_max).values)
-        assert got == typed(family_typed_enumeration(f, n_max)), (f, n_max)
+        assert got == typed(family_typed_enumeration(twin, n_max)), (f, n_max)
+
+
+# ---------------------------------------------------------------------------
+# one type per function: an int/Fraction mix reads as its Fraction twin
+# ---------------------------------------------------------------------------
+
+
+def contract_phis():
+    """Every variant of ``selftest._variant_pool``, and max-with-unit."""
+    from gbv.selftest import _variant_pool
+
+    return ([phi for phi, _ in _variant_pool(random.Random(30))],
+            [max_with_unit(summable(harmonic_weights(8))), max_with_unit(counting())])
+
+
+CONTRACT_PHIS, CONTRACT_CAPPED = contract_phis()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_fraction_mixes_equal_their_fraction_twin_in_value_and_type(data):
+    from gbv.variation import _modulus_dp
+
+    B = data.draw(st.integers(1, 9), label="B")
+    values = data.draw(st.lists(st.one_of(st.booleans(), _ints, _fractions, _few.map(F)),
+                                min_size=B + 1, max_size=B + 1), label="values")
+    # at least one Fraction and one int or bool
+    i = data.draw(st.integers(0, B), label="fraction at")
+    values[i] = data.draw(st.one_of(_fractions, _few.map(F)), label="fraction")
+    values[i - 1] = data.draw(st.one_of(st.booleans(), _ints, _few), label="int")
+    f = _function_of(values)
+    twin = PiecewiseLinearFunction(f.breakpoints, tuple(map(F, values)))
+    assert typed(jordan_variation(f)) == typed(jordan_variation(twin))
+    assert typed(monotone_runs(f)) == typed(monotone_runs(twin))
+    for n_max in (B, data.draw(st.integers(0, B), label="n_max")):
+        for modulus in (modulus_of_variation, _modulus_dp, modulus_by_enumeration):
+            got = typed(modulus(f, n_max).values)
+            assert got == typed(modulus(twin, n_max).values), (modulus.__name__, n_max)
+    assert runs_saturate_modulus(f) is runs_saturate_modulus(twin)
+    phis = CONTRACT_PHIS + (CONTRACT_CAPPED if B <= 4 else [])
+    for phi in phis:
+        for call in (variation_bruteforce, variation_greedy, variation_upper_bound):
+            assert run_outcome(call, f, phi) == run_outcome(call, twin, phi), (call, phi)
+        # the result's repr shows the type of its value and variation
+        for method in ("brute", "greedy"):
+            assert run_outcome(bv_norm_detail, f, phi, method) == \
+                run_outcome(bv_norm_detail, twin, phi, method), (method, phi)
+
+
+def test_a_constant_mix_has_the_norm_of_its_fraction_twin():
+    f = PiecewiseLinearFunction((0, 1), (2, F(2)))
+    for phi in CONTRACT_PHIS:
+        got = bv_norm(f, phi)
+        assert type(got) is F and got == 2, phi
+    assert typed(modulus_of_variation(f).values) == ((int, 0), (int, 0))
+    assert typed(jordan_variation(f)) == (F, 0)

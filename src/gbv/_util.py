@@ -11,6 +11,7 @@ parsing/formatting for the wire formats.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -281,10 +282,10 @@ def format_number(value, exact: bool = False) -> str:
     """Render a number for a CSV series: ``%.12g``, or p/q in exact mode."""
     if isinstance(value, Fraction):
         if exact:
-            return f"{value.numerator}/{value.denominator}"
+            return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
         value = _fraction_to_float(value)
     if isinstance(value, int):
-        return str(value)
+        return _int_str(value)
     if not math.isfinite(value):  # reports never carry NaN or infinities
         raise NonFiniteValue(f"refusing to serialize a non-finite number ({value!r})")
     return f"{value:.12g}"
@@ -312,7 +313,9 @@ def report_json(head: dict, result, exact: bool = False) -> str:
     given.  Numbers in ``result`` are report numbers: a float at 12
     significant digits (the repr of the float those digits denote), a
     Fraction as a "p/q" string under ``exact`` and otherwise as the nearest
-    float, at full precision.  NaN and infinities raise NonFiniteValue.
+    float, at full precision.  NaN and infinities raise NonFiniteValue.  An
+    int past the interpreter's digit limit for int-to-str conversion, which
+    json refuses, is written in full (``_int_str``), alone or in a Fraction.
     A list of floats under ``result`` is written in bulk (``_floats12``), and
     so is a list of Fractions under ``exact`` (``_fractions_str``, one string
     per run of identical objects).
@@ -333,7 +336,7 @@ def _write(v, pad: str, fl, fr) -> str:
     if t is str:
         return _json_str(v)
     if t is int:
-        return int.__repr__(v)
+        return _int_str(v)
     if t is Fraction:
         return fr(v)
     if v is None:
@@ -365,7 +368,7 @@ def _write(v, pad: str, fl, fr) -> str:
     if isinstance(v, str):
         return _json_str(v)
     if isinstance(v, int):
-        return int.__repr__(v)
+        return _int_str(v)
     if isinstance(v, Fraction):
         return fr(v)
     if isinstance(v, float):
@@ -435,8 +438,21 @@ def _fix12(s: str) -> str:
     return s + ".0"
 
 
+def _int_str(n: int) -> str:
+    """The decimal digits of an int, also past the interpreter's digit limit
+    for int-to-str conversion, which ``decimal`` does not have; the limit
+    itself stays as it is."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _fraction_str(v: Fraction) -> str:
-    return f'"{v.numerator}/{v.denominator}"'
+    try:
+        return f'"{v.numerator}/{v.denominator}"'
+    except ValueError:                  # past the digit limit: see _int_str
+        return f'"{_int_str(v.numerator)}/{_int_str(v.denominator)}"'
 
 
 def _fractions_str(values, sep: str) -> str:

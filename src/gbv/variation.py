@@ -65,19 +65,29 @@ from the row of the first top score, as that loop's ``hat`` would.  The
 product runs on the dtype ``_util.int_dtype`` chooses for its bound, max key
 times max form entry times width.
 
-The greedy variation and the upper bound finish on the same keys when the
-values are read as Fractions and phi states its hat on keys
+The greedy variation and the upper bound score under
+``phi.rearrangement_base()``, as the brute force does, so a permutation
+scores under its base.  They finish on the same keys when the values are
+read as Fractions and the base states its hat on keys
 (``Submeasure._key_hat``): the key hat scores the sorted run keys, or the
 increments of the merged modulus keys, as one numerator and denominator,
 in time linear in their number, and one Fraction is built from them over D
 (the int 0 when nothing oscillates).  This is exact because a hat-norm, a
 supremum of linear functionals sum mu_i |x_i|, is positively homogeneous:
-hat(D x) = D hat(x).  ``runs_saturate_modulus`` compares the prefix sums of
-the sorted run keys with the merged keys.  A phi whose rearrangement base
-lacks ``sorted_hat_is_sup``, a phi with no key hat (max-with-unit, whose
-hat is the oracle's) and a float phi keep the values' own arithmetic, and
-so do int values, where a hat's type depends on the weights its entries
-meet.
+hat(D x) = D hat(x).  ``runs_saturate_modulus`` compares the sorted run
+keys with the increments of the merged keys.  A base that lacks
+``sorted_hat_is_sup``, a base with no key hat (max-with-unit, whose hat is
+the oracle's) and a float phi keep the values' own arithmetic, and so do
+int values, where a hat's type depends on the weights its entries meet.
+
+The modulus and the sorted runs are computed once per function and cached
+on it, each on first use and as tuples, so that no caller can change them:
+on exact values the merged keys (checked once), their increments and the
+sorted run keys; on every rail the typed modulus vector
+(``PiecewiseLinearFunction._modulus``, merged or the DP's), its increments
+and the sorted runs.  Every estimator reads these, so a function merges
+once, or runs the DP once, however many estimators and submeasures it
+meets, and ``modulus_of_variation(f, n)`` is a slice of the full vector.
 
 One function has one type.  Exact values that include a Fraction are read
 as their Fraction twin (``PiecewiseLinearFunction._values``): every
@@ -127,7 +137,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import itemgetter, sub
 
 import numpy as np
@@ -249,6 +258,49 @@ class PiecewiseLinearFunction:
         rail = self._value_keys
         return rail if rail is not None and rail[2] is not None else None
 
+    # The modulus and the sorted runs, which every estimator reads, are
+    # cached here, not in a module cache, which would keep every f alive.
+
+    @cached_property
+    def _modulus_keys(self):
+        """v(0..B) on the keys of exact values (``_merged_keys``); None for
+        other values."""
+        rail = self._exact_keys
+        return None if rail is None else _merged_keys(rail[0], self.segments)
+
+    @cached_property
+    def _increment_keys(self) -> tuple:
+        """The increments of ``_modulus_keys``."""
+        v = self._modulus_keys
+        return tuple(map(sub, v[1:], v))
+
+    @cached_property
+    def _run_keys(self) -> tuple:
+        """The run amplitudes of the value keys, sorted nonincreasing."""
+        return tuple(sorted(_run_amplitudes(self._value_keys[0]), reverse=True))
+
+    @cached_property
+    def _modulus(self) -> "ModulusVector":
+        """v(0..B), typed from ``_modulus_keys`` on exact values and from the
+        merged dyadic keys of floats (which read this vector alone, so their
+        keys are not kept), or by ``_modulus_dp`` without keys."""
+        rail = self._value_keys
+        if rail is None:
+            return _modulus_dp(self)
+        keys, den, fraction = rail
+        v = _merged_keys(keys, self.segments) if fraction is None else self._modulus_keys
+        return ModulusVector._typed(v, den, fraction)
+
+    @cached_property
+    def _increments(self) -> tuple:
+        """The increments of ``_modulus`` in the values' own arithmetic."""
+        return self._modulus.increments()
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """``monotone_runs`` sorted nonincreasing."""
+        return tuple(sorted(monotone_runs(self), reverse=True))
+
 
 @dataclass(frozen=True)
 class ModulusVector:
@@ -280,6 +332,11 @@ class ModulusVector:
         and the int 0 where the key is 0 (v[0], or every entry of a constant
         function)."""
         _check_modulus(keys, 0)
+        return cls._typed(keys, den, fraction)
+
+    @classmethod
+    def _typed(cls, keys, den: int, fraction) -> "ModulusVector":
+        """``_from_keys`` on keys that were checked already."""
         values = [0] * len(keys)
         if keys[-1]:
             # the entries from the first n with v(n) = v(n_max) are one number
@@ -426,6 +483,8 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
       interior run is merged with its two neighbours into one run
       r_{i-1} - r_i + r_{i+1}: v(c - 1) = T - r_i and v(c - 2) = T - 2 r_i.
 
+    The full vector v(0..B) is computed once per function and cached on it
+    (``PiecewiseLinearFunction._modulus``); a smaller n_max reads a slice.
     The runs sit in a linked list, and a heap of (amplitude, position) skips
     its stale entries.  ``ModulusVector`` checks the keys exactly; an entry
     is its key mapped back (an int or a Fraction by ``_util.key_value``, or
@@ -497,11 +556,8 @@ def modulus_of_variation(f: PiecewiseLinearFunction, n_max: int = None) -> Modul
         n_max = B
     if not 0 <= n_max <= B:
         raise ValueError(f"n_max must lie in 0..{B}")
-    rail = f._value_keys
-    if rail is None:
-        return _modulus_dp(f, n_max)
-    keys, den, fraction = rail
-    return ModulusVector._from_keys(_modulus_keys(_run_amplitudes(keys), n_max), den, fraction)
+    v = f._modulus
+    return v if n_max == B else ModulusVector._checked(v.values[:n_max + 1])
 
 
 def _key_number(k: int, den: int, fraction):
@@ -514,16 +570,18 @@ def _key_number(k: int, den: int, fraction):
         return math.inf if k > 0 else -math.inf
 
 
+def _merged_keys(keys, B: int) -> tuple:
+    """v(0..B) from integer value keys, by ``_merge_smallest_swing``, checked
+    once by ``_check_modulus``."""
+    v = _merge_smallest_swing(_run_amplitudes(keys))
+    v += v[-1:] * (B + 1 - len(v))
+    _check_modulus(v, 0)
+    return tuple(v)
+
+
 def _run_amplitudes(keys) -> list:
     """The amplitude of each monotone run of integer keys, in order."""
     return [abs(keys[j] - keys[i]) for i, j in _spans(keys)]
-
-
-def _modulus_keys(runs: list, n_max: int) -> list:
-    """v(0..n_max) from the run amplitudes of integer keys, by
-    ``_merge_smallest_swing``, unchecked."""
-    v = _merge_smallest_swing(runs)
-    return v[:n_max + 1] + v[-1:] * (n_max + 1 - len(v))
 
 
 def _merge_smallest_swing(runs: list) -> list:
@@ -871,18 +929,30 @@ def _sorted_profile_matrix(values: tuple, max_count: int, types: tuple,
 # ---------------------------------------------------------------------------
 
 
-def _fraction_keys(f: PiecewiseLinearFunction, phi: Submeasure):
-    """``(keys, D)``, the integer keys of f's values over D, when a hat of
-    f's oscillations may be taken on their keys and divided by D once: the
-    values read as Fractions, and phi with a key hat (``_keyed``: exact, and
-    not max-with-unit, whose hat is the oracle's) and a rearrangement base
-    with ``sorted_hat_is_sup``.  None otherwise, where the values' own
-    arithmetic runs."""
+def _on_keys(f: PiecewiseLinearFunction, psi: Submeasure) -> bool:
+    """Whether a hat under psi of f's oscillations may be taken on their
+    integer keys over D and divided by D once (``_key_score``): the values
+    read as Fractions, and psi with a key hat (``_keyed``: exact, and not
+    max-with-unit, whose hat is the oracle's) and ``sorted_hat_is_sup``.
+    Otherwise the values' own arithmetic runs."""
     rail = f._exact_keys
-    if (rail is None or not rail[2] or not phi._keyed()
-            or not phi.rearrangement_base().sorted_hat_is_sup):
-        return None
-    return rail[:2]
+    return rail is not None and rail[2] and psi._keyed() and psi.sorted_hat_is_sup
+
+
+def _key_score(f: PiecewiseLinearFunction, phi: Submeasure, psi: Submeasure, keys):
+    """hat(keys) / D under ``psi = phi.rearrangement_base()`` for a
+    nonincreasing vector of f's keys, as one number (the int 0 when nothing
+    oscillates)."""
+    _check_horizon(phi, psi, len(keys))
+    num, den = psi._key_hat(keys)
+    return key_value(num, den * f._value_keys[1], num > 0)
+
+
+def _check_horizon(phi: Submeasure, psi: Submeasure, n: int) -> None:
+    """phi's own length check of n entries where they are scored on another
+    variant, its rearrangement base psi (a permutation ranges over 1..N)."""
+    if psi is not phi:
+        phi._check_length(n)
 
 
 def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
@@ -966,28 +1036,29 @@ def variation_bruteforce(f: PiecewiseLinearFunction, phi: Submeasure,
 def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
     """Hat-norm of the sorted monotone-run oscillations.
 
-    A lower bound of the true variation; exact exactly when the k largest
-    runs attain the k-interval modulus for every k (``runs_saturate_modulus``)
-    and ``phi.sorted_hat_is_sup`` holds, since then
-    greedy <= brute <= upper = greedy.  For other variants a warning flags
-    that not even the lower-bound ordering argument is available.  A float
-    hat past the float range raises ``NonFiniteValue``, as the brute force's
-    does, and so does a run with no finite float, named by its breakpoints.
-    All-Fraction values under an exact phi take the hat of the sorted run
-    keys over D once (see the module docstring).
+    Scored under ``phi.rearrangement_base()``, as the brute force scores, so
+    a permutation scores its runs under its base.  A lower bound of the true
+    variation; exact exactly when the k largest runs attain the k-interval
+    modulus for every k (``runs_saturate_modulus``) and the base's
+    ``sorted_hat_is_sup`` holds, since then greedy <= brute <= upper =
+    greedy.  For other variants a warning flags that not even the
+    lower-bound ordering argument is available.  A float hat past the float
+    range raises ``NonFiniteValue``, as the brute force's does, and so does a
+    run with no finite float, named by its breakpoints.  All-Fraction values
+    under an exact phi take the hat of the sorted run keys over D once (see
+    the module docstring).
     """
-    if not phi.sorted_hat_is_sup:
+    psi = phi.rearrangement_base()
+    if not psi.sorted_hat_is_sup:
         warnings.warn(
             f"greedy variation has no ordering guarantee for {phi!r}; "
             "value is a heuristic", stacklevel=2)
-    rail = _fraction_keys(f, phi)
-    if rail:
-        keys, D = rail
-        num, den = phi._key_hat(sorted(_run_amplitudes(keys), reverse=True))
-        return key_value(num, den * D, num > 0)
-    runs = sorted(monotone_runs(f), reverse=True)
+    if _on_keys(f, psi):
+        return _key_score(f, phi, psi, f._run_keys)
+    runs = f._runs
+    _check_horizon(phi, psi, len(runs))
     try:
-        value = hat_norm(phi, runs)
+        value = hat_norm(psi, runs)
     except NonFiniteValue:
         # name the first run with no finite float, by its breakpoints
         spans = sorted(zip(monotone_runs(f), _run_breakpoints(f)), key=itemgetter(0),
@@ -1006,35 +1077,33 @@ def variation_greedy(f: PiecewiseLinearFunction, phi: Submeasure):
 def variation_upper_bound(f: PiecewiseLinearFunction, phi: Submeasure):
     """Hat-norm of the modulus increment vector.
 
+    Scored under ``phi.rearrangement_base()``, as the brute force scores.
     The sorted oscillations of any family are prefix-dominated by the modulus
     increments (their k-prefix sums are at most v(k) by definition), so
-    where ``phi.sorted_hat_is_sup`` holds (the sorted vector is the best
-    ordering and the hat is prefix-monotone) this dominates the brute-force
-    supremum.  For unit and counting it degenerates to v(1) and v(B), both
-    exact.  A float modulus past the float range raises ``NonFiniteValue``
-    naming the first increment that is not finite, and so does an exact
-    increment with no float under float weights.  All-Fraction values under
-    an exact phi take the hat of the increments of the merged modulus keys
-    over D once (see the module docstring).
+    where the base's ``sorted_hat_is_sup`` holds (the sorted vector is the
+    best ordering and the hat is prefix-monotone) this dominates the
+    brute-force supremum.  For unit and counting it degenerates to v(1) and
+    v(B), both exact.  A float modulus past the float range raises
+    ``NonFiniteValue`` naming the first increment that is not finite, and so
+    does an exact increment with no float under float weights.  All-Fraction
+    values under an exact phi take the hat of the increments of the merged
+    modulus keys over D once (see the module docstring).
     """
-    if not phi.sorted_hat_is_sup:
+    psi = phi.rearrangement_base()
+    if not psi.sorted_hat_is_sup:
         warnings.warn(
             f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
-    rail = _fraction_keys(f, phi)
-    if rail:
-        keys, D = rail
-        v = _modulus_keys(_run_amplitudes(keys), f.segments)
-        _check_modulus(v, 0)
-        num, den = phi._key_hat([b - a for a, b in zip(v, v[1:])])
-        return key_value(num, den * D, num > 0)
-    d = modulus_of_variation(f).increments()
+    if _on_keys(f, psi):
+        return _key_score(f, phi, psi, f._increment_keys)
+    d = f._increments
     for n, v in enumerate(d, 1):
         if not is_finite(v):
             raise NonFiniteValue(
                 f"modulus increment {n} is not finite ({v!r}): the modulus overflows "
                 "the float range")
+    _check_horizon(phi, psi, len(d))
     try:
-        return hat_norm(phi, d)
+        return hat_norm(psi, d)
     except NonFiniteValue:
         as_float_array(d, "modulus increment {}")
         raise
@@ -1047,17 +1116,15 @@ def runs_saturate_modulus(f: PiecewiseLinearFunction) -> bool:
     nonincreasing amplitudes) greedy, brute force and the upper bound
     coincide for prefix-monotone hat-norms, since
     greedy <= brute <= upper = hat(sorted runs) = greedy.  Exact values
-    compare the prefix sums of the sorted run keys with the merged modulus
-    keys; other values compare the values, floats within slack.
+    compare the sorted run keys with the increments of the merged modulus
+    keys (v(k) is the total T for k past the run count); other values
+    compare the prefix sums of the runs with the modulus, floats within
+    slack.
     """
-    rail = f._exact_keys
-    if rail is not None:
-        runs = _run_amplitudes(rail[0])
-        v = _modulus_keys(runs, f.segments)
-        _check_modulus(v, 0)
-        return list(accumulate(sorted(runs, reverse=True))) == v[1:len(runs) + 1]
-    v = modulus_of_variation(f)
-    runs = sorted(monotone_runs(f), reverse=True)
+    if f._exact_keys is not None:
+        runs = f._run_keys
+        return runs == f._increment_keys[:len(runs)]
+    v, runs = f._modulus, f._runs
     slack = rail_slack(f.is_exact(), v.values[-1])
     total = 0
     for k in range(1, len(v)):
@@ -1085,12 +1152,13 @@ def bv_norm_detail(f: PiecewiseLinearFunction, phi: Submeasure,
                    method: str = "auto") -> BVNormResult:
     if method == "auto":
         method = "brute" if f.segments <= BRUTE_FORCE_MAX_SEGMENTS else "greedy"
+    sup = phi.rearrangement_base().sorted_hat_is_sup
     if method == "brute":
         var = variation_bruteforce(f, phi)
-        exact = phi.rearrangement_base().sorted_hat_is_sup
+        exact = sup
     elif method == "greedy":
         var = variation_greedy(f, phi)
-        exact = phi.sorted_hat_is_sup and runs_saturate_modulus(f)
+        exact = sup and runs_saturate_modulus(f)
     else:
         raise ValueError(f"unknown method {method!r}")
     return BVNormResult(abs(f._values[0]) + var, var, method, exact)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -640,3 +641,50 @@ def test_cli_density_table_must_be_integer(workdir):
     ok = submeasure_from_descriptor({"type": "density", "form": "table",
                                      "table": [1, 2.0, "3"]})
     assert ok.bound.table == (1, 2, 3)
+
+
+def test_cli_permuted_variant_brackets_the_brute_force(workdir, capsys):
+    # greedy and upper score on the rearrangement base, as the brute force
+    # does: under a permutation of harmonic weights all three are 7
+    from gbv.cli import main
+
+    (workdir / "zig.csv").write_text("0,0\n1/4,3\n1/2,-1\n3/4,2\n1,0\n")
+    (workdir / "permuted.json").write_text(json.dumps(
+        {"type": "summable", "form": "harmonic", "horizon": 8,
+         "wrap": [{"permuted": [8, 7, 6, 5, 4, 3, 2, 1]}]}))
+    rc = main(["variation", "--function", str(workdir / "zig.csv"),
+               "--submeasure", str(workdir / "permuted.json"), "--exact"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert json.loads(out)["result"]["variation"] == {"brute": "7/1", "greedy": "7/1",
+                                                       "upper": "7/1"}
+
+
+def test_cli_writes_exact_results_past_the_int_digit_limit(workdir, capsys):
+    # under harmonic weights at 2 * 10^4 segments the upper bound and the
+    # greedy variation have denominators of thousands of digits, past the
+    # interpreter's int-to-str limit; --exact writes them in full
+    from decimal import Decimal
+
+    from gbv.cli import main
+    from gbv.io import load_submeasure
+    from gbv.variation import variation_greedy, variation_upper_bound
+
+    B, rng = 2 * 10 ** 4, random.Random(31)
+    rows = [f"{k}/{B},{rng.randint(-50, 50)}/{rng.randint(1, 12)}\n" for k in range(B + 1)]
+    (workdir / "long.csv").write_text("".join(rows))
+    desc = workdir / "harmonic-long.json"
+    desc.write_text(json.dumps({"type": "summable", "form": "harmonic", "horizon": B}))
+    rc = main(["variation", "--function", str(workdir / "long.csv"),
+               "--submeasure", str(desc), "--exact", "--method", "upper"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    result = json.loads(out)["result"]
+    f, phi = load_function_csv(workdir / "long.csv"), load_submeasure(str(desc))
+    # the norm is |f(0)| plus the greedy variation
+    for got, want in ((result["variation"]["upper"], variation_upper_bound(f, phi)),
+                      (result["norm"], abs(f.values[0]) + variation_greedy(f, phi))):
+        assert want.denominator.bit_length() > 4300 * 3.33
+        num, den = got.split("/")
+        assert (Decimal(num), Decimal(den)) == (Decimal(want.numerator),
+                                                Decimal(want.denominator))

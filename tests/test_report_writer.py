@@ -8,6 +8,7 @@ The writer must equal, byte for byte, the two-pass route it replaced:
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -222,6 +223,22 @@ def test_fraction_beyond_the_float_range_is_refused():
     assert json.loads(report_json({}, {"v": huge}, exact=True))["result"]["v"] == \
         f"{10 ** 400}/3"
     assert format_number(huge, exact=True) == f"{10 ** 400}/3"
+
+
+def test_numbers_past_the_int_digit_limit_are_written_in_full():
+    # 2^15000 has 4516 digits, past the interpreter's int-to-str limit,
+    # which stays as it is; decimal writes the digits without it
+    from decimal import Decimal
+
+    big = Fraction(2 ** 15000, 3)
+    digits = str(Decimal(big.numerator))
+    assert len(digits) == 4516 and sys.get_int_max_str_digits() in (0, 4300)
+    report = json.loads(report_json({}, {"v": big, "vs": [big, big, Fraction(1, 3)]},
+                                    exact=True))["result"]
+    assert report == {"v": f"{digits}/3", "vs": [f"{digits}/3"] * 2 + ["1/3"]}
+    assert format_number(big, exact=True) == f"{digits}/3"
+    assert format_number(-big.numerator) == f"-{digits}"
+    assert report_json({}, {"n": -big.numerator}).endswith(f'"n": -{digits}\n  }}\n}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -981,16 +981,16 @@ def test_ordering_facts_hold_on_every_wrapper_stack():
                 greedy = variation_greedy(f, phi)
                 upper = variation_upper_bound(f, phi)
             said = " ".join(str(w.message) for w in caught)
-            assert ("greedy" in said) != phi.sorted_hat_is_sup, phi
-            assert ("upper bound" in said) != phi.sorted_hat_is_sup, phi
+            # greedy and upper score on the rearrangement base, as the brute force does
+            assert ("greedy" in said) != psi.sorted_hat_is_sup, phi
+            assert ("upper bound" in said) != psi.sorted_hat_is_sup, phi
             if not psi.sorted_hat_is_sup:
                 continue
             # the float rail is vectorized exactly here
             exact = variation_bruteforce(f, phi)
             fast = variation_bruteforce(float_twin(f), phi)
             assert abs(fast - float(exact)) <= 1e-9 * max(1.0, float(exact)), (phi, f)
-            if phi.sorted_hat_is_sup:
-                assert greedy <= exact <= upper, (phi, f)
+            assert greedy <= exact <= upper, (phi, f)
 
 
 def test_maximal_families_are_the_inclusion_maximal_ones():
@@ -1196,6 +1196,16 @@ def fraction_bruteforce(f, phi, max_count=None):
     return psi.hat(tuple(sorted([v for v in osc if v], reverse=True)))
 
 
+def base_hat(phi, x):
+    """The hat of x under phi's rearrangement base, after phi's own length
+    check where the base is another variant: the reference scoring of greedy
+    and upper."""
+    psi = phi.rearrangement_base()
+    if psi is not phi:
+        phi._check_length(len(x))
+    return psi.hat(x)
+
+
 def fraction_greedy(f, phi):
     """The greedy variation on the runs summed segment by segment: the
     reference."""
@@ -1203,12 +1213,12 @@ def fraction_greedy(f, phi):
     from gbv.submeasure import as_float_array
     from gbv.variation import _run_breakpoints
 
-    if not phi.sorted_hat_is_sup:
+    if not phi.rearrangement_base().sorted_hat_is_sup:
         warnings.warn(f"greedy variation has no ordering guarantee for {phi!r}; "
                       "value is a heuristic", stacklevel=2)
     runs = sorted(loop_monotone_runs(f), reverse=True)
     try:
-        value = phi.hat(runs)
+        value = base_hat(phi, runs)
     except NonFiniteValue:
         spans = sorted(zip(loop_monotone_runs(f), _run_breakpoints(f)),
                        key=lambda p: p[0], reverse=True)
@@ -1229,7 +1239,7 @@ def fraction_upper_bound(f, phi):
     from gbv._util import is_finite
     from gbv.submeasure import as_float_array
 
-    if not phi.sorted_hat_is_sup:
+    if not phi.rearrangement_base().sorted_hat_is_sup:
         warnings.warn(f"upper bound has no domination guarantee for {phi!r}", stacklevel=2)
     d = modulus_of_variation(f).increments()
     for n, v in enumerate(d, 1):
@@ -1237,7 +1247,7 @@ def fraction_upper_bound(f, phi):
             raise NonFiniteValue(f"modulus increment {n} is not finite ({v!r}): the modulus "
                                  "overflows the float range")
     try:
-        return phi.hat(d)
+        return base_hat(phi, d)
     except NonFiniteValue:
         as_float_array(d, "modulus increment {}")
         raise
@@ -1451,3 +1461,144 @@ def test_a_constant_mix_has_the_norm_of_its_fraction_twin():
         assert type(got) is F and got == 2, phi
     assert typed(modulus_of_variation(f).values) == ((int, 0), (int, 0))
     assert typed(jordan_variation(f)) == (F, 0)
+
+
+# ---------------------------------------------------------------------------
+# one merge per function: the modulus and the sorted runs are cached on it
+# ---------------------------------------------------------------------------
+
+
+def count_merges(monkeypatch):
+    """Calls of the merge and of the DP, by name, from now on."""
+    from gbv import variation as V
+
+    calls = []
+    for name in ("_merge_smallest_swing", "_modulus_dp"):
+        def counted(*args, real=getattr(V, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(V, name, counted)
+    return calls
+
+
+MERGE_COUNT_VALUES = {
+    "exact": ["0", "3/2", "-1", "7/3", "2", "-5/4", "1", "0", "9/2", "-2", "1/3"],
+    "float": ["0.0", "1.5", "-1.0", "2.25", "2.0", "-1.25", "1.0", "0.0", "4.5", "-2.0", "0.375"],
+    # a float CSV with a 0,0 first line: an int/float mix, which runs the DP
+    "mix": ["0", "1.5", "-1.0", "2.25", "2.0", "-1.25", "1.0", "0.0", "4.5", "-2.0", "0.375"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MERGE_COUNT_VALUES))
+def test_each_function_merges_once(kind, tmp_path, monkeypatch, capsys):
+    import json
+
+    from gbv.cli import main
+    from gbv.io import load_function_csv
+
+    values = MERGE_COUNT_VALUES[kind]
+    B = len(values) - 1
+    csv = tmp_path / "f.csv"
+    csv.write_text("".join(f"{k}/{B},{y}\n" for k, y in enumerate(values)))
+    desc = tmp_path / "phi.json"
+    desc.write_text(json.dumps({"type": "density", "form": "power", "param": "1/2"}))
+    want = ["_modulus_dp" if kind == "mix" else "_merge_smallest_swing"]
+    calls = count_merges(monkeypatch)
+    for method in ("all", "greedy", "upper"):
+        calls.clear()
+        argv = ["variation", "--function", str(csv), "--submeasure", str(desc),
+                "--method", method] + (["--exact"] if kind == "exact" else [])
+        assert main(argv) == 0, capsys.readouterr().err
+        assert calls == want, method
+    capsys.readouterr()
+    calls.clear()
+    f = load_function_csv(csv)
+    phis = [summable(harmonic_weights(16)), density(sqrt_bound()), unit(), counting(),
+            shift_normalize(summable(harmonic_weights(16)))]
+    for phi in phis:
+        variation_upper_bound(f, phi)
+    variation_greedy(f, phis[0])
+    runs_saturate_modulus(f)
+    for n in range(B + 1):
+        modulus_of_variation(f, n)
+    for method in ("brute", "greedy"):
+        bv_norm_detail(f, phis[1], method)
+    assert calls == want
+    # no caller can change what every estimator reads
+    cached = [f._modulus.values, f._increments, f._runs]
+    if kind == "exact":
+        cached += [f._modulus_keys, f._increment_keys, f._run_keys]
+    assert all(type(c) is tuple for c in cached)
+
+
+CACHE_KINDS = {"exact": st.one_of(_ints, _fractions), "float": _floats,
+               "int-float": st.one_of(_ints, _few.map(float))}
+CACHE_PHIS = [summable(harmonic_weights(64)), density(sqrt_bound()), unit(), counting(),
+              shift_normalize(summable(harmonic_weights(64))),
+              summable(power_weights(0.7, 64)),
+              permuted(summable(harmonic_weights(64)), tuple(range(64, 0, -1)))]
+
+
+def every_estimator(B):
+    """(name, call) for each estimator that reads the cache."""
+    calls = [(f"modulus {n}", lambda f, n=n: modulus_of_variation(f, n)) for n in range(B + 1)]
+    for phi in CACHE_PHIS:
+        calls += [(f"greedy {phi!r}", lambda f, phi=phi: variation_greedy(f, phi)),
+                  (f"upper {phi!r}", lambda f, phi=phi: variation_upper_bound(f, phi))]
+    return calls + [("saturate", runs_saturate_modulus)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cached_results_equal_a_fresh_copy(data):
+    kind = data.draw(st.sampled_from(sorted(CACHE_KINDS)), label="kind")
+    B = data.draw(st.integers(1, 40), label="B")
+    values = data.draw(st.lists(CACHE_KINDS[kind], min_size=B + 1, max_size=B + 1),
+                       label="values")
+    f = _function_of(values)
+    calls = every_estimator(B)
+    for _ in range(2):
+        for name, call in calls:
+            # a copy with nothing cached on it
+            assert run_outcome(call, f) == run_outcome(call, _function_of(values)), name
+
+
+def test_float_range_refusals_are_raised_on_every_call():
+    inc = PiecewiseLinearFunction((0, F(1, 2), 1), (0.0, 1.7e308, 7e307))
+    big = 10 ** 308
+    run = PiecewiseLinearFunction((0, F(1, 2), 1), (big, -big, 0))
+    harmonic, power = summable(harmonic_weights(8)), summable(power_weights(0.7, 16))
+    cases = [(variation_upper_bound, inc, harmonic,
+              r"^modulus increment 2 is not finite \(inf\)"),
+             (variation_greedy, inc, harmonic,
+              r"^the variation overflows the float range \(inf\)"),
+             (variation_greedy, run, power,
+              r"^the monotone run from breakpoint 1 to breakpoint 2 overflows a float"),
+             (variation_upper_bound, run, power, r"^modulus increment 1 overflows a float")]
+    for call, f, phi, message in cases:
+        for _ in range(3):
+            with pytest.raises(NonFiniteValue, match=message):
+                call(f, phi)
+
+
+PERMUTED_BASES = {"harmonic": summable(harmonic_weights(8)), "sqrt": density(sqrt_bound())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_permuted_variants_bracket_the_brute_force(data):
+    """greedy <= brute <= upper under a permutation: all three score on the
+    rearrangement base."""
+    base = data.draw(st.sampled_from(sorted(PERMUTED_BASES)), label="base")
+    phi = permuted(PERMUTED_BASES[base], data.draw(st.permutations(range(1, 9)), label="perm"))
+    exact = data.draw(st.booleans(), label="exact")
+    B = data.draw(st.integers(1, 8), label="B")
+    draw = _fractions if exact else st.integers(-6144, 6144).map(lambda k: k / 1024)
+    f = _function_of(data.draw(st.lists(draw, min_size=B + 1, max_size=B + 1),
+                               label="values"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        greedy, upper = variation_greedy(f, phi), variation_upper_bound(f, phi)
+    brute = variation_bruteforce(f, phi)
+    slack = 0 if exact else 1e-12 * max(1.0, abs(upper))
+    assert greedy <= brute + slack and brute <= upper + slack, (greedy, brute, upper)
